@@ -4,13 +4,18 @@ refinement (2-WL) producing the coherent configuration of a graph.
 The 2-WL round replaces the color of each pair (u, v) by its old color
 together with the sorted multiset over w of the color pairs
 (color(u, w), color(w, v)). Rounds are synchronous; refinement only splits
-classes, so at most n^2 rounds occur. New color ids are assigned from the
-lexicographically sorted distinct signatures, which is deterministic across
-platforms, and the final ids are renumbered in first-occurrence (row-major)
-order. The stable coloring is the smallest coherent configuration in which
-the arc set is a union of classes: the initial (diagonal, arc, non-arc)
-classes are unions of classes of any such configuration, and each round
-preserves that property because intersection numbers are well defined there.
+classes, so at most n^2 rounds occur. Each round numbers the distinct
+signatures 0, 1, ... in order of first occurrence in row-major pair order.
+The ids therefore depend only on which signatures are equal, never on byte
+order or on how signatures sort, so they are the same on every platform.
+The signature tensor is built a block of rows u at a time, so a round holds
+O(max(2^20, n^2)) tensor entries, n^2 new ids and the n + 1 entries of each
+distinct signature: O(n^2 + rank * n) memory, which is O(n^2) when the new
+rank is at most n. The stable coloring is the smallest coherent
+configuration in which the arc set is a union of classes: the initial
+(diagonal, arc, non-arc) classes are unions of classes of any such
+configuration, and each round preserves that property because intersection
+numbers are well defined there.
 """
 
 from __future__ import annotations
@@ -59,15 +64,30 @@ def initial_pair_coloring(g: Graph) -> PairColoring:
     return PairColoring(n, flat.reshape(n, n), num)
 
 
+# Caps the rows u of a 2-WL signature block at 2^20 // n^2, about 8 MB of int64
+# while n <= 1024; a block always holds at least one row, n * (n + 1) entries.
+_BLOCK_ENTRIES = 1 << 20
+
+
 def _wl2_round(color: np.ndarray, num_colors: int) -> tuple[np.ndarray, int]:
     n = color.shape[0]
-    # sig[u, v, w] encodes the pair (color(u, w), color(w, v)).
-    sig = color[:, None, :] * np.int64(num_colors) + color.T[None, :, :]
-    sig.sort(axis=2)
-    full = np.concatenate([color[:, :, None], sig], axis=2).reshape(n * n, n + 1)
-    _, inverse = np.unique(full, axis=0, return_inverse=True)
-    flat, num = _renumber_first_occurrence(inverse)
-    return flat.reshape(n, n), num
+    rows = max(1, _BLOCK_ENTRIES // (n * n))
+    scaled = color.astype(np.int64) * num_colors
+    color_t = color.T.astype(np.int64)
+    row_type = np.dtype((np.void, (n + 1) * 8))
+    ids: dict[bytes, int] = {}
+    new_ids: list[int] = []
+    for u0 in range(0, n, rows):
+        u1 = min(n, u0 + rows)
+        # sig[u, v] = (color(u, v), sorted over w of the code of the pair
+        # (color(u, w), color(w, v))), one contiguous row per pair.
+        sig = np.empty((u1 - u0, n, n + 1), dtype=np.int64)
+        sig[:, :, 0] = color[u0:u1]
+        np.add(scaled[u0:u1, None, :], color_t[None, :, :], out=sig[:, :, 1:])
+        sig[:, :, 1:].sort(axis=2)
+        keys = sig.reshape(-1).view(row_type).tolist()
+        new_ids += [ids.setdefault(key, len(ids)) for key in keys]
+    return np.array(new_ids, dtype=np.int64).reshape(n, n), len(ids)
 
 
 def wl2(g: Graph) -> CoherentConfiguration:
@@ -84,8 +104,7 @@ def wl2(g: Graph) -> CoherentConfiguration:
             if new_num == num:
                 break
             color, num = new_color, new_num
-    flat, num = _renumber_first_occurrence(color.ravel())
-    coloring = PairColoring(g.n, flat.reshape(g.n, g.n), num)
+    coloring = PairColoring(g.n, color, num)
     check = verify_coherence(coloring)
     if not check.ok:
         raise RuntimeError(f"2-WL produced an incoherent coloring: {check.witness}")
@@ -112,8 +131,14 @@ def verify_coherence(c: PairColoring) -> CoherenceResult:
 
     Checks that the diagonal is a union of classes, that the transpose of
     every class is a class, and that all intersection numbers are well
-    defined (counted here by 0/1 matrix products rather than by the
-    refinement signatures). Returns a witness describing the first failure.
+    defined. The last check is an exact integer count, made one row u at a
+    time and independently of the refinement: the sorted multiset over w of
+    the codes color(u, w) * rank + color(w, v) of every pair (u, v) must equal
+    that of the first pair of its class in row-major order. This takes
+    O(n^3 log n) time and O(n^2 + rank * n) memory, which is O(n^2) when
+    rank <= n, as for every Cayley graph. Returns a witness describing the
+    first failure: for intersection numbers, the lexicographically smallest
+    color pair (i, j) and then the smallest class on which p_ij varies.
     """
     n = c.n
     color = c.color
@@ -135,35 +160,45 @@ def verify_coherence(c: PairColoring) -> CoherenceResult:
                  "partners": [int(x) for x in partners]},
             )
 
-    flat = color.ravel()
-    order = np.argsort(flat, kind="stable")
-    sorted_colors = flat[order]
-    boundaries = np.flatnonzero(np.r_[True, sorted_colors[1:] != sorted_colors[:-1]])
-    masks = [(color == i).astype(np.float64) for i in range(c.num_colors)]
-    for i in range(c.num_colors):
-        for j in range(c.num_colors):
-            counts = (masks[i] @ masks[j]).ravel()[order]
-            lo = np.minimum.reduceat(counts, boundaries)
-            hi = np.maximum.reduceat(counts, boundaries)
-            bad = np.flatnonzero(lo != hi)
-            if len(bad):
-                r = int(sorted_colors[boundaries[bad[0]]])
-                pairs = np.argwhere(color == r)
-                vals = (masks[i] @ masks[j])[color == r]
-                p_lo = pairs[int(np.argmin(vals))]
-                p_hi = pairs[int(np.argmax(vals))]
-                return CoherenceResult(
-                    False,
-                    {
-                        "kind": "intersection",
-                        "colors": (i, j),
-                        "class": r,
-                        "pairs": (tuple(int(x) for x in p_lo),
-                                  tuple(int(x) for x in p_hi)),
-                        "counts": (int(vals.min()), int(vals.max())),
-                    },
-                )
-    return CoherenceResult(True)
+    rank = c.num_colors
+    _, first = np.unique(color.ravel(), return_index=True)
+    rep_row, rep_col = np.divmod(first, n)
+    # reps[r] is the multiset of the first pair of class r, filled in the row
+    # that pair lies in, before any other pair of the class is compared to it.
+    reps = np.empty((rank, n), dtype=np.int64)
+    worst = None  # smallest (code of (i, j), class) on which p_ij varies
+    for u in range(n):
+        multisets = np.sort(color[u] * np.int64(rank) + color.T, axis=1)
+        new = np.flatnonzero(rep_row == u)
+        reps[new] = multisets[rep_col[new]]
+        differ = multisets != reps[color[u]]
+        bad = np.flatnonzero(differ.any(axis=1))
+        if len(bad):
+            # At the first position where two sorted multisets differ, the
+            # smaller entry is the smallest code whose multiplicities differ.
+            at = differ[bad].argmax(axis=1)
+            codes = np.minimum(multisets[bad, at], reps[color[u, bad], at])
+            found = min(zip(codes.tolist(), color[u, bad].tolist()))
+            worst = found if worst is None else min(worst, found)
+    if worst is None:
+        return CoherenceResult(True)
+    code, r = worst
+    i, j = divmod(code, rank)
+    pairs = np.argwhere(color == r)
+    vals = ((color == i).astype(np.int64) @ (color == j).astype(np.int64))[color == r]
+    p_lo = pairs[int(np.argmin(vals))]
+    p_hi = pairs[int(np.argmax(vals))]
+    return CoherenceResult(
+        False,
+        {
+            "kind": "intersection",
+            "colors": (i, j),
+            "class": r,
+            "pairs": (tuple(int(x) for x in p_lo),
+                      tuple(int(x) for x in p_hi)),
+            "counts": (int(vals.min()), int(vals.max())),
+        },
+    )
 
 
 def configuration_to_json(c: CoherentConfiguration, run_length: bool = False) -> str:

@@ -207,3 +207,78 @@ def test_refinement_never_decreases_color_count(cache):
         if new_num == num:
             break
         color, num = new_color, new_num
+
+
+def _directed_3_cycle():
+    return Graph.from_edges(3, [(0, 1), (1, 2), (2, 0)], directed=True)
+
+
+# sha256 of configuration_to_json(wl2(g)), recorded before 2-WL rounds were
+# blocked and numbered through a signature dict; the bytes must never move.
+_PINNED_COLORINGS = {
+    "gamma5": "171466738738cd91e60c39088f43fdc95c15cf15cd2f912db141c9c13e284597",
+    "gamma6": "ea9790d03f4ca4e87c87662f838d848c7b79e763f8326cbb3558e25f17bdc3a2",
+    "grid4x6": "ba22c35f5e876791a1044fb996a7df9f9b6b4d609bf1b88f09f59e99c9b9b6b3",
+    "directed3cycle": "850993c77412e609f52d59eff330daaa0fd843bcd09cccbdc77342404f0358ae",
+}
+
+
+def test_final_colorings_are_bit_identical_to_pins(cache):
+    import hashlib
+
+    from dezawl import configuration_to_json
+
+    graphs = {
+        "gamma5": cache.graph(5),
+        "gamma6": cache.graph(6),
+        "grid4x6": grid_graph(4, 6),
+        "directed3cycle": _directed_3_cycle(),
+    }
+    for name, graph in graphs.items():
+        text = configuration_to_json(wl2(graph))
+        assert hashlib.sha256(text.encode()).hexdigest() == _PINNED_COLORINGS[name], name
+
+
+def test_one_row_blocks_give_the_single_block_coloring(cache, monkeypatch):
+    import numpy as np
+
+    from dezawl import wl
+
+    digraph = Graph.from_edges(
+        7, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5), (5, 3), (6, 0)],
+        directed=True,
+    )
+    graphs = (cache.graph(4), cache.graph(5), digraph)
+    single = [wl2(graph) for graph in graphs]
+    assert all(wl._BLOCK_ENTRIES >= graph.n ** 2 for graph in graphs)
+    monkeypatch.setattr(wl, "_BLOCK_ENTRIES", 1)
+    for graph, expected in zip(graphs, single):
+        conf = wl2(graph)
+        assert conf.rank == expected.rank
+        assert np.array_equal(conf.coloring.color, expected.coloring.color)
+    assert wl_rank(Graph(0)) == 0
+    assert wl_rank(Graph(1)) == 1
+
+
+def test_round_ids_do_not_depend_on_color_values(cache):
+    """Ids depend only on which signatures are equal, whatever values name
+    the colors."""
+    import numpy as np
+
+    from dezawl.wl import _wl2_round
+
+    for graph in (cache.graph(3), _directed_3_cycle()):
+        init = initial_pair_coloring(graph)
+        expected_color, expected_num = _wl2_round(init.color, init.num_colors)
+        reversed_color = init.num_colors - 1 - init.color
+        new_color, new_num = _wl2_round(reversed_color, init.num_colors)
+        assert new_num == expected_num
+        assert np.array_equal(new_color, expected_color)
+
+
+def test_wl2_raises_when_refinement_stops_early(cache, monkeypatch):
+    from dezawl import wl
+
+    monkeypatch.setattr(wl, "_wl2_round", lambda color, num: (color, num))
+    with pytest.raises(RuntimeError, match="incoherent"):
+        wl2(cache.graph(3))
