@@ -1,14 +1,15 @@
 """Graph construction and combinatorial parameter verification.
 
-Adjacency is stored as one bitset (Python int) per row, so common-neighbor
-counts are popcounts of bitwise intersections. Graphs are treated as
-immutable once built; derived graphs are produced by copy.
+A graph holds one n x n boolean adjacency matrix. Common-neighbor counts
+for the Deza and divisible-design checks come from one exact integer
+product A A^T, and the diameter from boolean reachability matrices; both
+use integer or boolean arithmetic only, never floating point. Graphs are
+treated as immutable once built; derived graphs are produced by copy.
 """
 
 from __future__ import annotations
 
 import json
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
 
@@ -18,7 +19,8 @@ from .group import FamilyGroup, Group, Subgroup, cosets, subgroup_generated
 
 
 class Graph:
-    """Loopless graph or digraph on vertices 0..n-1."""
+    """Loopless graph or digraph on vertices 0..n-1; adj[u, v] is true iff
+    (u, v) is an arc, and an undirected graph stores both arcs."""
 
     def __init__(
         self,
@@ -30,7 +32,7 @@ class Graph:
             raise ValueError("vertex count must be nonnegative")
         self.n = n
         self.directed = directed
-        self.rows = [0] * n
+        self.adj = np.zeros((n, n), dtype=bool)
         if labels is not None and len(labels) != n:
             raise ValueError("labels length does not match vertex count")
         self.labels = list(labels) if labels is not None else None
@@ -45,62 +47,47 @@ class Graph:
     ) -> "Graph":
         g = cls(n, directed, labels)
         for u, v in edges:
-            g._add_arc(u, v)
+            if not (0 <= u < n and 0 <= v < n):
+                raise ValueError(f"arc ({u}, {v}) out of range")
+            if u == v:
+                raise ValueError("loops are not allowed")
+            if g.adj[u, v]:
+                raise ValueError(f"duplicate edge {u} {v}")
+            g.adj[u, v] = True
             if not directed:
-                g._add_arc(v, u)
+                g.adj[v, u] = True
         return g
 
-    def _add_arc(self, u: int, v: int) -> None:
-        if not (0 <= u < self.n and 0 <= v < self.n):
-            raise ValueError(f"arc ({u}, {v}) out of range")
-        if u == v:
-            raise ValueError("loops are not allowed")
-        self.rows[u] |= 1 << v
-
     def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.rows[u] >> v & 1)
+        for x in (u, v):
+            if not 0 <= x < self.n:
+                raise ValueError(f"vertex {x} out of range for {self.n} vertices")
+        return bool(self.adj[u, v])
 
     def neighbors(self, u: int) -> list[int]:
-        row = self.rows[u]
-        out = []
-        v = 0
-        while row:
-            if row & 1:
-                out.append(v)
-            row >>= 1
-            v += 1
-        return out
+        return np.flatnonzero(self.adj[u]).tolist()
 
     def degree(self, u: int) -> int:
-        return self.rows[u].bit_count()
-
-    def arc_count(self) -> int:
-        return sum(r.bit_count() for r in self.rows)
+        return int(np.count_nonzero(self.adj[u]))
 
     def edge_count(self) -> int:
-        if self.directed:
-            return self.arc_count()
-        return self.arc_count() // 2
+        arcs = int(np.count_nonzero(self.adj))
+        return arcs if self.directed else arcs // 2
 
     def edges(self) -> list[tuple[int, int]]:
-        """Arcs for digraphs; unordered pairs (u < v) for graphs."""
-        out = []
-        for u in range(self.n):
-            for v in self.neighbors(u):
-                if self.directed or u < v:
-                    out.append((u, v))
-        return out
+        """Arcs for digraphs; unordered pairs (u < v) for graphs; both in
+        row-major order."""
+        arcs = self.adj if self.directed else np.triu(self.adj, 1)
+        return [(u, v) for u, v in np.argwhere(arcs).tolist()]
 
     def common_neighbors(self, u: int, v: int) -> int:
-        return (self.rows[u] & self.rows[v]).bit_count()
+        return int(np.count_nonzero(self.adj[u] & self.adj[v]))
 
     def is_regular(self) -> Optional[int]:
         """The common degree, or None if degrees differ (or n = 0)."""
-        if self.n == 0:
-            return None
-        degs = {self.degree(u) for u in range(self.n)}
-        if len(degs) == 1:
-            return degs.pop()
+        degrees = self.adj.sum(axis=1)
+        if self.n and (degrees == degrees[0]).all():
+            return int(degrees[0])
         return None
 
     def without_edge(self, u: int, v: int) -> "Graph":
@@ -108,18 +95,11 @@ class Graph:
         if not self.has_edge(u, v):
             raise ValueError(f"({u}, {v}) is not an edge")
         g = Graph(self.n, self.directed, self.labels)
-        g.rows = list(self.rows)
-        g.rows[u] &= ~(1 << v)
+        g.adj = self.adj.copy()
+        g.adj[u, v] = False
         if not self.directed:
-            g.rows[v] &= ~(1 << u)
+            g.adj[v, u] = False
         return g
-
-    def to_matrix(self) -> np.ndarray:
-        m = np.zeros((self.n, self.n), dtype=bool)
-        for u in range(self.n):
-            for v in self.neighbors(u):
-                m[u, v] = True
-        return m
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
@@ -127,7 +107,7 @@ class Graph:
         return (
             self.n == other.n
             and self.directed == other.directed
-            and self.rows == other.rows
+            and np.array_equal(self.adj, other.adj)
             and self.labels == other.labels
         )
 
@@ -195,9 +175,9 @@ def cayley_graph(g: Group, s: Iterable[int]) -> Graph:
         raise ValueError("connection set must not contain the identity")
     symmetric = all(g.inverse(x) in s_set for x in s_set)
     graph = Graph(g.order, directed=not symmetric, labels=[g.name(x) for x in g.elements()])
-    for x in g.elements():
-        for t in s_set:
-            graph._add_arc(x, g.mul(t, x))
+    if s_set:
+        # Row t of the table is x -> tx, so this sets adj[x, tx] for t in S.
+        graph.adj[np.arange(g.order), np.array([g.mult[t] for t in s_set])] = True
     return graph
 
 
@@ -208,90 +188,89 @@ def grid_graph(l: int, m: int) -> Graph:
         raise ValueError("grid dimensions must be at least 1")
     labels = [f"({i},{j})" for i in range(l) for j in range(m)]
     g = Graph(l * m, directed=False, labels=labels)
-    for i in range(l):
-        for j in range(m):
-            u = i * m + j
-            for jj in range(j + 1, m):
-                g._add_arc(u, i * m + jj)
-                g._add_arc(i * m + jj, u)
-            for ii in range(i + 1, l):
-                g._add_arc(u, ii * m + j)
-                g._add_arc(ii * m + j, u)
+    row, col = np.divmod(np.arange(l * m), m)
+    g.adj = (row[:, None] == row) ^ (col[:, None] == col)
     return g
 
 
 def diameter(g: Graph) -> Union[int, float]:
-    """Maximum eccentricity over all vertices; inf if not strongly connected."""
-    if g.n == 0:
-        return 0
-    best = 0
-    for src in range(g.n):
-        dist = [-1] * g.n
-        dist[src] = 0
-        queue = deque([src])
-        while queue:
-            u = queue.popleft()
-            for v in g.neighbors(u):
-                if dist[v] < 0:
-                    dist[v] = dist[u] + 1
-                    queue.append(v)
-        ecc = max(dist)
-        if min(dist) < 0:
+    """Maximum eccentricity over all vertices; inf if not strongly connected.
+
+    After d steps, reach[u, v] is true iff a walk of at most d arcs leads
+    from u to v; a step appends one arc with a boolean matrix product (an or
+    of ands, so nothing can overflow). The diameter is the first d at which
+    every pair is reached; a step that reaches no new pair before then
+    proves some pair unreachable. Each step costs O(n^3) boolean operations,
+    so this is meant for graphs of small diameter: a long path is slower
+    than a breadth-first search from every vertex.
+    """
+    reach = np.eye(g.n, dtype=bool)
+    d = 0
+    while not reach.all():
+        grown = reach | (reach @ g.adj)
+        if np.array_equal(grown, reach):
             return float("inf")
-        best = max(best, ecc)
-    return best
+        reach, d = grown, d + 1
+    return d
+
+
+def _common_neighbor_counts(g: Graph) -> np.ndarray:
+    """C = A A^T, so C[u, v] counts the common out-neighbors of u and v.
+
+    numpy multiplies integer matrices with its own loops, never BLAS, so
+    each entry is an exact int32 sum of at most n < 2^31 ones.
+    """
+    a = g.adj.astype(np.int32)
+    return a @ a.T
+
+
+def _upper_triangle(n: int) -> np.ndarray:
+    """Mask of the pairs u < v, whose row-major order orders witnesses."""
+    return np.triu(np.ones((n, n), dtype=bool), 1)
+
+
+def _first_pair(mask: np.ndarray) -> tuple[int, int]:
+    """The first true entry of an n x n mask in row-major order."""
+    u, v = divmod(int(np.argmax(mask)), mask.shape[1])
+    return (u, v)
 
 
 def deza_parameters(g: Graph) -> Union[DezaParameters, NotDezaVerdict]:
-    """Classify g by exhaustive common-neighbor counting over all pairs.
+    """Classify g by exact common-neighbor counts over all pairs.
 
     Returns DezaParameters when the graph is regular and at most two distinct
-    common-neighbor counts occur; otherwise a NotDezaVerdict with a witness.
-    A strongly regular graph is one where the count depends only on
+    common-neighbor counts occur; otherwise a NotDezaVerdict with a witness:
+    the first pair, in row-major order of pairs u < v, that shows a third
+    count. A strongly regular graph is one where the count depends only on
     adjacency; strictly Deza means diameter 2 and not strongly regular.
     """
     if g.directed:
         raise ValueError("Deza parameters are defined for undirected graphs")
-    if g.n == 0:
-        return DezaParameters(0, 0, 0, 0, strictly=False,
+    if g.n <= 1:
+        return DezaParameters(g.n, 0, 0, 0, strictly=False,
                               strongly_regular=True, degenerate=True)
     k = g.is_regular()
     if k is None:
-        degs = [g.degree(u) for u in range(g.n)]
-        u = degs.index(min(degs))
-        v = degs.index(max(degs))
-        return NotDezaVerdict("not regular", (u, v))
+        degrees = g.adj.sum(axis=1)
+        return NotDezaVerdict("not regular", (int(degrees.argmin()), int(degrees.argmax())))
 
-    values: dict[int, tuple[int, int]] = {}
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            c = g.common_neighbors(u, v)
-            if c not in values:
-                values[c] = (u, v)
-                if len(values) > 2:
-                    return NotDezaVerdict(
-                        "more than two common-neighbor counts", (u, v)
-                    )
+    counts = _common_neighbor_counts(g)
+    upper = _upper_triangle(g.n)
+    values: list[int] = []  # distinct counts in order of first occurrence
+    fresh = upper.copy()  # the pairs whose count is not in values yet
+    while fresh.any():
+        u, v = _first_pair(fresh)
+        if len(values) == 2:
+            return NotDezaVerdict("more than two common-neighbor counts", (u, v))
+        values.append(int(counts[u, v]))
+        fresh &= counts != values[-1]
 
-    if not values:  # n <= 1
-        return DezaParameters(g.n, 0, 0, 0, strictly=False,
-                              strongly_regular=True, degenerate=True)
-    counts = sorted(values, reverse=True)
-    beta = counts[0]
-    alpha = counts[-1]
-    degenerate = len(counts) == 1
-
-    # Strong regularity: the count is a function of adjacency alone.
-    adj_counts: set[int] = set()
-    non_counts: set[int] = set()
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            c = g.common_neighbors(u, v)
-            (adj_counts if g.has_edge(u, v) else non_counts).add(c)
-    srg = len(adj_counts) <= 1 and len(non_counts) <= 1
+    # Strong regularity: the count is a function of adjacency alone, i.e.
+    # constant on adjacent and on non-adjacent pairs (vacuous on no pairs).
+    srg = all((c == c[:1]).all() for c in (counts[upper & g.adj], counts[upper & ~g.adj]))
     strictly = (not srg) and diameter(g) == 2
-    return DezaParameters(g.n, k, beta, alpha, strictly=strictly,
-                          strongly_regular=srg, degenerate=degenerate)
+    return DezaParameters(g.n, k, max(values), min(values), strictly=strictly,
+                          strongly_regular=srg, degenerate=len(values) == 1)
 
 
 def ddg_check(
@@ -302,16 +281,21 @@ def ddg_check(
     Vertices in the same class must share alpha common neighbors, vertices in
     different classes beta. Classes must be equal-sized; a malformed
     partition (not covering every vertex exactly once) raises ValueError.
-    For singleton classes alpha is vacuous and reported as 0.
+    For singleton classes alpha is vacuous and reported as 0. alpha and beta
+    are the counts of the first within-class and between-class pair; the
+    witness of a failure is the first pair u < v, in row-major order, whose
+    count differs from the one of its kind.
     """
     if g.directed:
         raise ValueError("divisible design check requires an undirected graph")
     seen = [0] * g.n
-    for cls in partition:
+    class_of = np.zeros(g.n, dtype=np.int64)
+    for i, cls in enumerate(partition):
         for v in cls:
             if not 0 <= v < g.n:
                 raise ValueError(f"vertex {v} out of range")
             seen[v] += 1
+            class_of[v] = i
     if any(c != 1 for c in seen):
         raise ValueError("classes do not partition the vertex set")
 
@@ -321,31 +305,21 @@ def ddg_check(
     sizes = {len(cls) for cls in partition}
     if len(sizes) != 1:
         return DDGFailure("classes have unequal sizes")
-    l = sizes.pop()
-    m = len(partition)
 
-    class_of = [0] * g.n
-    for i, cls in enumerate(partition):
-        for v in cls:
-            class_of[v] = i
-
-    alpha: Optional[int] = None
-    beta: Optional[int] = None
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            c = g.common_neighbors(u, v)
-            if class_of[u] == class_of[v]:
-                if alpha is None:
-                    alpha = c
-                elif c != alpha:
-                    return DDGFailure("within-class count not constant", (u, v))
-            else:
-                if beta is None:
-                    beta = c
-                elif c != beta:
-                    return DDGFailure("between-class count not constant", (u, v))
-    return DDGParameters(g.n, k, alpha if alpha is not None else 0,
-                         beta if beta is not None else 0, m, l)
+    counts = _common_neighbor_counts(g)
+    upper = _upper_triangle(g.n)
+    same = class_of[:, None] == class_of
+    levels = []
+    off = np.zeros_like(upper)
+    for pairs in (upper & same, upper & ~same):
+        level = int(counts[_first_pair(pairs)]) if pairs.any() else 0
+        off |= pairs & (counts != level)
+        levels.append(level)
+    if off.any():
+        u, v = _first_pair(off)
+        kind = "within" if same[u, v] else "between"
+        return DDGFailure(f"{kind}-class count not constant", (u, v))
+    return DDGParameters(g.n, k, levels[0], levels[1], len(partition), sizes.pop())
 
 
 def canonical_ddg_partition(g: Group, k: int) -> list[tuple[int, ...]]:
@@ -373,6 +347,8 @@ def write_edgelist(g: Graph) -> str:
 
 
 def parse_edgelist(text: str) -> Graph:
+    """Inverse of write_edgelist. Graph.from_edges rejects an edge listed
+    twice, in either orientation, so the header's count is the edge count."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValueError("empty edge-list input")
@@ -414,11 +390,23 @@ def graph_to_json(g: Graph) -> str:
 
 
 def graph_from_json(text: str) -> Graph:
+    """Inverse of graph_to_json. A field of the wrong JSON type raises
+    ValueError; a missing field raises KeyError."""
     obj = json.loads(text)
-    edges = [(int(u), int(v)) for u, v in obj["edges"]]
-    return Graph.from_edges(
-        int(obj["n"]), edges, directed=bool(obj["directed"]), labels=obj.get("labels")
-    )
+    if not isinstance(obj, dict):
+        raise ValueError("graph JSON must be an object")
+    n, directed, edges, labels = obj["n"], obj["directed"], obj["edges"], obj.get("labels")
+    valid = {
+        "n": type(n) is int,
+        "directed": type(directed) is bool,
+        "edges": type(edges) is list and all(
+            type(e) is list and len(e) == 2 and all(type(x) is int for x in e) for e in edges),
+        "labels": labels is None or type(labels) is list and all(type(x) is str for x in labels),
+    }
+    for field_name, ok in valid.items():
+        if not ok:
+            raise ValueError(f"graph JSON field {field_name!r} has the wrong type")
+    return Graph.from_edges(n, [(u, v) for u, v in edges], directed, labels)
 
 
 def save_graph(g: Graph, fmt: str) -> str:

@@ -109,10 +109,6 @@ def exact_nullity(matrix: list[list[int]]) -> int:
     return len(matrix) - integer_rank(matrix)
 
 
-def _adjacency_int(g: Graph) -> list[list[int]]:
-    return [[1 if g.has_edge(u, v) else 0 for v in range(g.n)] for u in range(g.n)]
-
-
 def integral_spectrum(g: Graph):
     """Certify that all adjacency eigenvalues of g are integers.
 
@@ -126,7 +122,7 @@ def integral_spectrum(g: Graph):
     if n == 0:
         return IntegralSpectrum(())
 
-    floats = np.linalg.eigvalsh(g.to_matrix().astype(np.float64))
+    floats = np.linalg.eigvalsh(g.adj.astype(np.float64))
     candidates: set[int] = set()
     unmatched: list[float] = []
     for x in floats:
@@ -136,12 +132,13 @@ def integral_spectrum(g: Graph):
         else:
             unmatched.append(float(x))
 
-    adj = _adjacency_int(g)
+    # One list of A - lambda*I, its (zero) diagonal overwritten for each
+    # lambda; exact_nullity works on a copy.
+    shifted = g.adj.astype(np.int8).tolist()
     pairs = []
     for lam in sorted(candidates, reverse=True):
-        shifted = [row[:] for row in adj]
         for i in range(n):
-            shifted[i][i] -= lam
+            shifted[i][i] = -lam
         mult = exact_nullity(shifted)
         if mult > 0:
             pairs.append((lam, mult))

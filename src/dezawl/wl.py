@@ -57,7 +57,7 @@ def initial_pair_coloring(g: Graph) -> PairColoring:
     """Diagonal, arc, reverse-arc and non-arc classes, degenerate cases
     collapsing to fewer colors."""
     n = g.n
-    a = g.to_matrix().astype(np.int64)
+    a = g.adj.astype(np.int64)
     code = a + 2 * a.T
     np.fill_diagonal(code, 4)
     flat, num = _renumber_first_occurrence(code.ravel())
@@ -225,10 +225,14 @@ def wl1(g: Graph) -> list[int]:
     out-neighbor colors, sorted multiset of in-neighbor colors); for
     undirected graphs the two multisets coincide.
     """
-    n = g.n
+    return _refine_vertex_colors([g.neighbors(u) for u in range(g.n)])
+
+
+def _refine_vertex_colors(out_nbrs: list[list[int]]) -> list[int]:
+    """wl1 of the digraph with the given out-neighbor lists."""
+    n = len(out_nbrs)
     colors = [0] * n
     in_nbrs: list[list[int]] = [[] for _ in range(n)]
-    out_nbrs = [g.neighbors(u) for u in range(n)]
     for u in range(n):
         for v in out_nbrs[u]:
             in_nbrs[v].append(u)
@@ -251,16 +255,17 @@ def wl1(g: Graph) -> list[int]:
 def wl1_distinguishes(g1: Graph, g2: Graph) -> bool:
     """True iff stable color refinement separates g1 from g2.
 
-    Refinement runs on the disjoint union so both graphs share one color
-    vocabulary; the graphs are distinguished iff the color histograms of the
-    two sides differ. Requires equal vertex counts.
+    Refinement runs on the disjoint union, g2 shifted to vertices n..2n-1,
+    so both graphs share one color vocabulary; the graphs are distinguished
+    iff the color histograms of the two sides differ. Requires equal vertex
+    counts.
     """
     if g1.n != g2.n:
         raise ValueError("graphs must have the same vertex count")
     if g1.directed != g2.directed:
         raise ValueError("graphs must both be directed or both undirected")
     n = g1.n
-    union = Graph(2 * n, directed=g1.directed)
-    union.rows = list(g1.rows) + [r << n for r in g2.rows]
-    colors = wl1(union)
+    union = [g1.neighbors(u) for u in range(n)]
+    union += [[v + n for v in g2.neighbors(u)] for u in range(n)]
+    colors = _refine_vertex_colors(union)
     return sorted(colors[:n]) != sorted(colors[n:])

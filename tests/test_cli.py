@@ -187,3 +187,44 @@ def test_loaded_graph_matches_constructed(tmp_path):
     graph = load_graph(out.read_text())
     assert graph.n == 24
     assert graph.edge_count() == 96
+
+
+@pytest.mark.parametrize("u,v", [(100, 0), (-1, 0), (0, -23)])
+def test_verify_rejects_out_of_range_drop_edge(u, v, tmp_path, capsys):
+    report_path = tmp_path / "r.json"
+    code = main(["verify", "--k", "3", "--json", str(report_path),
+                 "--drop-edge", str(u), str(v)])
+    assert code == 2
+    assert "out of range" in capsys.readouterr().err
+    assert not report_path.exists()
+
+
+@pytest.mark.parametrize("text", [
+    '{"n": null, "edges": []}',
+    '{"n": null, "directed": false, "edges": []}',
+    '{"n": 3, "directed": false, "edges": 5}',
+    '{"n": 3, "directed": false, "edges": [], "labels": 5}',
+    '{"n": 3, "directed": false, "edges": [[0, null]]}',
+    '{"n": 3, "directed": false, "edges": [[0, 1, 2]]}',
+    '{"n": 3, "directed": "no", "edges": []}',
+    '{"n": 3, "directed": false, "edges": [], "labels": [1, 2, 3]}',
+    '{"n": 3, "directed": false}',
+])
+def test_wl_rank_rejects_json_of_wrong_types(text, tmp_path, capsys):
+    path = tmp_path / "g.json"
+    path.write_text(text)
+    assert main(["wl-rank", "--in", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot read graph")
+
+
+@pytest.mark.parametrize("text", [
+    "3 2\n0 1\n1 0\n",
+    "3 2\n0 1\n0 1\n",
+    '{"n": 3, "directed": false, "edges": [[0, 1], [1, 0], [0, 1]]}',
+    '{"n": 3, "directed": true, "edges": [[0, 1], [0, 1]]}',
+])
+def test_wl_rank_rejects_duplicate_edges(text, tmp_path, capsys):
+    path = tmp_path / "g.txt"
+    path.write_text(text)
+    assert main(["wl-rank", "--in", str(path)]) == 2
+    assert "duplicate edge" in capsys.readouterr().err

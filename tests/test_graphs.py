@@ -277,7 +277,7 @@ def test_edgelist_round_trip_is_bit_exact():
     assert text.splitlines()[0] == "24 96"
     parsed = parse_edgelist(text)
     assert parsed.n == gamma.n
-    assert parsed.rows == gamma.rows
+    assert parsed.edges() == gamma.edges()
     assert write_edgelist(parsed) == text
 
 

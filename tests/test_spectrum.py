@@ -81,7 +81,7 @@ def test_family_graph_spectrum_certified(cache, k):
 @pytest.mark.parametrize("k", [3, 4])
 def test_exact_multiplicities_match_float_counts(cache, k):
     gamma = cache.graph(k)
-    vals = np.linalg.eigvalsh(gamma.to_matrix().astype(float))
+    vals = np.linalg.eigvalsh(gamma.adj.astype(float))
     approx = {}
     for x in vals:
         approx[round(float(x))] = approx.get(round(float(x)), 0) + 1
