@@ -1,10 +1,37 @@
 """Exact integral-spectrum certification.
 
-Eigenvalue candidates come from a numeric eigendecomposition; every
-candidate integer eigenvalue is then certified by computing the nullity of
-A - lambda*I exactly over the rationals, using integer row elimination
-(cross-multiplication with per-row gcd reduction, which preserves rank).
-Floating point alone cannot certify integrality; the exact nullities can.
+Floating point only nominates: the eigenvalues numpy computes that lie
+within CANDIDATE_TOLERANCE of an integer form the candidate set C. The
+certificate itself is exact.
+
+When every float was matched to a candidate, integral_spectrum proves that
+the product P = prod_{lambda in C} (A - lambda*I) is the zero matrix. A is
+real symmetric, hence diagonalizable, so its minimal polynomial has simple
+roots, namely its distinct eigenvalues; P = 0 means that polynomial divides
+prod (x - lambda), so every eigenvalue of A lies in C. Writing
+A = sum lambda*E_lambda with E_lambda the orthogonal projection onto the
+lambda-eigenspace, of rank m_lambda (0 when lambda is no eigenvalue), gives
+tr p(A) = sum m_lambda p(lambda) for every polynomial p. Taking the Newton
+basis p_j = prod_{i<j} (x - lambda_i), j < |C|, these |C| equations are the
+Vandermonde system sum m_lambda lambda^j = tr(A^j) after a unit-triangular
+change of basis; they are triangular in the m_lambda, and the unique
+solution, found by exact integer back substitution, is the vector of
+multiplicities, i.e. of the nullities of A - lambda*I.
+
+P is applied to blocks of _BLOCK_COLUMNS columns of the identity, one
+factor at a time, with float64 matrix products; the partial products
+p_j(A) on the same blocks give the traces. Every entry of every partial
+product is an integer bounded by prod (D + |lambda|), D the maximum degree,
+because each factor has absolute row sums at most D + |lambda|. While that
+bound is below 2^53 every float64 operation, whatever order BLAS sums in,
+acts on integers it represents exactly, so the products, the zero test and
+the traces are exact.
+
+When a float is unmatched, the bound is reached, P is not zero, or the
+solution is not a vector of non-negative integers, the multiplicities are
+instead computed as exact nullities of A - lambda*I over the rationals by
+integer row elimination (cross-multiplication with per-row gcd reduction,
+which preserves rank), and the dimension they leave unexplained is reported.
 """
 
 from __future__ import annotations
@@ -12,12 +39,20 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from math import gcd
+from typing import Optional
 
 import numpy as np
 
 from .graphs import Graph
 
 CANDIDATE_TOLERANCE = 1e-6
+
+# Columns of the identity per block the annihilator is applied to: the
+# working set is n * _BLOCK_COLUMNS floats, not n * n.
+_BLOCK_COLUMNS = 64
+
+# Integers up to 2^53 in absolute value are exact in float64.
+_FLOAT_EXACT = 2**53
 
 
 @dataclass(frozen=True)
@@ -109,12 +144,66 @@ def exact_nullity(matrix: list[list[int]]) -> int:
     return len(matrix) - integer_rank(matrix)
 
 
+def _annihilator_multiplicities(
+    a: np.ndarray, candidates: list[int], max_degree: int
+) -> Optional[list[int]]:
+    """Exact multiplicities of the distinct integers `candidates` as
+    eigenvalues of the symmetric 0/1 matrix a (float64, maximum row sum
+    max_degree), or None when the certificate of the module docstring does
+    not go through: the entry bound reaches 2^53, prod (A - lambda*I) is not
+    zero, or the solved multiplicities are not non-negative integers."""
+    bound = 1
+    for lam in candidates:
+        bound *= max_degree + abs(lam)
+        if bound >= _FLOAT_EXACT:
+            return None
+    n = a.shape[0]
+    c = len(candidates)
+    traces = [0] * c
+    for start in range(0, n, _BLOCK_COLUMNS):
+        rows = np.arange(start, min(start + _BLOCK_COLUMNS, n))
+        cols = np.arange(len(rows))
+        block = np.zeros((n, len(rows)))
+        block[rows, cols] = 1.0
+        for j, lam in enumerate(candidates):
+            traces[j] += sum(int(x) for x in block[rows, cols].tolist())
+            block = a @ block - lam * block
+        if block.any():
+            return None
+    # Equation j: sum_{i >= j} m_i * p_j(lambda_i) = traces[j], since
+    # p_j(lambda_i) = 0 for i < j; solved from j = c - 1 down.
+    mults = [0] * c
+    for j in range(c - 1, -1, -1):
+        rest = traces[j]
+        for i in range(j + 1, c):
+            rest -= mults[i] * _newton(candidates, j, candidates[i])
+        m, remainder = divmod(rest, _newton(candidates, j, candidates[j]))
+        if remainder or m < 0:
+            return None
+        mults[j] = m
+    return mults
+
+
+def _newton(candidates: list[int], j: int, x: int) -> int:
+    """p_j(x) = prod_{i<j} (x - candidates[i])."""
+    value = 1
+    for lam in candidates[:j]:
+        value *= x - lam
+    return value
+
+
 def integral_spectrum(g: Graph):
     """Certify that all adjacency eigenvalues of g are integers.
 
-    Returns an IntegralSpectrum whose multiplicities were certified by exact
-    nullity computations, or a NonIntegralVerdict when the certified
-    multiplicities do not account for every dimension.
+    Returns an IntegralSpectrum with exact multiplicities, or a
+    NonIntegralVerdict when the certified multiplicities do not account for
+    every dimension. Multiplicities come from the annihilating-polynomial
+    certificate (see the module docstring: A symmetric, so diagonalizable;
+    prod over the candidates of (A - lambda*I) = 0, checked exactly in
+    float64 while prod (D + |lambda|) < 2^53; the trace equations solved
+    exactly), and from exact integer elimination, one nullity per
+    candidate, whenever a float matches no integer or the certificate does
+    not go through. NonIntegralVerdict only ever comes from elimination.
     """
     if g.directed:
         raise ValueError("spectrum certification requires an undirected graph")
@@ -122,7 +211,8 @@ def integral_spectrum(g: Graph):
     if n == 0:
         return IntegralSpectrum(())
 
-    floats = np.linalg.eigvalsh(g.adj.astype(np.float64))
+    a = g.adj.astype(np.float64)
+    floats = np.linalg.eigvalsh(a)
     candidates: set[int] = set()
     unmatched: list[float] = []
     for x in floats:
@@ -131,12 +221,20 @@ def integral_spectrum(g: Graph):
             candidates.add(int(r))
         else:
             unmatched.append(float(x))
+    ordered = sorted(candidates, reverse=True)
+
+    if not unmatched:
+        mults = _annihilator_multiplicities(a, ordered, int(g.adj.sum(axis=1).max()))
+        if mults is not None:
+            return IntegralSpectrum(
+                tuple((lam, m) for lam, m in zip(ordered, mults) if m > 0)
+            )
 
     # One list of A - lambda*I, its (zero) diagonal overwritten for each
     # lambda; exact_nullity works on a copy.
     shifted = g.adj.astype(np.int8).tolist()
     pairs = []
-    for lam in sorted(candidates, reverse=True):
+    for lam in ordered:
         for i in range(n):
             shifted[i][i] = -lam
         mult = exact_nullity(shifted)

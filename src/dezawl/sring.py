@@ -28,6 +28,8 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
+import numpy as np
+
 from .group import Group, Section, Subgroup, is_normal, make_section, subgroup_generated
 from .groupring import connection_set
 
@@ -86,10 +88,6 @@ class SRingPartition:
         return f"SRingPartition(rank={self.rank}, |G|={self.group.order})"
 
 
-def rank(p: SRingPartition) -> int:
-    return p.rank
-
-
 @dataclass(frozen=True)
 class SRingViolation:
     axiom: int
@@ -108,8 +106,15 @@ class SRingCheck:
 def is_sring(p: SRingPartition) -> SRingCheck:
     """Validate the three S-ring axioms on a candidate partition.
 
-    Axiom 3 is checked in Schur-Wielandt form: the convolution of every
-    ordered pair of class sums must be constant on each class.
+    Axioms 1 and 2 are checked first and every violation of them is listed.
+    Axiom 3 is then checked in Schur-Wielandt form: the convolution of every
+    ordered pair of class sums must be constant on each class. For each class
+    X, one bincount over the pairs (x, y), x in X, y in G, keyed by
+    class(y) * |G| + xy, gives the coefficient row of X*Y for every class Y
+    at once; every coefficient is compared with the one at the first element
+    of its class. The check is exact and shares no code with the refinement
+    in wl_closure. The first violation in the order (X, Y, class, element),
+    classes in canonical order and elements ascending, is the one reported.
     """
     g = p.group
     violations: list[SRingViolation] = []
@@ -134,29 +139,30 @@ def is_sring(p: SRingPartition) -> SRingCheck:
     if violations:
         return SRingCheck(False, violations)
 
-    mult = g.mult
+    n = g.order
+    r = p.rank
+    mult = np.asarray(g.mult, dtype=np.int64)
+    class_of = np.asarray(p.class_of, dtype=np.int64)
+    # first[z]: the first element of the class of z, against which the
+    # coefficient at z is compared.
+    first = np.array([cls[0] for cls in p.classes], dtype=np.int64)[class_of]
+    offset = class_of * n
     for cx in p.classes:
-        for cy in p.classes:
-            conv: dict[int, int] = {}
-            for x in cx:
-                row = mult[x]
-                for y in cy:
-                    z = row[y]
-                    conv[z] = conv.get(z, 0) + 1
-            for cls in p.classes:
-                first = conv.get(cls[0], 0)
-                for z in cls[1:]:
-                    if conv.get(z, 0) != first:
-                        violations.append(
-                            SRingViolation(
-                                3,
-                                f"product of classes starting at {g.name(cx[0])},"
-                                f" {g.name(cy[0])} has coefficients {first} and"
-                                f" {conv.get(z, 0)} inside one class"
-                                f" ({g.name(cls[0])} vs {g.name(z)})",
-                            )
-                        )
-                        return SRingCheck(False, violations)
+        coeff = np.bincount(
+            (mult[list(cx)] + offset).ravel(), minlength=r * n
+        ).reshape(r, n)
+        bad = coeff != coeff[:, first]
+        if bad.any():
+            cy = int(np.flatnonzero(bad.any(axis=1))[0])
+            z = min(np.flatnonzero(bad[cy]).tolist(), key=lambda z: (p.class_of[z], z))
+            z0 = p.class_containing(z)[0]
+            return SRingCheck(False, [SRingViolation(
+                3,
+                f"product of classes starting at {g.name(cx[0])},"
+                f" {g.name(p.classes[cy][0])} has coefficients"
+                f" {coeff[cy, z0]} and {coeff[cy, z]} inside one class"
+                f" ({g.name(z0)} vs {g.name(z)})",
+            )])
     return SRingCheck(True, [])
 
 

@@ -4,6 +4,7 @@ aggregated into a machine-readable report with a per-claim verdict."""
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
@@ -113,6 +114,14 @@ class VerificationReport:
         }
 
 
+@contextmanager
+def _phase(timings: dict[str, float], name: str):
+    """Record the wall time of the enclosed block as timings[name]."""
+    t0 = time.perf_counter()
+    yield
+    timings[name] = time.perf_counter() - t0
+
+
 def verify_family(k: int, drop_edge: Optional[tuple[int, int]] = None) -> VerificationReport:
     """Run every check for the family graph at parameter k.
 
@@ -131,34 +140,36 @@ def verify_family(k: int, drop_edge: Optional[tuple[int, int]] = None) -> Verifi
     expected_deza = (8 * k, 2 * (k + 1), 2 * (k - 1), 2)
     expect_rank = expected_wl_rank(k)
 
-    deza = deza_parameters(gamma)
-    square = verify_square_identity(g, k)
+    with _phase(timings, "deza"):
+        deza = deza_parameters(gamma)
+    with _phase(timings, "square_identity"):
+        square = verify_square_identity(g, k)
 
-    t0 = time.perf_counter()
-    closure = wl_closure(g, [s])
-    timings["closure"] = time.perf_counter() - t0
-    sring_ok = bool(is_sring(closure))
+    with _phase(timings, "closure"):
+        closure = wl_closure(g, [s])
+    with _phase(timings, "sring_axioms"):
+        sring_ok = bool(is_sring(closure))
 
-    t0 = time.perf_counter()
-    rank_graph = wl_rank(gamma)
-    timings["wl2"] = time.perf_counter() - t0
+    with _phase(timings, "wl2"):
+        rank_graph = wl_rank(gamma)
 
-    wreaths = detect_wreath(closure)
-    canonical = [
-        w for w in wreaths
-        if w.section.lower.order == k and w.section.upper.order == 4 * k
-        and w.rank_quotient == 8 and w.rank_section == 4
-    ]
+    with _phase(timings, "wreath"):
+        wreaths = detect_wreath(closure)
+        canonical = [
+            w for w in wreaths
+            if w.section.lower.order == k and w.section.upper.order == 4 * k
+            and w.rank_quotient == 8 and w.rank_section == 4
+        ]
     wreath_summary = canonical[0].summary() if canonical else None
     wreath_ok = bool(canonical) if k % 2 == 0 else not wreaths
 
-    partition = canonical_ddg_partition(g, k)
-    ddg = ddg_check(gamma, partition)
+    with _phase(timings, "ddg"):
+        partition = canonical_ddg_partition(g, k)
+        ddg = ddg_check(gamma, partition)
     expected_ddg = (8 * k, 2 * (k + 1), 2 * (k - 1), 2, 4, 2 * k)
 
-    t0 = time.perf_counter()
-    spectrum = integral_spectrum(gamma)
-    timings["spectrum"] = time.perf_counter() - t0
+    with _phase(timings, "spectrum"):
+        spectrum = integral_spectrum(gamma)
     spectrum_ok = False
     if isinstance(spectrum, IntegralSpectrum):
         trace_sum = sum(lam * m for lam, m in spectrum.pairs)
@@ -169,22 +180,24 @@ def verify_family(k: int, drop_edge: Optional[tuple[int, int]] = None) -> Verifi
             and square_sum == n * 2 * (k + 1)
         )
 
-    grid = grid_graph(4, 2 * k)
-    grid_deza = deza_parameters(grid)
-    grid_rank = wl_rank(grid)
+    with _phase(timings, "grid"):
+        grid = grid_graph(4, 2 * k)
+        grid_deza = deza_parameters(grid)
+        grid_rank = wl_rank(grid)
+        indistinguishable_1wl = not wl1_distinguishes(gamma, grid)
     same_parameters = (
         isinstance(deza, DezaParameters)
         and isinstance(grid_deza, DezaParameters)
         and deza.as_tuple() == grid_deza.as_tuple()
     )
-    indistinguishable_1wl = not wl1_distinguishes(gamma, grid)
     grid_comparison = {
         "same_parameters": same_parameters,
         "grid_wl_rank": grid_rank,
         "wl1_distinguishes": not indistinguishable_1wl,
     }
 
-    trace = closure_trace(g, k)
+    with _phase(timings, "closure_trace"):
+        trace = closure_trace(g, k)
 
     claims = {
         "deza_parameters": (

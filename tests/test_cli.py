@@ -62,6 +62,19 @@ def test_verify_k5_passes_and_report_validates(tmp_path, capsys):
     assert report["verdict"] == "pass"
 
 
+def test_verify_times_every_phase_on_stderr_only(tmp_path, capsys):
+    report_path = tmp_path / "r3.json"
+    assert main(["verify", "--k", "3", "--json", str(report_path)]) == 0
+    captured = capsys.readouterr()
+    phases = ["deza", "square_identity", "closure", "sring_axioms", "wl2", "wreath",
+              "ddg", "spectrum", "grid", "closure_trace"]
+    timed = [line.split(":")[0][len("timing "):] for line in captured.err.splitlines()
+             if line.startswith("timing ")]
+    assert timed == phases
+    assert "timing" not in captured.out
+    assert "timing" not in report_path.read_text()
+
+
 def test_verify_k6_reports_wreath(tmp_path):
     report_path = tmp_path / "r6.json"
     assert main(["verify", "--k", "6", "--json", str(report_path)]) == 0

@@ -14,7 +14,6 @@ from dezawl import (
     is_sring,
     make_section,
     radical,
-    rank,
     section_sring,
     subgroup_generated,
     wl_closure,
@@ -26,7 +25,7 @@ def test_singleton_partition_is_sring():
     g = family_group(3)
     p = SRingPartition(g, [[x] for x in g.elements()])
     assert is_sring(p).ok
-    assert rank(p) == 24
+    assert p.rank == 24
 
 
 def test_rank_two_partition_is_sring():

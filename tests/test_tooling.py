@@ -6,7 +6,9 @@ must fail here, not only when the benchmark runs."""
 from __future__ import annotations
 
 import ast
+import dataclasses
 import importlib
+import importlib.util
 import inspect
 from pathlib import Path
 
@@ -79,3 +81,19 @@ def test_every_inner_span_is_a_module_function_called_by_global_name():
                    if inspect.isfunction(f) and f.__module__ == module.__name__
                    and attr in f.__code__.co_names]
         assert callers, dotted
+
+
+def test_spectrum_count_reads_result_attributes(cache):
+    """spans.py RESULT_COUNTS counts the eigenvalues a spectrum verdict
+    certified through IntegralSpectrum.pairs and NonIntegralVerdict.certified;
+    if either attribute went away, the traced count would silently read 0."""
+    assert "pairs" in {f.name for f in dataclasses.fields(dezawl.IntegralSpectrum)}
+    assert "certified" in {f.name for f in dataclasses.fields(dezawl.NonIntegralVerdict)}
+    spec = importlib.util.spec_from_file_location("spans", PERFBENCH / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    count = spans.RESULT_COUNTS["spectrum.integral_spectrum"]
+    gamma = cache.graph(3)
+    assert count(dezawl.integral_spectrum(gamma)) == 5
+    broken = dezawl.integral_spectrum(gamma.without_edge(0, gamma.neighbors(0)[0]))
+    assert count(broken) == len(broken.certified) > 0
