@@ -26,11 +26,11 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .group import Group, Section, Subgroup, is_normal, make_section, subgroup_generated
+from .group import Group, Section, Subgroup, is_normal, make_section
 from .groupring import connection_set
 
 
@@ -47,6 +47,8 @@ class SRingPartition:
             (tuple(sorted(set(int(x) for x in cls))) for cls in classes),
             key=lambda t: (len(t), t),
         )
+        if canon and not canon[0]:
+            raise ValueError("empty class")
         self.classes: tuple[tuple[int, ...], ...] = tuple(canon)
         self.class_of = [-1] * group.order
         for cid, cls in enumerate(self.classes):
@@ -296,15 +298,23 @@ def wl_closure(g: Group, marked: Sequence[Iterable[int]]) -> SRingPartition:
     return refiner.partition()
 
 
+def _radical(mult: np.ndarray, in_x: np.ndarray) -> np.ndarray:
+    """Mask of {h : Xh = hX = X} for the set X with membership mask in_x:
+    h passes when every xh and every hx lies in X, since |Xh| = |hX| = |X|."""
+    xs = np.flatnonzero(in_x)
+    return in_x[mult[xs, :]].all(axis=0) & in_x[mult[:, xs]].all(axis=1)
+
+
 def radical(g: Group, x: Iterable[int]) -> Subgroup:
-    """The subgroup of two-sided stabilizers {h : Xh = hX = X}."""
-    xs = set(int(v) for v in x)
-    mult = g.mult
-    members = []
-    for h in g.elements():
-        if all(mult[v][h] in xs and mult[h][v] in xs for v in xs):
-            members.append(h)
-    return Subgroup(g, members, check=False)
+    """The subgroup of two-sided stabilizers {h : Xh = hX = X}.
+
+    It is {e} for X = {e} and the whole group for X = G or X empty.
+    detect_wreath computes the radical of each class by the same helper.
+    """
+    in_x = np.zeros(g.order, dtype=bool)
+    in_x[[int(v) for v in x]] = True
+    members = np.flatnonzero(_radical(np.asarray(g.mult), in_x))
+    return Subgroup(g, members.tolist(), check=False)
 
 
 def section_sring(p: SRingPartition, s: Section) -> SRingPartition:
@@ -354,31 +364,37 @@ class WreathDecomposition:
         }
 
 
-def _mask_elements(mask: int) -> list[int]:
-    out = []
-    i = 0
-    while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
-    return out
+def _as_int(mask: np.ndarray) -> int:
+    """The boolean mask as an int bitmask (bit x set iff mask[x])."""
+    return int.from_bytes(np.packbits(mask, bitorder="little").tobytes(), "little")
 
 
-def _subgroups_within(g: Group, members: Sequence[int]) -> list[int]:
-    """Bitmasks of all subgroups of the subgroup spanned by members,
-    computed as the join closure of its cyclic subgroups."""
-    cyclic = {subgroup_generated(g, [x]).bitmask for x in members}
-    subs = {1 << g.identity} | cyclic
-    frontier = list(subs)
-    while frontier:
-        a = frontier.pop()
-        for b in list(subs):
-            j = subgroup_generated(g, _mask_elements(a | b)).bitmask
-            if j not in subs:
-                subs.add(j)
-                frontier.append(j)
-    return sorted(subs)
+def _as_mask(bits: int, n: int) -> np.ndarray:
+    """The int bitmask as a boolean mask of length n."""
+    raw = np.frombuffer(bits.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
+    return np.unpackbits(raw, count=n, bitorder="little").astype(bool)
+
+
+def _generated(mult: np.ndarray, identity: int, mask: np.ndarray) -> np.ndarray:
+    """Mask of the subgroup generated by the mask.
+
+    H = {e} u mask is replaced by H*H, one gather of |H|^2 products, until
+    its size stops changing. H*H contains H because e is in H, so the
+    final H is closed under products and, being finite and containing e,
+    a subgroup; every step doubles the word length reached, so there are
+    O(log |H|) steps.
+    """
+    h = mask.copy()
+    h[identity] = True
+    size = np.count_nonzero(h)
+    while True:
+        idx = np.flatnonzero(h)
+        h = np.zeros_like(h)
+        h[mult[np.ix_(idx, idx)]] = True
+        grown = np.count_nonzero(h)
+        if grown == size:
+            return h
+        size = grown
 
 
 def detect_wreath(p: SRingPartition) -> list[WreathDecomposition]:
@@ -389,74 +405,115 @@ def detect_wreath(p: SRingPartition) -> list[WreathDecomposition]:
     class outside U. Candidate L are found inside class radicals (any valid
     L sits inside the radical of some class outside U), so S-rings whose
     classes all have trivial radical are rejected without any enumeration.
-    The rank identity is asserted for every decomposition found.
+
+    Candidates inside a radical R (neither {e} nor G) come from the normal
+    closures N_X of the classes X inside R: those N_X that lie in R, and
+    every join of them. A union-of-classes normal subgroup L with
+    {e} < L <= R contains N_X for each class X inside L and is covered by
+    those classes, so it is the join of those N_X, all of which lie in R;
+    conversely every such join is a normal subgroup inside R. After the
+    union-of-classes and normality filters the candidates are therefore
+    exactly the union-of-classes normal subgroups {e} < L <= R, the same
+    set as filtering every subgroup of R, without enumerating the
+    subgroups of R (there are exponentially many on elementary abelian
+    radicals).
+
+    For each L, the upper groups U are the smallest union-of-classes
+    subgroup holding L and every class whose radical misses L, and every
+    union-of-classes subgroup grown from it by adding classes, short of G.
+    Subgroups are closed by repeated squaring on one integer copy of the
+    multiplication table, and sets are kept as boolean masks with int
+    bitmasks as set keys. The rank identity is asserted for every
+    decomposition found.
     """
     g = p.group
     n = g.order
+    mult = np.asarray(g.mult, dtype=np.intp)
+    inv = np.asarray(g.inv, dtype=np.intp)
     full_mask = (1 << n) - 1
     identity_mask = 1 << g.identity
 
-    class_masks = []
-    rad_masks = []
-    for cls in p.classes:
-        mask = 0
-        for x in cls:
-            mask |= 1 << x
-        class_masks.append(mask)
-        rad_masks.append(radical(g, cls).bitmask)
+    cls = np.zeros((p.rank, n), dtype=bool)
+    cls[p.class_of, np.arange(n)] = True
+    rad = np.array([_radical(mult, row) for row in cls])
 
+    def generated(mask: np.ndarray) -> np.ndarray:
+        return _generated(mult, g.identity, mask)
+
+    def normal_closure(row: np.ndarray) -> np.ndarray:
+        """The smallest normal subgroup containing the row's elements: the
+        subgroup generated by their conjugates y x y^-1."""
+        conj = np.zeros(n, dtype=bool)
+        conj[mult[mult[:, np.flatnonzero(row)], inv[:, None]]] = True
+        return generated(conj)
+
+    def inside(mask: np.ndarray) -> np.ndarray:
+        """Which classes lie inside the mask."""
+        return ~(cls & ~mask).any(axis=1)
+
+    radicals: dict[int, np.ndarray] = {}
+    for row in rad:
+        radicals.setdefault(_as_int(row), row)
+    normal: dict[int, int] = {}
     candidate_masks: set[int] = set()
-    for rmask in set(rad_masks):
+    for rmask, r in radicals.items():
         if rmask == identity_mask or rmask == full_mask:
             continue
-        for sub in _subgroups_within(g, _mask_elements(rmask)):
-            if sub != identity_mask:
-                candidate_masks.add(sub)
+        gens = set()
+        for cid in np.flatnonzero(inside(r)).tolist():
+            if cid not in normal:
+                normal[cid] = _as_int(normal_closure(cls[cid]))
+            if normal[cid] & ~rmask == 0 and normal[cid] != identity_mask:
+                gens.add(normal[cid])
+        joins = set(gens)
+        frontier = list(gens)
+        while frontier:
+            a = frontier.pop()
+            for b in gens:
+                j = _as_int(generated(_as_mask(a | b, n)))
+                if j not in joins:
+                    joins.add(j)
+                    frontier.append(j)
+        candidate_masks |= joins
 
-    def a_closure(mask: int) -> int:
+    def a_closure(mask: np.ndarray) -> int:
         """Smallest union-of-classes subgroup containing the mask."""
-        cur = mask
+        h = generated(mask)
         while True:
-            h = subgroup_generated(g, _mask_elements(cur)).bitmask
-            grown = h
-            for cmask in class_masks:
-                if cmask & h:
-                    grown |= cmask
-            if grown == h:
-                return h
-            cur = grown
+            grown = cls[cls[:, h].any(axis=1)].any(axis=0)
+            if np.array_equal(grown, h):
+                return _as_int(h)
+            h = generated(grown)
 
     results: list[WreathDecomposition] = []
     whole = Subgroup(g, g.elements(), check=False)
     for lmask in sorted(candidate_masks):
-        l_elems = _mask_elements(lmask)
+        lm = _as_mask(lmask, n)
+        l_elems = np.flatnonzero(lm).tolist()
         if not p.is_union_of_classes(l_elems):
             continue
         l_sub = Subgroup(g, l_elems, check=False)
         if not is_normal(g, l_sub):
             continue
-        covered = 0
-        for cmask, rmask in zip(class_masks, rad_masks):
-            if lmask & ~rmask == 0:
-                covered |= cmask
-        u0 = a_closure((full_mask & ~covered) | lmask)
+        covered = cls[~(lm & ~rad).any(axis=1)].any(axis=0)
+        u0 = a_closure(~covered | lm)
         if u0 == full_mask:
             continue
         uppers = {u0}
         frontier = [u0]
         while frontier:
-            u = frontier.pop()
-            for cmask in class_masks:
-                if cmask & ~u:
-                    v = a_closure(u | cmask)
-                    if v != full_mask and v not in uppers:
-                        uppers.add(v)
-                        frontier.append(v)
+            um = _as_mask(frontier.pop(), n)
+            for cid in np.flatnonzero(~inside(um)).tolist():
+                v = a_closure(um | cls[cid])
+                if v != full_mask and v not in uppers:
+                    uppers.add(v)
+                    frontier.append(v)
+        rank_quotient = section_sring(p, make_section(g, whole, l_sub)).rank
         for umask in sorted(uppers, key=lambda m: (m.bit_count(), m)):
-            u_sub = Subgroup(g, _mask_elements(umask), check=False)
+            um = _as_mask(umask, n)
+            u_sub = Subgroup(g, np.flatnonzero(um).tolist(), check=False)
             sec = make_section(g, u_sub, l_sub)
-            rank_u = sum(1 for cls in p.classes if all(x in u_sub for x in cls))
-            rank_quotient = section_sring(p, make_section(g, whole, l_sub)).rank
+            rank_u = int(np.count_nonzero(inside(um)))
             rank_section = section_sring(p, sec).rank
             if p.rank != rank_u + rank_quotient - rank_section:
                 raise RuntimeError(

@@ -21,6 +21,12 @@ def cyclic_group(n: int) -> Group:
     return Group(mult, inv, 0, ["e"] + [f"g^{i}" for i in range(1, n)])
 
 
+def elementary_abelian(m: int) -> Group:
+    """C2^m with the elements as bit vectors and xor as the product."""
+    n = 1 << m
+    return Group([[a ^ b for b in range(n)] for a in range(n)], list(range(n)), 0)
+
+
 class _Cache:
     def __init__(self):
         self._groups = {}

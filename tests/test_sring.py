@@ -1,8 +1,9 @@
 import random
 
+import numpy as np
 import pytest
 
-from conftest import cyclic_group
+from conftest import cyclic_group, elementary_abelian
 from dezawl import (
     SRingPartition,
     Subgroup,
@@ -19,6 +20,7 @@ from dezawl import (
     wl_closure,
     wl_rank,
 )
+from dezawl.sring import _generated
 
 
 def test_singleton_partition_is_sring():
@@ -68,6 +70,11 @@ def test_partition_validation():
         SRingPartition(c5, [[0, 1], [1, 2, 3, 4]])
     with pytest.raises(ValueError):
         SRingPartition(c5, [[0], [1, 2]])
+
+
+def test_partition_rejects_an_empty_class():
+    with pytest.raises(ValueError, match="empty class"):
+        SRingPartition(family_group(3), [[0], [], range(1, 24)])
 
 
 def test_closure_k3_is_all_singletons(cache):
@@ -146,6 +153,33 @@ def test_radical_edge_cases():
     g = family_group(3)
     assert radical(g, [g.identity]).order == 1
     assert radical(g, list(g.elements())).order == g.order
+    assert radical(g, []).order == g.order
+
+
+@pytest.mark.parametrize("g", [family_group(3), family_group(4), elementary_abelian(4),
+                               cyclic_group(12)], ids=["family3", "family4", "c2^4", "c12"])
+def test_radical_equals_the_two_sided_stabilizer(g):
+    rng = random.Random(g.order)
+    subsets = [[], [g.identity], list(g.elements())]
+    subsets += [rng.sample(range(g.order), rng.randrange(1, g.order)) for _ in range(20)]
+    for xs in subsets:
+        x = set(xs)
+        expected = [h for h in g.elements()
+                    if {g.mul(v, h) for v in x} == x == {g.mul(h, v) for v in x}]
+        assert radical(g, xs).elements == tuple(expected)
+
+
+@pytest.mark.parametrize("g", [family_group(k) for k in range(3, 9)] + [elementary_abelian(5)],
+                         ids=[f"family{k}" for k in range(3, 9)] + ["c2^5"])
+def test_squaring_closure_equals_subgroup_generated(g):
+    rng = random.Random(g.order)
+    mult = np.asarray(g.mult)
+    for size in [0, 0, 1, 1, 1, 2, 2, 2, 3, 3, 5, g.order // 2]:
+        gens = rng.sample(range(g.order), size)
+        mask = np.zeros(g.order, dtype=bool)
+        mask[gens] = True
+        closed = _generated(mult, g.identity, mask)
+        assert tuple(np.flatnonzero(closed).tolist()) == subgroup_generated(g, gens).elements
 
 
 def test_section_sring_rank_4_for_u_over_l(cache):
