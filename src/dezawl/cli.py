@@ -3,7 +3,7 @@
 Commands: construct, verify, wl-rank, sweep. Exit codes are stable for
 scripting: 0 success, 1 verification failure, 2 usage or parse error.
 Machine-readable outputs (files and stdout) are byte-identical across
-re-runs; wall-clock timings go to stderr only.
+re-runs; wall-clock timings and work counters go to stderr only.
 """
 
 from __future__ import annotations
@@ -117,6 +117,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     _print_summary(report)
     for phase, seconds in report.timings.items():
         print(f"timing {phase}: {seconds:.3f}s", file=sys.stderr)
+    for name, counters in report.work.items():
+        fields = " ".join(f"{key}={value}" for key, value in counters.items())
+        print(f"work {name}: {fields}", file=sys.stderr)
     print(f"report written to {json_path}", file=sys.stderr)
     if report.verdict != "pass":
         print(

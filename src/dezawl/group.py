@@ -12,6 +12,8 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
+import numpy as np
+
 
 class Group:
     """Finite group given by 0-based multiplication and inverse tables."""
@@ -233,10 +235,17 @@ def make_section(g: Group, u: Subgroup, l: Subgroup) -> Section:
     """
     if not l <= u:
         raise ValueError("lower subgroup is not contained in the upper subgroup")
-    for x in u.elements:
-        for y in l.elements:
-            if g.conjugate(x, y) not in l:
-                raise ValueError("lower subgroup is not normal in the upper subgroup")
+    # x * l * x^-1 lies in l iff x * l = l * x, both sets of |l| elements.
+    # Both cosets of every x in u come from one gather over the rows of l:
+    # l * x is column x, and x * l = (l * x^-1)^-1 as l is closed under inverses.
+    inv = np.array(g.inv, dtype=np.intp)
+    rows_l = np.array([g.mult[y] for y in l.elements], dtype=np.intp)
+    upper = np.array(u.elements, dtype=np.intp)
+    at = np.arange(len(upper))[:, None]
+    in_right = np.zeros((len(upper), g.order), dtype=bool)  # [i, z]: z in l * upper[i]
+    in_right[at, rows_l[:, upper].T] = True
+    if not in_right[at, inv[rows_l[:, inv[upper]]].T].all():
+        raise ValueError("lower subgroup is not normal in the upper subgroup")
 
     projection = [-1] * g.order
     reps: list[int] = []

@@ -75,6 +75,36 @@ def test_verify_times_every_phase_on_stderr_only(tmp_path, capsys):
     assert "timing" not in report_path.read_text()
 
 
+@pytest.mark.parametrize("k,drop", [(3, None), (4, None), (3, ["0", "2"])])
+def test_verify_prints_wl2_work_on_stderr_only(tmp_path, capsys, k, drop):
+    """One work line per 2-WL run goes to stderr; the report bytes are the
+    pinned ones of perfbench/golden.json for the family graphs."""
+    import hashlib
+    import re
+
+    report_path = tmp_path / "r.json"
+    args = ["verify", "--k", str(k), "--json", str(report_path)]
+    code = main(args + (["--drop-edge", *drop] if drop else []))
+    captured = capsys.readouterr()
+    work = [line for line in captured.err.splitlines() if line.startswith("work ")]
+    # the grid's shifts preserve its coloring, so one row is compared; the
+    # family graph's translations do only while no edge is dropped
+    gamma_rows = 1 if drop is None else 8 * k
+    assert len(work) == 2
+    assert re.fullmatch(rf"work wl2_gamma: path=hashed rounds=\d+ recheck_rows={gamma_rows}",
+                        work[0])
+    assert work[1] == "work wl2_grid: path=hashed rounds=2 recheck_rows=1"
+    assert "work" not in captured.out
+    text = report_path.read_text()
+    assert "work" not in text and "recheck" not in text
+    if drop is None:
+        assert code == 0
+        golden = json.loads((SCHEMA_PATH.parents[3] / "perfbench" / "golden.json").read_text())
+        assert hashlib.sha256(text.encode()).hexdigest() == golden["verify"][str(k)]["sha256"]
+    else:
+        assert code == 1
+
+
 def test_verify_k6_reports_wreath(tmp_path):
     report_path = tmp_path / "r6.json"
     assert main(["verify", "--k", "6", "--json", str(report_path)]) == 0

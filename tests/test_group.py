@@ -155,6 +155,30 @@ def test_section_requires_normal_lower_subgroup():
         make_section(g, h, b_sub)
 
 
+def test_section_normality_matches_conjugation_by_hand():
+    """make_section raises exactly when some x * y * x^-1 with x in U and
+    y in L leaves L, for L <= U generated by random elements."""
+    rng = random.Random(11)
+    outcomes = set()
+    for k in (3, 4, 6):
+        g = family_group(k)
+        for _ in range(20):
+            lower_gens = rng.sample(range(g.order), rng.randrange(0, 3))
+            upper_gens = lower_gens + rng.sample(range(g.order), rng.randrange(0, 4))
+            l_sub = subgroup_generated(g, lower_gens)
+            u_sub = subgroup_generated(g, upper_gens)
+            normal = all(g.conjugate(x, y) in l_sub
+                         for x in u_sub.elements for y in l_sub.elements)
+            outcomes.add((normal, u_sub.order < g.order))
+            if normal:
+                sec = make_section(g, u_sub, l_sub)
+                assert sec.quotient.order == u_sub.order // l_sub.order
+            else:
+                with pytest.raises(ValueError, match="not normal"):
+                    make_section(g, u_sub, l_sub)
+    assert outcomes == {(True, True), (True, False), (False, True), (False, False)}
+
+
 def test_cosets_partition_group():
     rng = random.Random(7)
     g = family_group(4)

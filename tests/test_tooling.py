@@ -97,3 +97,28 @@ def test_spectrum_count_reads_result_attributes(cache):
     assert count(dezawl.integral_spectrum(gamma)) == 5
     broken = dezawl.integral_spectrum(gamma.without_edge(0, gamma.neighbors(0)[0]))
     assert count(broken) == len(broken.certified) > 0
+
+
+def test_wl2_spans_are_tagged_and_each_holds_its_recheck():
+    """The benchmark's wl.wl2_gamma_s and wl.wl2_grid_s are the self times of
+    the wl.wl2 spans tagged gamma and grid. They need verify_family to hand
+    the graphs built by cayley_graph and grid_graph straight to wl2, which
+    calls verify_coherence inside; a changed call shape would silently read 0."""
+    spec = importlib.util.spec_from_file_location("spans", PERFBENCH / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    wl = importlib.import_module("dezawl.wl")
+    original = wl.wl2
+    recorder = spans.Recorder()
+    recorder.install()
+    try:
+        report = importlib.import_module("dezawl.verify").verify_family(3)
+    finally:
+        recorder.uninstall()
+    assert wl.wl2 is original
+    assert report.verdict == "pass"
+    wl2_spans = [i for i, span in enumerate(recorder.spans) if span[0] == "wl.wl2"]
+    assert [recorder.spans[i][1] for i in wl2_spans] == ["gamma", "grid"]
+    for i in wl2_spans:
+        children = [span[0] for span in recorder.spans if span[2] == i]
+        assert children == ["wl.verify_coherence"]

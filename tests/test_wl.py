@@ -239,6 +239,19 @@ def test_final_colorings_are_bit_identical_to_pins(cache):
         assert hashlib.sha256(text.encode()).hexdigest() == _PINNED_COLORINGS[name], name
 
 
+def _exact_fixed_point(graph):
+    """The stable coloring reached by exact _wl2_round rounds alone."""
+    from dezawl.wl import _wl2_round
+
+    init = initial_pair_coloring(graph)
+    color, num = init.color, init.num_colors
+    while True:
+        new_color, new_num = _wl2_round(color, num)
+        if new_num == num:
+            return color, num
+        color, num = new_color, new_num
+
+
 def test_one_row_blocks_give_the_single_block_coloring(cache, monkeypatch):
     import numpy as np
 
@@ -252,10 +265,12 @@ def test_one_row_blocks_give_the_single_block_coloring(cache, monkeypatch):
     single = [wl2(graph) for graph in graphs]
     assert all(wl._BLOCK_ENTRIES >= graph.n ** 2 for graph in graphs)
     monkeypatch.setattr(wl, "_BLOCK_ENTRIES", 1)
+    # wl2 reaches these colorings by hashed rounds, so drive the exact rounds
+    # to their fixed point directly.
     for graph, expected in zip(graphs, single):
-        conf = wl2(graph)
-        assert conf.rank == expected.rank
-        assert np.array_equal(conf.coloring.color, expected.coloring.color)
+        color, num = _exact_fixed_point(graph)
+        assert num == expected.rank
+        assert np.array_equal(color, expected.coloring.color)
     assert wl_rank(Graph(0)) == 0
     assert wl_rank(Graph(1)) == 1
 
@@ -279,6 +294,100 @@ def test_round_ids_do_not_depend_on_color_values(cache):
 def test_wl2_raises_when_refinement_stops_early(cache, monkeypatch):
     from dezawl import wl
 
+    monkeypatch.setattr(wl, "_hashed_round", lambda color, num, seed: (color, num))
     monkeypatch.setattr(wl, "_wl2_round", lambda color, num: (color, num))
     with pytest.raises(RuntimeError, match="incoherent"):
         wl2(cache.graph(3))
+
+
+def _pinned_graphs(cache):
+    return {
+        "gamma5": cache.graph(5),
+        "gamma6": cache.graph(6),
+        "grid4x6": grid_graph(4, 6),
+        "directed3cycle": _directed_3_cycle(),
+    }
+
+
+def _sha(conf):
+    import hashlib
+
+    from dezawl import configuration_to_json
+
+    return hashlib.sha256(configuration_to_json(conf).encode()).hexdigest()
+
+
+def test_hashed_rounds_take_the_hashed_path(cache):
+    for name, graph in _pinned_graphs(cache).items():
+        conf = wl2(graph)
+        assert conf.path == "hashed", name
+        assert conf.recheck_rows == graph.n, name
+        assert conf.rounds >= 1
+
+
+@pytest.mark.parametrize("prime", [2, 3])
+def test_hash_collisions_fall_back_to_exact_rounds(cache, monkeypatch, prime):
+    """With p = 2 every projection is 1, so the hashed rounds stop at once on
+    the initial coloring; with p = 3 hashed signatures collide at random.
+    Either way the exact rounds finish the job and the bytes stay pinned."""
+    from dezawl import wl
+
+    monkeypatch.setattr(wl, "_HASH_PRIME", prime)
+    paths = set()
+    for name, graph in _pinned_graphs(cache).items():
+        conf = wl2(graph)
+        assert _sha(conf) == _PINNED_COLORINGS[name], name
+        paths.add(conf.path)
+    assert paths <= {"hashed", "hashed+exact"}
+    if prime == 2:
+        assert wl2(cache.graph(5)).path == "hashed+exact"
+
+
+def test_exact_rounds_run_past_the_size_bound(cache, monkeypatch):
+    from dezawl import wl
+
+    assert wl._HASH_MAX_N * (wl._HASH_PRIME - 1) ** 2 < 2 ** 53
+    assert (wl._HASH_MAX_N * wl._HASH_PRIME) ** 2 <= 2 ** 63
+    graphs = _pinned_graphs(cache)
+    monkeypatch.setattr(wl, "_HASH_MAX_N", 23)
+    monkeypatch.setattr(wl, "_hashed_round", None)  # must not be called
+    for name, graph in graphs.items():
+        if graph.n <= 23:
+            continue
+        conf = wl2(graph)
+        assert conf.path == "exact", name
+        assert _sha(conf) == _PINNED_COLORINGS[name], name
+
+
+def _random_graph(seed: int) -> Graph:
+    rng = random.Random(seed)
+    n = rng.randrange(2, 13)
+    directed = seed % 2 == 1
+    pairs = [(u, v) for u in range(n) for v in range(n)
+             if u != v and (directed or u < v)]
+    edges = [e for e in pairs if rng.random() < rng.choice([0.2, 0.4, 0.6])]
+    return Graph.from_edges(n, edges, directed=directed)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_hashed_and_exact_rounds_agree(seed):
+    """Every hashed round gives the exact round's coloring, ids included, on
+    random graphs and digraphs, which are rarely Cayley graphs."""
+    import numpy as np
+
+    from dezawl.wl import _hashed_round, _wl2_round
+
+    graph = _random_graph(seed)
+    init = initial_pair_coloring(graph)
+    color, num = init.color, init.num_colors
+    for t in range(graph.n ** 2):
+        exact_color, exact_num = _wl2_round(color, num)
+        hashed_color, hashed_num = _hashed_round(color, num, t)
+        assert hashed_num == exact_num
+        assert np.array_equal(hashed_color, exact_color)
+        if exact_num == num:
+            break
+        color, num = exact_color, exact_num
+    conf = wl2(graph)
+    assert conf.path == "hashed"
+    assert np.array_equal(conf.coloring.color, color)
