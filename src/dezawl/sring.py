@@ -6,25 +6,41 @@ the convolution product of their class sums has a constant coefficient on
 each class.
 
 wl_closure computes the coarsest such partition in which the given marked
-sets are unions of classes, by refinement from an initial partition.  Call
-a partition admissible if it satisfies the axioms and has the marked sets
-as unions of classes.  The refinement maintains, for every admissible Q,
-the invariant that each current class is a union of classes of Q: the
+sets are unions of classes, by synchronous rounds on one class vector.  The
+initial classes are the signatures (z = e, z in M, z^-1 in M for each
+marked set M).  A round gives every z the key
+
+    (class(z), class(z^-1), the multiset of (class(x), class(y)) over xy = z)
+
+and the new classes are the key classes.  The key keeps class(z), so each
+round refines the last, and the rounds stop when the number of classes
+stays the same, that is when a round splits nothing.
+
+The fixed point is an S-ring.  The multiset of z counts, for every pair
+of classes (X, Y), the solutions of xy = z with x in X and y in Y, which is
+the coefficient of z in the product of the class sums of X and Y.  A stable
+partition keeps it constant on each class: axiom 3.  {e} is a class from
+the start.  class(z^-1) is constant on each class C, so C^-1 lies in one
+class D; the same holds for D, and D^-1 contains C, so D^-1 = C and
+C^-1 = D: the partition is inverse-closed.
+
+The fixed point is the minimal one.  Call a partition Q admissible if it
+satisfies the axioms and has the marked sets as unions of classes.  Every
+current class is a union of Q-classes, by induction over the rounds.  The
 initial classes are intersections of the marked sets, their inverses,
-their complements and {e}, all unions of Q-classes; splitting along the
-map x -> class(x^-1) intersects classes with inverses of unions of
-Q-classes; and splitting along a coefficient fiber of a product of two
-class sums intersects them with a fiber that is a union of Q-classes by
-the Schur-Wielandt principle.  Each split is therefore forced, every
-admissible partition refines the fixed point, and since the fixed point
-itself is admissible it is the unique coarsest one.  The 2-WL pair
-refinement in the wl module computes the same rank by an unrelated
-algorithm and serves as a cross-oracle in the test suite.
+their complements and {e}, all unions of Q-classes.  If each current class
+is a union of Q-classes, its class sum lies in the span of Q, a ring, so
+every product of two class sums has a coefficient constant on each
+Q-class (the Schur-Wielandt principle), and class(z^-1) is constant on each
+Q-class because Q is inverse-closed.  So the key is constant on Q-classes
+and every split is forced.  Every admissible partition therefore refines
+the fixed point, which is itself admissible, so it is the unique coarsest
+one.  The 2-WL pair refinement in the wl module computes the same rank by
+an unrelated algorithm and serves as a cross-oracle in the test suite.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -168,134 +184,71 @@ def is_sring(p: SRingPartition) -> SRingCheck:
     return SRingCheck(True, [])
 
 
-class _Refiner:
-    """Worklist-driven partition refinement toward the minimal S-ring."""
+def _class_ids(keys: Iterable) -> np.ndarray:
+    """int32 class ids of the keys, numbered by first occurrence."""
+    ids: dict = {}
+    return np.fromiter((ids.setdefault(key, len(ids)) for key in keys), dtype=np.int32)
 
-    def __init__(self, group: Group, marked: Sequence[frozenset[int]]):
-        self.g = group
-        n = group.order
-        sigs: dict[tuple, list[int]] = {}
-        for x in range(n):
-            sig = (
-                x == group.identity,
-                tuple(x in m for m in marked),
-                tuple(group.inv[x] in m for m in marked),
-            )
-            sigs.setdefault(sig, []).append(x)
-        self.classes: dict[int, list[int]] = {}
-        self.class_of = [0] * n
-        self.next_id = 0
-        for sig in sorted(sigs):
-            cid = self.next_id
-            self.next_id += 1
-            self.classes[cid] = sorted(sigs[sig])
-            for x in sigs[sig]:
-                self.class_of[x] = cid
-        self.queue: deque[int] = deque()
-        self.queued: set[int] = set()
 
-    def _enqueue(self, cid: int) -> None:
-        if cid not in self.queued:
-            self.queued.add(cid)
-            self.queue.append(cid)
-
-    def _split(self, cid: int, parts: list[list[int]]) -> None:
-        del self.classes[cid]
-        self.queued.discard(cid)
-        for part in parts:
-            nid = self.next_id
-            self.next_id += 1
-            part.sort()
-            self.classes[nid] = part
-            for x in part:
-                self.class_of[x] = nid
-            self._enqueue(nid)
-
-    def _refine_by_inverses(self) -> bool:
-        """Split classes so that the class of the inverse is constant."""
-        changed = False
-        inv = self.g.inv
-        for cid in list(self.classes):
-            cls = self.classes.get(cid)
-            if cls is None:
-                continue
-            buckets: dict[int, list[int]] = {}
-            for x in cls:
-                buckets.setdefault(self.class_of[inv[x]], []).append(x)
-            if len(buckets) > 1:
-                self._split(cid, list(buckets.values()))
-                changed = True
-        return changed
-
-    def _refine_by_product(self, cx: int, cy: int) -> bool:
-        """Split classes along the coefficient fibers of class_sum(cx) *
-        class_sum(cy), intersected with the current classes."""
-        xs = self.classes.get(cx)
-        ys = self.classes.get(cy)
-        if xs is None or ys is None:
-            return False
-        mult = self.g.mult
-        conv: dict[int, int] = {}
-        for x in xs:
-            row = mult[x]
-            for y in ys:
-                z = row[y]
-                conv[z] = conv.get(z, 0) + 1
-        touched: dict[int, dict[int, list[int]]] = {}
-        for z, c in conv.items():
-            touched.setdefault(self.class_of[z], {}).setdefault(c, []).append(z)
-        changed = False
-        for cid, buckets in touched.items():
-            cls = self.classes[cid]
-            in_support = sum(len(b) for b in buckets.values())
-            if in_support < len(cls):
-                buckets.setdefault(0, []).extend(
-                    z for z in cls if z not in conv
-                )
-            if len(buckets) > 1:
-                self._split(cid, list(buckets.values()))
-                changed = True
-        return changed
-
-    def run(self) -> None:
-        for cid in list(self.classes):
-            self._enqueue(cid)
-        while True:
-            while self.queue:
-                cid = self.queue.popleft()
-                self.queued.discard(cid)
-                if cid not in self.classes:
-                    continue
-                self._refine_by_inverses()
-                for other in list(self.classes):
-                    if cid not in self.classes:
-                        break
-                    self._refine_by_product(cid, other)
-                    self._refine_by_product(other, cid)
-            # Fixed point is declared only when a full pass splits nothing.
-            changed = self._refine_by_inverses()
-            for cx in list(self.classes):
-                for cy in list(self.classes):
-                    changed |= self._refine_by_product(cx, cy)
-            if not changed:
-                break
-
-    def partition(self) -> SRingPartition:
-        return SRingPartition(self.g, self.classes.values())
+def _sorted_rows(quot: np.ndarray, cls: np.ndarray, rank: int):
+    """The bytes of each row z of the codes cls[z y^-1] * rank + cls[y],
+    sorted. Rows are built 64 at a time, so no n x n array of codes is
+    held next to quot and the keys."""
+    for lo in range(0, len(quot), 64):
+        codes = cls[quot[lo:lo + 64]]
+        codes *= rank
+        codes += cls
+        codes.sort(axis=1)
+        yield from map(bytes, codes)
 
 
 def wl_closure(g: Group, marked: Sequence[Iterable[int]]) -> SRingPartition:
     """The coarsest S-ring partition of g in which every marked set is a
-    union of classes (see the module docstring for why the result is the
-    minimum and not merely some admissible partition)."""
+    union of classes, by the synchronous rounds of the module docstring,
+    which also proves the result the minimum and not merely some admissible
+    partition.
+
+    quot[z, y] = z y^-1 is one n x n int32 table, the multiplication table
+    with its columns permuted in place, so (z y^-1, y) runs over the pairs
+    with product z. With r classes, a round writes the codes
+    cls[z y^-1] * r + cls[y] 64 rows at a time and sorts each row in place.
+    The key of z is its sorted row with the pair (cls[z], cls[z^-1]), and
+    keys are numbered by first occurrence. Each round but the last adds a
+    class, so there are at most n rounds, each O(n^2 log n) time. Memory is
+    O(n^2) int32: quot and one row of codes per distinct key. The codes
+    stay below r^2 <= n^2, exact in int32 while n^2 < 2^31; larger groups
+    raise ValueError.
+    """
+    n = g.order
     marked_sets = [frozenset(int(x) for x in m) for m in marked]
     for m in marked_sets:
         for x in m:
-            if not 0 <= x < g.order:
+            if not 0 <= x < n:
                 raise ValueError(f"marked element {x} out of range")
-    refiner = _Refiner(g, marked_sets)
-    refiner.run()
-    return refiner.partition()
+    if n * n >= 2**31:
+        raise ValueError(f"group order {n} too large for int32 class codes")
+    inv = np.asarray(g.inv, dtype=np.intp)
+    member = np.zeros((n, len(marked_sets)), dtype=bool)
+    for i, m in enumerate(marked_sets):
+        member[list(m), i] = True
+    cls = _class_ids(zip(
+        np.arange(n) == g.identity, map(bytes, member), map(bytes, member[inv])
+    ))
+    quot = np.asarray(g.mult, dtype=np.int32)
+    for row in quot:
+        row[:] = row[inv]
+    rank = int(cls.max()) + 1
+    while True:
+        keys = zip(cls.tolist(), cls[inv].tolist(), _sorted_rows(quot, cls, rank))
+        cls = _class_ids(keys)
+        grown = int(cls.max()) + 1
+        if grown == rank:
+            break
+        rank = grown
+    classes: list[list[int]] = [[] for _ in range(rank)]
+    for x, c in enumerate(cls.tolist()):
+        classes[c].append(x)
+    return SRingPartition(g, classes)
 
 
 def _radical(mult: np.ndarray, in_x: np.ndarray) -> np.ndarray:

@@ -1,4 +1,5 @@
 import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -95,9 +96,24 @@ def test_closure_k4_is_the_explicit_wreath_partition(cache):
     assert closure == SRingPartition(g, expected)
 
 
-@pytest.mark.parametrize("k,expected", [(5, 40), (6, 28)])
+@pytest.mark.parametrize("k,expected", [(5, 40), (6, 28), (48, 196), (65, 520)])
 def test_closure_rank_values(cache, k, expected):
     assert cache.closure(k).rank == expected
+
+
+def test_closure_rejects_marked_elements_out_of_range():
+    g = family_group(3)
+    for bad in (-1, g.order):
+        with pytest.raises(ValueError, match="out of range"):
+            wl_closure(g, [[bad]])
+
+
+def test_closure_rejects_groups_past_the_int32_code_bound():
+    """Class codes reach r^2 <= n^2, so n = 46341 (n^2 > 2^31) is refused
+    before any table is read."""
+    huge = SimpleNamespace(order=46341)
+    with pytest.raises(ValueError, match="too large"):
+        wl_closure(huge, [])
 
 
 def test_closure_with_no_marked_sets_is_rank_two():
