@@ -15,7 +15,7 @@ from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .group import FamilyGroup, Group, Subgroup, cosets, subgroup_generated
+from .group import FamilyGroup, Group, cosets, subgroup_generated
 
 
 class Graph:
@@ -168,16 +168,16 @@ class DDGFailure:
 def cayley_graph(g: Group, s: Iterable[int]) -> Graph:
     """Cayley (di)graph with vertex set g and arcs (x, sx) for s in S.
 
-    Undirected iff S is inverse-closed. Raises ValueError if e is in S.
+    Undirected iff S is inverse-closed. Raises ValueError if e is in S or
+    an element of S is outside 0..order-1.
     """
-    s_set = set(int(x) for x in s)
-    if g.identity in s_set:
+    in_s = g.mask(s)
+    if in_s[g.identity]:
         raise ValueError("connection set must not contain the identity")
-    symmetric = all(g.inverse(x) in s_set for x in s_set)
+    symmetric = np.array_equal(in_s[g.inv], in_s)
     graph = Graph(g.order, directed=not symmetric, labels=[g.name(x) for x in g.elements()])
-    if s_set:
-        # Row t of the table is x -> tx, so this sets adj[x, tx] for t in S.
-        graph.adj[np.arange(g.order), np.array([g.mult[t] for t in s_set])] = True
+    # Row t of the table is x -> tx, so this sets adj[x, tx] for t in S.
+    graph.adj[np.arange(g.order), g.mult[in_s]] = True
     return graph
 
 
@@ -331,7 +331,7 @@ def canonical_ddg_partition(g: Group, k: int) -> list[tuple[int, ...]]:
     d_sub = subgroup_generated(g, [g.a, cb])
     if d_sub.order != 2 * k:
         raise AssertionError("A union cbA does not have order 2k")
-    return cosets(g, d_sub, side="right")
+    return cosets(g, d_sub)
 
 
 # Serialization: edge list (undirected only), DOT, and JSON.

@@ -1,9 +1,11 @@
 """Finite groups as explicit multiplication tables.
 
 Elements are plain integers indexing into the parent group's element list.
-All set-valued results use sorted index order, so outputs are deterministic.
-Groups, subgroups and sections are immutable once constructed and safe to
-share between workers.
+The multiplication table mult[x, y] = xy is one read-only n x n np.intp
+array and inv[x] = x^-1 one read-only np.intp vector; subgroups, cosets,
+normality and quotients are gathers on them. All set-valued results use
+sorted index order, so outputs are deterministic. Groups, subgroups and
+sections are immutable once constructed and safe to share between workers.
 """
 
 from __future__ import annotations
@@ -13,6 +15,18 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
+
+
+def _read_only(table, shape: tuple[int, ...], what: str) -> np.ndarray:
+    """The table as a new read-only np.intp array of the given shape."""
+    try:
+        arr = np.array(table, dtype=np.intp)
+    except ValueError:
+        raise ValueError(f"{what} table is ragged") from None
+    if arr.shape != shape:
+        raise ValueError(f"{what} table has shape {arr.shape}, expected {shape}")
+    arr.setflags(write=False)
+    return arr
 
 
 class Group:
@@ -29,8 +43,8 @@ class Group:
         if n == 0:
             raise ValueError("group must have at least one element")
         self.order = n
-        self.mult = [list(row) for row in mult]
-        self.inv = list(inv)
+        self.mult = _read_only(mult, (n, n), "mult")
+        self.inv = _read_only(inv, (n,), "inv")
         self.identity = int(identity)
         if names is None:
             names = [str(i) for i in range(n)]
@@ -40,30 +54,27 @@ class Group:
         self._validate_tables()
 
     def _validate_tables(self) -> None:
-        n = self.order
-        for i, row in enumerate(self.mult):
-            if len(row) != n:
-                raise ValueError(f"mult row {i} has length {len(row)}, expected {n}")
-            for x in row:
-                if not 0 <= x < n:
-                    raise ValueError(f"mult entry {x} out of range")
-        if len(self.inv) != n:
-            raise ValueError("inv table length does not match order")
-        e = self.identity
-        for x in range(n):
-            if self.mult[e][x] != x or self.mult[x][e] != x:
-                raise ValueError(f"identity {e} is not two-sided at element {x}")
-            y = self.inv[x]
-            if not 0 <= y < n:
-                raise ValueError(f"inv entry {y} out of range")
-            if self.mult[x][y] != e or self.mult[y][x] != e:
-                raise ValueError(f"inv[{x}]={y} is not a two-sided inverse")
+        n, e, mult, inv = self.order, self.identity, self.mult, self.inv
+        if not 0 <= e < n:
+            raise ValueError(f"identity {e} out of range")
+        for what, table in (("mult", mult), ("inv", inv)):
+            bad = (table < 0) | (table >= n)
+            if bad.any():
+                raise ValueError(f"{what} entry {table[bad][0]} out of range")
+        x = np.arange(n)
+        bad = (mult[e] != x) | (mult[:, e] != x)
+        if bad.any():
+            raise ValueError(f"identity {e} is not two-sided at element {np.argmax(bad)}")
+        bad = (mult[x, inv] != e) | (mult[inv, x] != e)
+        if bad.any():
+            x = int(np.argmax(bad))
+            raise ValueError(f"inv[{x}]={inv[x]} is not a two-sided inverse")
 
     def mul(self, a: int, b: int) -> int:
-        return self.mult[a][b]
+        return int(self.mult[a, b])
 
     def inverse(self, a: int) -> int:
-        return self.inv[a]
+        return int(self.inv[a])
 
     def elements(self) -> range:
         return range(self.order)
@@ -73,7 +84,20 @@ class Group:
 
     def conjugate(self, g: int, x: int) -> int:
         """Return g * x * g^-1."""
-        return self.mult[self.mult[g][x]][self.inv[g]]
+        return int(self.mult[self.mult[g, x], self.inv[g]])
+
+    def mask(self, xs: Iterable[int]) -> np.ndarray:
+        """Boolean membership mask of the elements xs.
+
+        Raises ValueError for an index outside 0..order-1, so -1 never wraps.
+        """
+        xs = [int(x) for x in xs]
+        bad = [x for x in xs if not 0 <= x < self.order]
+        if bad:
+            raise ValueError(f"element {bad[0]} out of range")
+        mask = np.zeros(self.order, dtype=bool)
+        mask[xs] = True
+        return mask
 
     def check_associativity(self, samples: int = 1000, seed: int = 0) -> bool:
         """Verify associativity, exhaustively up to order 64, sampled above.
@@ -83,18 +107,15 @@ class Group:
         """
         n = self.order
         if n <= 64:
-            triples: Iterable[tuple[int, int, int]] = (
-                (x, y, z) for x in range(n) for y in range(n) for z in range(n)
-            )
+            x, y, z = np.indices((n, n, n)).reshape(3, -1)
         else:
             rng = random.Random(seed)
-            triples = (
-                (rng.randrange(n), rng.randrange(n), rng.randrange(n))
-                for _ in range(samples)
-            )
-        for x, y, z in triples:
-            if self.mult[self.mult[x][y]][z] != self.mult[x][self.mult[y][z]]:
-                raise ValueError(f"associativity fails at ({x}, {y}, {z})")
+            x, y, z = np.array([[rng.randrange(n) for _ in range(3)] for _ in range(samples)],
+                               dtype=np.intp).reshape(-1, 3).T
+        bad = self.mult[self.mult[x, y], z] != self.mult[x, self.mult[y, z]]
+        if bad.any():
+            t = int(np.argmax(bad))
+            raise ValueError(f"associativity fails at ({x[t]}, {y[t]}, {z[t]})")
         return True
 
     def __repr__(self) -> str:
@@ -106,14 +127,8 @@ class Subgroup:
 
     def __init__(self, parent: Group, elements: Iterable[int], check: bool = True):
         self.parent = parent
-        elems = sorted(set(int(x) for x in elements))
-        self.elements = tuple(elems)
-        mask = 0
-        for x in elems:
-            if not 0 <= x < parent.order:
-                raise ValueError(f"element {x} out of range")
-            mask |= 1 << x
-        self.bitmask = mask
+        self.elements = tuple(np.flatnonzero(parent.mask(elements)).tolist())
+        self.bitmask = sum(1 << x for x in self.elements)
         if check:
             self._validate()
 
@@ -121,14 +136,18 @@ class Subgroup:
         g = self.parent
         if g.identity not in self:
             raise ValueError("subgroup must contain the identity")
-        for x in self.elements:
-            if g.inv[x] not in self:
-                raise ValueError(f"subgroup not closed under inverse at {g.name(x)}")
-            for y in self.elements:
-                if g.mult[x][y] not in self:
-                    raise ValueError(
-                        f"subgroup not closed under product at {g.name(x)}*{g.name(y)}"
-                    )
+        h = np.array(self.elements, dtype=np.intp)
+        inside = g.mask(self.elements)
+        bad = ~inside[g.inv[h]]
+        if bad.any():
+            x = h[np.argmax(bad)]
+            raise ValueError(f"subgroup not closed under inverse at {g.name(x)}")
+        bad = ~inside[g.mult[np.ix_(h, h)]]
+        if bad.any():
+            i, j = np.argwhere(bad)[0]
+            raise ValueError(
+                f"subgroup not closed under product at {g.name(h[i])}*{g.name(h[j])}"
+            )
 
     @property
     def order(self) -> int:
@@ -175,57 +194,58 @@ class Section:
         return q
 
 
+def _generated(g: Group, mask: np.ndarray) -> np.ndarray:
+    """Mask of the subgroup generated by the mask.
+
+    H = {e} u mask is replaced by H*H, one gather of |H|^2 products, until
+    its size stops changing. H*H contains H because e is in H, so the
+    final H is closed under products and, being finite and containing e,
+    a subgroup; every step doubles the word length reached, so there are
+    O(log |H|) steps.
+    """
+    h = mask.copy()
+    h[g.identity] = True
+    size = np.count_nonzero(h)
+    while True:
+        idx = np.flatnonzero(h)
+        h = np.zeros_like(h)
+        h[g.mult[np.ix_(idx, idx)]] = True
+        grown = np.count_nonzero(h)
+        if grown == size:
+            return h
+        size = grown
+
+
 def subgroup_generated(g: Group, gens: Iterable[int]) -> Subgroup:
-    """Smallest subgroup of g containing gens (orbit closure under products)."""
-    seen = {g.identity}
-    frontier = [g.identity]
-    gen_list = sorted(set(int(x) for x in gens))
-    for x in gen_list:
-        if x not in seen:
-            seen.add(x)
-            frontier.append(x)
-    mult = g.mult
-    while frontier:
-        x = frontier.pop()
-        for y in gen_list:
-            for z in (mult[x][y], mult[y][x]):
-                if z not in seen:
-                    seen.add(z)
-                    frontier.append(z)
-    return Subgroup(g, seen, check=False)
+    """Smallest subgroup of g containing gens, by the squaring closure.
+
+    Raises ValueError for a generator outside 0..order-1.
+    """
+    return Subgroup(g, np.flatnonzero(_generated(g, g.mask(gens))).tolist(), check=False)
+
+
+def _normalizes(g: Group, xs: np.ndarray, h: Subgroup) -> bool:
+    """True iff x h x^-1 lies in h for every x in xs, by one gather of the
+    conjugates. |x h x^-1| = |h|, so then x h x^-1 = h, that is xh = hx."""
+    ys = np.array(h.elements, dtype=np.intp)
+    conj = g.mult[g.mult[np.ix_(xs, ys)], g.inv[xs, None]]
+    return bool(g.mask(h.elements)[conj].all())
 
 
 def is_normal(g: Group, h: Subgroup) -> bool:
     """True iff xH = Hx for every x in g."""
-    mult = g.mult
-    for x in g.elements():
-        left = 0
-        right = 0
-        for y in h.elements:
-            left |= 1 << mult[x][y]
-            right |= 1 << mult[y][x]
-        if left != right:
-            return False
-    return True
+    return _normalizes(g, np.arange(g.order), h)
 
 
-def cosets(g: Group, h: Subgroup, side: str = "right") -> list[tuple[int, ...]]:
-    """Cosets of h in g as sorted tuples, ordered by minimal element."""
-    if side not in ("right", "left"):
-        raise ValueError("side must be 'right' or 'left'")
-    seen = [False] * g.order
-    out = []
-    for x in g.elements():
-        if seen[x]:
-            continue
-        if side == "right":
-            coset = sorted(g.mult[y][x] for y in h.elements)
-        else:
-            coset = sorted(g.mult[x][y] for y in h.elements)
-        for z in coset:
-            seen[z] = True
-        out.append(tuple(coset))
-    return out
+def cosets(g: Group, h: Subgroup) -> list[tuple[int, ...]]:
+    """Right cosets Hx of h in g as sorted tuples, ordered by minimal element.
+
+    Column x of the sorted table mult[H, G] is Hx, and each coset is kept
+    once, at the column of its minimal element.
+    """
+    cols = np.sort(g.mult[list(h.elements)], axis=0)
+    own = cols[0] == np.arange(g.order)
+    return [tuple(c) for c in cols[:, own].T.tolist()]
 
 
 def make_section(g: Group, u: Subgroup, l: Subgroup) -> Section:
@@ -235,48 +255,22 @@ def make_section(g: Group, u: Subgroup, l: Subgroup) -> Section:
     """
     if not l <= u:
         raise ValueError("lower subgroup is not contained in the upper subgroup")
-    # x * l * x^-1 lies in l iff x * l = l * x, both sets of |l| elements.
-    # Both cosets of every x in u come from one gather over the rows of l:
-    # l * x is column x, and x * l = (l * x^-1)^-1 as l is closed under inverses.
-    inv = np.array(g.inv, dtype=np.intp)
-    rows_l = np.array([g.mult[y] for y in l.elements], dtype=np.intp)
     upper = np.array(u.elements, dtype=np.intp)
-    at = np.arange(len(upper))[:, None]
-    in_right = np.zeros((len(upper), g.order), dtype=bool)  # [i, z]: z in l * upper[i]
-    in_right[at, rows_l[:, upper].T] = True
-    if not in_right[at, inv[rows_l[:, inv[upper]]].T].all():
+    if not _normalizes(g, upper, l):
         raise ValueError("lower subgroup is not normal in the upper subgroup")
-
-    projection = [-1] * g.order
-    reps: list[int] = []
-    for x in u.elements:
-        if projection[x] >= 0:
-            continue
-        coset = sorted(g.mult[y][x] for y in l.elements)
-        rep_index = len(reps)
-        for z in coset:
-            projection[z] = rep_index
-        reps.append(coset[0])
-
-    # Renumber cosets by minimal representative for a deterministic quotient.
-    order = sorted(range(len(reps)), key=lambda i: reps[i])
-    relabel = [0] * len(reps)
-    for new_id, old_id in enumerate(order):
-        relabel[old_id] = new_id
-    reps = [reps[i] for i in order]
-    for x in u.elements:
-        projection[x] = relabel[projection[x]]
-
-    q = len(reps)
-    qmult = [[0] * q for _ in range(q)]
-    for i in range(q):
-        for j in range(q):
-            qmult[i][j] = projection[g.mult[reps[i]][reps[j]]]
-    qinv = [projection[g.inv[reps[i]]] for i in range(q)]
-    qid = projection[g.identity]
-    qnames = [g.name(r) for r in reps]
-    quotient = Group(qmult, qinv, qid, qnames)
-    return Section(u, l, quotient, projection, tuple(reps))
+    # The coset Lx of x in U is column x of mult[L, U]; its representative
+    # is its minimal element, and cosets are numbered by representative.
+    mins = g.mult[np.ix_(l.elements, upper)].min(axis=0)
+    reps = upper[mins == upper]
+    projection = np.full(g.order, -1, dtype=np.intp)
+    projection[upper] = np.searchsorted(reps, mins)
+    quotient = Group(
+        projection[g.mult[np.ix_(reps, reps)]],
+        projection[g.inv[reps]],
+        projection[g.identity],
+        [g.name(r) for r in reps],
+    )
+    return Section(u, l, quotient, projection.tolist(), tuple(reps.tolist()))
 
 
 def _family_name(i: int, j: int, l: int, m: int) -> str:
@@ -308,39 +302,29 @@ class FamilyGroup(Group):
         if k < 3:
             raise ValueError(f"k must be at least 3, got {k}")
         self.k = k
-        n = 8 * k
-
-        def idx(i: int, j: int, l: int, m: int) -> int:
-            return ((i % k) * 2 + j % 2) * 4 + (l % 2) * 2 + m % 2
-
-        mult = [[0] * n for _ in range(n)]
-        inv = [0] * n
-        names = [""] * n
-        for i1 in range(k):
-            for j1 in range(2):
-                for l1 in range(2):
-                    for m1 in range(2):
-                        x = idx(i1, j1, l1, m1)
-                        names[x] = _family_name(i1, j1, l1, m1)
-                        # (a^i b^j)^-1 = a^i b if j = 1, else a^-i.
-                        inv[x] = idx(i1 if j1 else -i1, j1, l1, m1)
-                        for i2 in range(k):
-                            for j2 in range(2):
-                                for l2 in range(2):
-                                    for m2 in range(2):
-                                        y = idx(i2, j2, l2, m2)
-                                        i3 = i1 - i2 if j1 else i1 + i2
-                                        mult[x][y] = idx(i3, j1 + j2, l1 + l2, m1 + m2)
-        super().__init__(mult, inv, idx(0, 0, 0, 0), names)
-        self.a = idx(1, 0, 0, 0)
-        self.b = idx(0, 1, 0, 0)
-        self.c = idx(0, 0, 1, 0)
-        self.d = idx(0, 0, 0, 1)
-        self._idx = idx
+        # x = 8i + 4j + 2l + m. The product has exponent i1 + i2, or i1 - i2
+        # when j1 = 1, and b, c, d bits j1 + j2, l1 + l2, m1 + m2 mod 2.
+        x = np.arange(8 * k)
+        i, low = x >> 3, x & 7
+        sign = 1 - 2 * (low >> 2)
+        mult = np.outer(sign, i)
+        mult += i[:, None]
+        mult %= k
+        mult *= 8
+        mult += low[:, None] ^ low
+        # (a^i b^j)^-1 = a^i b if j = 1, else a^-i.
+        inv = -sign * i % k * 8 + low
+        names = [_family_name(i1, j1, l1, m1) for i1 in range(k)
+                 for j1 in range(2) for l1 in range(2) for m1 in range(2)]
+        super().__init__(mult, inv, 0, names)
+        self.a = self.element(1)
+        self.b = self.element(0, 1)
+        self.c = self.element(0, 0, 1)
+        self.d = self.element(0, 0, 0, 1)
 
     def element(self, i: int, j: int = 0, l: int = 0, m: int = 0) -> int:
         """Index of a^i b^j c^l d^m."""
-        return self._idx(i, j, l, m)
+        return (i % self.k) * 8 + (j % 2) * 4 + (l % 2) * 2 + m % 2
 
     def standard_subgroups(self) -> "StandardSubgroups":
         """The named subgroups used throughout the verification pipeline."""

@@ -104,11 +104,10 @@ def multiply(x: GroupRingElement, y: GroupRingElement) -> GroupRingElement:
     """Convolution product: coefficient of g is sum over uv = g of x_u y_v."""
     x._check_same_group(y)
     mult = x.group.mult
+    vs = list(y.coeffs)
     out: dict[int, int] = {}
     for u, cu in x.coeffs.items():
-        row = mult[u]
-        for v, cv in y.coeffs.items():
-            g = row[v]
+        for g, cv in zip(mult[u, vs].tolist(), y.coeffs.values()):
             out[g] = out.get(g, 0) + cu * cv
     return GroupRingElement(x.group, {g: c for g, c in out.items() if c != 0})
 

@@ -46,7 +46,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .group import Group, Section, Subgroup, is_normal, make_section
+from .group import Group, Section, Subgroup, _generated, is_normal, make_section
 from .groupring import connection_set
 
 
@@ -144,7 +144,7 @@ def is_sring(p: SRingPartition) -> SRingCheck:
 
     all_classes = set(p.classes)
     for cls in p.classes:
-        inv_set = tuple(sorted(g.inv[x] for x in cls))
+        inv_set = tuple(sorted(g.inv[list(cls)].tolist()))
         if inv_set not in all_classes:
             violations.append(
                 SRingViolation(
@@ -159,15 +159,14 @@ def is_sring(p: SRingPartition) -> SRingCheck:
 
     n = g.order
     r = p.rank
-    mult = np.asarray(g.mult, dtype=np.int64)
-    class_of = np.asarray(p.class_of, dtype=np.int64)
+    class_of = np.asarray(p.class_of, dtype=np.intp)
     # first[z]: the first element of the class of z, against which the
     # coefficient at z is compared.
-    first = np.array([cls[0] for cls in p.classes], dtype=np.int64)[class_of]
+    first = np.array([cls[0] for cls in p.classes], dtype=np.intp)[class_of]
     offset = class_of * n
     for cx in p.classes:
         coeff = np.bincount(
-            (mult[list(cx)] + offset).ravel(), minlength=r * n
+            (g.mult[list(cx)] + offset).ravel(), minlength=r * n
         ).reshape(r, n)
         bad = coeff != coeff[:, first]
         if bad.any():
@@ -208,33 +207,28 @@ def wl_closure(g: Group, marked: Sequence[Iterable[int]]) -> SRingPartition:
     which also proves the result the minimum and not merely some admissible
     partition.
 
-    quot[z, y] = z y^-1 is one n x n int32 table, the multiplication table
-    with its columns permuted in place, so (z y^-1, y) runs over the pairs
-    with product z. With r classes, a round writes the codes
+    quot[z, y] = z y^-1 is one n x n int32 copy of the multiplication
+    table with its columns permuted in place, so (z y^-1, y) runs over the
+    pairs with product z. With r classes, a round writes the codes
     cls[z y^-1] * r + cls[y] 64 rows at a time and sorts each row in place.
     The key of z is its sorted row with the pair (cls[z], cls[z^-1]), and
     keys are numbered by first occurrence. Each round but the last adds a
     class, so there are at most n rounds, each O(n^2 log n) time. Memory is
     O(n^2) int32: quot and one row of codes per distinct key. The codes
     stay below r^2 <= n^2, exact in int32 while n^2 < 2^31; larger groups
-    raise ValueError.
+    raise ValueError, as does a marked element outside 0..order-1.
     """
     n = g.order
-    marked_sets = [frozenset(int(x) for x in m) for m in marked]
-    for m in marked_sets:
-        for x in m:
-            if not 0 <= x < n:
-                raise ValueError(f"marked element {x} out of range")
     if n * n >= 2**31:
         raise ValueError(f"group order {n} too large for int32 class codes")
-    inv = np.asarray(g.inv, dtype=np.intp)
-    member = np.zeros((n, len(marked_sets)), dtype=bool)
-    for i, m in enumerate(marked_sets):
-        member[list(m), i] = True
+    inv = g.inv
+    member = np.zeros((n, len(marked)), dtype=bool)
+    for i, m in enumerate(marked):
+        member[:, i] = g.mask(m)
     cls = _class_ids(zip(
         np.arange(n) == g.identity, map(bytes, member), map(bytes, member[inv])
     ))
-    quot = np.asarray(g.mult, dtype=np.int32)
+    quot = g.mult.astype(np.int32)
     for row in quot:
         row[:] = row[inv]
     rank = int(cls.max()) + 1
@@ -251,11 +245,11 @@ def wl_closure(g: Group, marked: Sequence[Iterable[int]]) -> SRingPartition:
     return SRingPartition(g, classes)
 
 
-def _radical(mult: np.ndarray, in_x: np.ndarray) -> np.ndarray:
+def _radical(g: Group, in_x: np.ndarray) -> np.ndarray:
     """Mask of {h : Xh = hX = X} for the set X with membership mask in_x:
     h passes when every xh and every hx lies in X, since |Xh| = |hX| = |X|."""
     xs = np.flatnonzero(in_x)
-    return in_x[mult[xs, :]].all(axis=0) & in_x[mult[:, xs]].all(axis=1)
+    return in_x[g.mult[xs, :]].all(axis=0) & in_x[g.mult[:, xs]].all(axis=1)
 
 
 def radical(g: Group, x: Iterable[int]) -> Subgroup:
@@ -263,10 +257,9 @@ def radical(g: Group, x: Iterable[int]) -> Subgroup:
 
     It is {e} for X = {e} and the whole group for X = G or X empty.
     detect_wreath computes the radical of each class by the same helper.
+    Raises ValueError for an element outside 0..order-1.
     """
-    in_x = np.zeros(g.order, dtype=bool)
-    in_x[[int(v) for v in x]] = True
-    members = np.flatnonzero(_radical(np.asarray(g.mult), in_x))
+    members = np.flatnonzero(_radical(g, g.mask(x)))
     return Subgroup(g, members.tolist(), check=False)
 
 
@@ -328,28 +321,6 @@ def _as_mask(bits: int, n: int) -> np.ndarray:
     return np.unpackbits(raw, count=n, bitorder="little").astype(bool)
 
 
-def _generated(mult: np.ndarray, identity: int, mask: np.ndarray) -> np.ndarray:
-    """Mask of the subgroup generated by the mask.
-
-    H = {e} u mask is replaced by H*H, one gather of |H|^2 products, until
-    its size stops changing. H*H contains H because e is in H, so the
-    final H is closed under products and, being finite and containing e,
-    a subgroup; every step doubles the word length reached, so there are
-    O(log |H|) steps.
-    """
-    h = mask.copy()
-    h[identity] = True
-    size = np.count_nonzero(h)
-    while True:
-        idx = np.flatnonzero(h)
-        h = np.zeros_like(h)
-        h[mult[np.ix_(idx, idx)]] = True
-        grown = np.count_nonzero(h)
-        if grown == size:
-            return h
-        size = grown
-
-
 def detect_wreath(p: SRingPartition) -> list[WreathDecomposition]:
     """All nontrivial generalized wreath decompositions of a valid S-ring.
 
@@ -374,31 +345,26 @@ def detect_wreath(p: SRingPartition) -> list[WreathDecomposition]:
     For each L, the upper groups U are the smallest union-of-classes
     subgroup holding L and every class whose radical misses L, and every
     union-of-classes subgroup grown from it by adding classes, short of G.
-    Subgroups are closed by repeated squaring on one integer copy of the
-    multiplication table, and sets are kept as boolean masks with int
-    bitmasks as set keys. The rank identity is asserted for every
-    decomposition found.
+    Subgroups are closed by repeated squaring on the group's multiplication
+    table, and sets are kept as boolean masks with int bitmasks as set
+    keys. The rank identity is asserted for every decomposition found.
     """
     g = p.group
     n = g.order
-    mult = np.asarray(g.mult, dtype=np.intp)
-    inv = np.asarray(g.inv, dtype=np.intp)
+    mult, inv = g.mult, g.inv
     full_mask = (1 << n) - 1
     identity_mask = 1 << g.identity
 
     cls = np.zeros((p.rank, n), dtype=bool)
     cls[p.class_of, np.arange(n)] = True
-    rad = np.array([_radical(mult, row) for row in cls])
-
-    def generated(mask: np.ndarray) -> np.ndarray:
-        return _generated(mult, g.identity, mask)
+    rad = np.array([_radical(g, row) for row in cls])
 
     def normal_closure(row: np.ndarray) -> np.ndarray:
         """The smallest normal subgroup containing the row's elements: the
         subgroup generated by their conjugates y x y^-1."""
         conj = np.zeros(n, dtype=bool)
         conj[mult[mult[:, np.flatnonzero(row)], inv[:, None]]] = True
-        return generated(conj)
+        return _generated(g, conj)
 
     def inside(mask: np.ndarray) -> np.ndarray:
         """Which classes lie inside the mask."""
@@ -423,7 +389,7 @@ def detect_wreath(p: SRingPartition) -> list[WreathDecomposition]:
         while frontier:
             a = frontier.pop()
             for b in gens:
-                j = _as_int(generated(_as_mask(a | b, n)))
+                j = _as_int(_generated(g, _as_mask(a | b, n)))
                 if j not in joins:
                     joins.add(j)
                     frontier.append(j)
@@ -431,12 +397,12 @@ def detect_wreath(p: SRingPartition) -> list[WreathDecomposition]:
 
     def a_closure(mask: np.ndarray) -> int:
         """Smallest union-of-classes subgroup containing the mask."""
-        h = generated(mask)
+        h = _generated(g, mask)
         while True:
             grown = cls[cls[:, h].any(axis=1)].any(axis=0)
             if np.array_equal(grown, h):
                 return _as_int(h)
-            h = generated(grown)
+            h = _generated(g, grown)
 
     results: list[WreathDecomposition] = []
     whole = Subgroup(g, g.elements(), check=False)

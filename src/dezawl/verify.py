@@ -8,6 +8,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
+import numpy as np
+
 from .graphs import (
     DDGFailure,
     DDGParameters,
@@ -115,10 +117,11 @@ class VerificationReport:
         }
 
 
-def _right_translations(g: Group, gens: list[int]) -> list[list[int]]:
-    """The permutations x -> x * t of the elements of g, one per t in gens.
-    They are automorphisms of every Cayley graph of g with arcs x -> s * x."""
-    return [[row[t] for row in g.mult] for t in gens]
+def _right_translations(g: Group, gens: list[int]) -> np.ndarray:
+    """The permutations x -> x * t of the elements of g, one row per t in
+    gens. They are automorphisms of every Cayley graph of g with arcs
+    x -> s * x."""
+    return g.mult[:, gens].T
 
 
 def _grid_shifts(l: int, m: int) -> list[list[int]]:

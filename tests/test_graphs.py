@@ -65,6 +65,13 @@ def test_cayley_graph_rejects_identity_in_connection_set():
         cayley_graph(g, [g.identity, g.a])
 
 
+def test_cayley_graph_rejects_elements_out_of_range():
+    g = family_group(3)
+    for bad in (-1, g.order):
+        with pytest.raises(ValueError, match="out of range"):
+            cayley_graph(g, [bad, g.a])
+
+
 def test_cayley_graph_directed_when_set_not_symmetric():
     g = family_group(3)
     gamma = cayley_graph(g, [g.a])  # a has order 3, not an involution

@@ -1,8 +1,12 @@
 import random
 
+import numpy as np
 import pytest
 
+from conftest import cyclic_group
 from dezawl import (
+    Group,
+    Subgroup,
     cosets,
     family_group,
     is_normal,
@@ -192,9 +196,67 @@ def test_cosets_partition_group():
         assert seen == list(g.elements())
 
 
-def test_group_validation_rejects_bad_identity():
-    from dezawl import Group
+def test_subgroup_generated_rejects_elements_out_of_range():
+    g = family_group(3)
+    for bad in (-1, g.order):
+        with pytest.raises(ValueError, match="out of range"):
+            subgroup_generated(g, [g.a, bad])
 
+
+def test_group_validation_rejects_bad_identity():
     mult = [[0, 1], [1, 1]]  # not a group table
     with pytest.raises(ValueError):
         Group(mult, [0, 1], 0)
+
+
+C3 = [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
+
+
+def _with_entry(table, x, y, value):
+    table = [row[:] for row in table]
+    table[x][y] = value
+    return table
+
+
+@pytest.mark.parametrize("mult,inv,identity,match", [
+    ([[0, 1, 2], [1, 2], [2, 0, 1]], [0, 2, 1], 0, "mult table is ragged"),
+    ([row + [0] for row in C3], [0, 2, 1], 0, "mult table has shape"),
+    (C3, [0, 2], 0, "inv table has shape"),
+    (_with_entry(C3, 1, 1, -1), [0, 2, 1], 0, "mult entry -1 out of range"),
+    (_with_entry(C3, 1, 1, 3), [0, 2, 1], 0, "mult entry 3 out of range"),
+    (C3, [0, 2, 1], 3, "identity 3 out of range"),
+    (C3, [0, 2, 1], -1, "identity -1 out of range"),
+    # row 0 is the identity map but column 0 is not: a left identity only
+    ([[0, 1], [0, 1]], [0, 1], 0, "identity 0 is not two-sided"),
+    (C3, [0, 2, -1], 0, "inv entry -1 out of range"),
+    (C3, [0, 2, 3], 0, "inv entry 3 out of range"),
+    # 1 * 2 = e but 2 * 1 = 1: a right inverse only (the table is no group)
+    ([[0, 1, 2], [1, 1, 0], [2, 1, 2]], [0, 2, 1], 0,
+     "inv\\[1\\]=2 is not a two-sided inverse"),
+], ids=["ragged", "wrong_shape", "inv_wrong_shape", "entry_minus_one", "entry_n",
+        "identity_n", "identity_minus_one", "identity_one_sided", "inv_minus_one",
+        "inv_n", "inverse_one_sided"])
+def test_group_validation_errors(mult, inv, identity, match):
+    with pytest.raises(ValueError, match=match):
+        Group(mult, inv, identity)
+
+
+@pytest.mark.parametrize("elements,match", [
+    ([1], "must contain the identity"),
+    ([0, 1], "not closed under inverse at g\\^1"),
+    ([0, 1, 3], "not closed under product at g\\^1\\*g\\^1"),
+    ([0, 4], "element 4 out of range"),
+])
+def test_subgroup_check_errors(elements, match):
+    with pytest.raises(ValueError, match=match):
+        Subgroup(cyclic_group(4), elements, check=True)
+
+
+def test_tables_are_read_only_intp_arrays():
+    g = family_group(3)
+    for table in (g.mult, g.inv):
+        assert table.dtype == np.intp
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 1
+    with pytest.raises(ValueError, match="read-only"):
+        g.mult[1, 2] = 0

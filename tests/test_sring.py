@@ -21,7 +21,8 @@ from dezawl import (
     wl_closure,
     wl_rank,
 )
-from dezawl.sring import _generated
+from dezawl.group import _generated
+from test_group_reference import reference_generated
 
 
 def test_singleton_partition_is_sring():
@@ -108,6 +109,13 @@ def test_closure_rejects_marked_elements_out_of_range():
             wl_closure(g, [[bad]])
 
 
+def test_radical_rejects_elements_out_of_range():
+    g = family_group(3)
+    for bad in (-1, g.order):
+        with pytest.raises(ValueError, match="out of range"):
+            radical(g, [bad])
+
+
 def test_closure_rejects_groups_past_the_int32_code_bound():
     """Class codes reach r^2 <= n^2, so n = 46341 (n^2 > 2^31) is refused
     before any table is read."""
@@ -189,13 +197,10 @@ def test_radical_equals_the_two_sided_stabilizer(g):
                          ids=[f"family{k}" for k in range(3, 9)] + ["c2^5"])
 def test_squaring_closure_equals_subgroup_generated(g):
     rng = random.Random(g.order)
-    mult = np.asarray(g.mult)
     for size in [0, 0, 1, 1, 1, 2, 2, 2, 3, 3, 5, g.order // 2]:
         gens = rng.sample(range(g.order), size)
-        mask = np.zeros(g.order, dtype=bool)
-        mask[gens] = True
-        closed = _generated(mult, g.identity, mask)
-        assert tuple(np.flatnonzero(closed).tolist()) == subgroup_generated(g, gens).elements
+        closed = _generated(g, g.mask(gens))
+        assert tuple(np.flatnonzero(closed).tolist()) == reference_generated(g, gens)
 
 
 def test_section_sring_rank_4_for_u_over_l(cache):

@@ -99,7 +99,8 @@ def wreath_cases(seed: int = 0):
 
 
 def _table_sha(q: Group) -> str:
-    doc = json.dumps([q.mult, q.inv, q.identity, q.names], separators=(",", ":"))
+    doc = json.dumps([q.mult.tolist(), q.inv.tolist(), q.identity, q.names],
+                     separators=(",", ":"))
     return hashlib.sha256(doc.encode()).hexdigest()
 
 
