@@ -1,10 +1,13 @@
 """Graph construction and combinatorial parameter verification.
 
 A graph holds one n x n boolean adjacency matrix. Common-neighbor counts
-for the Deza and divisible-design checks come from one exact integer
-product A A^T, and the diameter from boolean reachability matrices; both
-use integer or boolean arithmetic only, never floating point. Graphs are
-treated as immutable once built; derived graphs are produced by copy.
+for the Deza and divisible-design checks come from one product A A^T, and
+the diameter from reachability products; both are float32 BLAS products of
+0/1 matrices. They are exact: every term is 0 or 1, so every partial sum is
+an integer in [0, n], and float32 holds every integer below 2^24 exactly,
+whatever order, blocking or fused multiply-add the BLAS uses. Graphs with
+n >= 2^24 vertices are refused with ValueError. Graphs are treated as
+immutable once built; derived graphs are produced by copy.
 """
 
 from __future__ import annotations
@@ -193,21 +196,35 @@ def grid_graph(l: int, m: int) -> Graph:
     return g
 
 
+def _exact_float32_adjacency(g: Graph) -> np.ndarray:
+    """adj as a float32 0/1 matrix, for BLAS products that stay exact.
+
+    A product of two 0/1 matrices sums at most n ones per entry, so it is
+    exact in float32 while n < 2^24. Larger graphs raise ValueError before
+    adj is read.
+    """
+    if g.n >= 2**24:
+        raise ValueError(f"{g.n} vertices too many for exact float32 counts")
+    return g.adj.astype(np.float32)
+
+
 def diameter(g: Graph) -> Union[int, float]:
     """Maximum eccentricity over all vertices; inf if not strongly connected.
 
     After d steps, reach[u, v] is true iff a walk of at most d arcs leads
-    from u to v; a step appends one arc with a boolean matrix product (an or
-    of ands, so nothing can overflow). The diameter is the first d at which
-    every pair is reached; a step that reaches no new pair before then
-    proves some pair unreachable. Each step costs O(n^3) boolean operations,
-    so this is meant for graphs of small diameter: a long path is slower
-    than a breadth-first search from every vertex.
+    from u to v. The first step gives I | A; each later one appends one arc
+    with the float32 product reach A, whose entry (u, v) counts the reached
+    in-neighbors of v and is exact (see the module docstring). The diameter
+    is the first d at which every pair is reached; a step that reaches no
+    new pair before then proves some pair unreachable. Each step costs one
+    n x n x n product, so this is meant for graphs of small diameter: a
+    long path is slower than a breadth-first search from every vertex.
     """
+    a = _exact_float32_adjacency(g)
     reach = np.eye(g.n, dtype=bool)
     d = 0
     while not reach.all():
-        grown = reach | (reach @ g.adj)
+        grown = reach | (g.adj if d == 0 else (reach.astype(np.float32) @ a) > 0)
         if np.array_equal(grown, reach):
             return float("inf")
         reach, d = grown, d + 1
@@ -215,12 +232,11 @@ def diameter(g: Graph) -> Union[int, float]:
 
 
 def _common_neighbor_counts(g: Graph) -> np.ndarray:
-    """C = A A^T, so C[u, v] counts the common out-neighbors of u and v.
-
-    numpy multiplies integer matrices with its own loops, never BLAS, so
-    each entry is an exact int32 sum of at most n < 2^31 ones.
+    """C = A A^T as float32, so C[u, v] counts the common out-neighbors of
+    u and v; each entry is an exact integer in [0, n] (see the module
+    docstring), so callers compare it with ints directly.
     """
-    a = g.adj.astype(np.int32)
+    a = _exact_float32_adjacency(g)
     return a @ a.T
 
 

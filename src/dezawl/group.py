@@ -80,6 +80,8 @@ class Group:
         return range(self.order)
 
     def name(self, a: int) -> str:
+        if not 0 <= a < self.order:
+            raise ValueError(f"element {a} out of range")
         return self.names[a]
 
     def conjugate(self, g: int, x: int) -> int:
@@ -188,6 +190,8 @@ class Section:
     representatives: tuple[int, ...]
 
     def project(self, x: int) -> int:
+        if not 0 <= x < len(self.projection):
+            raise ValueError(f"element {x} out of range")
         q = self.projection[x]
         if q < 0:
             raise ValueError(f"element {x} is not in the upper subgroup")

@@ -83,6 +83,8 @@ class SRingPartition:
         return len(self.classes)
 
     def class_containing(self, x: int) -> tuple[int, ...]:
+        if not 0 <= x < self.group.order:
+            raise ValueError(f"element {x} out of range")
         return self.classes[self.class_of[x]]
 
     def is_union_of_classes(self, subset: Iterable[int]) -> bool:

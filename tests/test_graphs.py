@@ -26,6 +26,7 @@ from dezawl import (
     to_dot,
     write_edgelist,
 )
+from dezawl.graphs import _common_neighbor_counts
 
 
 def _cycle(n):
@@ -181,6 +182,17 @@ def test_diameter_examples():
     assert diameter(_complete(5)) == 1
     empty = Graph(3)
     assert diameter(empty) == float("inf")
+
+
+@pytest.mark.parametrize("product", [_common_neighbor_counts, diameter])
+def test_products_refuse_graphs_past_the_float32_bound(product):
+    """Counts up to n are exact in float32 only below 2^24. The stand-in has
+    no adjacency matrix, so reading adj would raise AttributeError: the
+    bound is checked before anything n x n is allocated."""
+    g = Graph.__new__(Graph)
+    g.n, g.directed = 2**24, False
+    with pytest.raises(ValueError, match="too many"):
+        product(g)
 
 
 @pytest.mark.parametrize("k", [3, 4, 11, 12])

@@ -151,6 +151,15 @@ def test_section_projection_is_homomorphism_with_kernel_l():
     assert kernel == set(subs.l.elements)
 
 
+def test_section_project_rejects_elements_out_of_range():
+    g = family_group(3)
+    subs = g.standard_subgroups()
+    sec = make_section(g, subgroup_generated(g, list(g.elements())), subs.l)
+    for bad in (-1, g.order):
+        with pytest.raises(ValueError, match="out of range"):
+            sec.project(bad)
+
+
 def test_section_requires_normal_lower_subgroup():
     g = family_group(3)
     h = subgroup_generated(g, [g.a, g.b])  # H, in which <b> is not normal
@@ -194,6 +203,13 @@ def test_cosets_partition_group():
         assert all(len(c) == h.order for c in cs)
         seen = sorted(x for c in cs for x in c)
         assert seen == list(g.elements())
+
+
+def test_name_rejects_elements_out_of_range():
+    g = family_group(3)
+    for bad in (-1, g.order):
+        with pytest.raises(ValueError, match="out of range"):
+            g.name(bad)
 
 
 def test_subgroup_generated_rejects_elements_out_of_range():

@@ -109,6 +109,14 @@ def test_closure_rejects_marked_elements_out_of_range():
             wl_closure(g, [[bad]])
 
 
+def test_class_containing_rejects_elements_out_of_range():
+    g = family_group(3)
+    p = SRingPartition(g, [[x] for x in g.elements()])
+    for bad in (-1, g.order):
+        with pytest.raises(ValueError, match="out of range"):
+            p.class_containing(bad)
+
+
 def test_radical_rejects_elements_out_of_range():
     g = family_group(3)
     for bad in (-1, g.order):
