@@ -3,9 +3,11 @@
 Elements are plain integers indexing into the parent group's element list.
 The multiplication table mult[x, y] = xy is one read-only n x n np.intp
 array and inv[x] = x^-1 one read-only np.intp vector; subgroups, cosets,
-normality and quotients are gathers on them. All set-valued results use
-sorted index order, so outputs are deterministic. Groups, subgroups and
-sections are immutable once constructed and safe to share between workers.
+normality and quotients are gathers on them. A subgroup is a read-only
+boolean mask over the group, and a section's projection a read-only
+np.intp vector. All set-valued results use sorted index order, so outputs
+are deterministic. Groups, subgroups and sections are immutable once
+constructed and safe to share between workers.
 """
 
 from __future__ import annotations
@@ -125,21 +127,22 @@ class Group:
 
 
 class Subgroup:
-    """Subgroup stored as a sorted index tuple plus a membership bitmap."""
+    """Subgroup stored as a sorted index tuple plus a read-only boolean
+    membership mask over the parent group."""
 
     def __init__(self, parent: Group, elements: Iterable[int], check: bool = True):
         self.parent = parent
-        self.elements = tuple(np.flatnonzero(parent.mask(elements)).tolist())
-        self.bitmask = sum(1 << x for x in self.elements)
+        self.mask = parent.mask(elements)
+        self.mask.setflags(write=False)
+        self.elements = tuple(np.flatnonzero(self.mask).tolist())
         if check:
             self._validate()
 
     def _validate(self) -> None:
-        g = self.parent
-        if g.identity not in self:
+        g, inside = self.parent, self.mask
+        if not inside[g.identity]:
             raise ValueError("subgroup must contain the identity")
-        h = np.array(self.elements, dtype=np.intp)
-        inside = g.mask(self.elements)
+        h = np.flatnonzero(inside)
         bad = ~inside[g.inv[h]]
         if bad.any():
             x = h[np.argmax(bad)]
@@ -156,18 +159,18 @@ class Subgroup:
         return len(self.elements)
 
     def __contains__(self, x: int) -> bool:
-        return bool(self.bitmask >> x & 1)
+        return 0 <= x < self.parent.order and bool(self.mask[x])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Subgroup):
             return NotImplemented
-        return self.parent is other.parent and self.bitmask == other.bitmask
+        return self.parent is other.parent and self.elements == other.elements
 
     def __hash__(self) -> int:
-        return hash((id(self.parent), self.bitmask))
+        return hash((id(self.parent), self.elements))
 
     def __le__(self, other: "Subgroup") -> bool:
-        return self.bitmask & ~other.bitmask == 0
+        return not (self.mask & ~other.mask).any()
 
     def __repr__(self) -> str:
         shown = ", ".join(self.parent.name(x) for x in self.elements[:6])
@@ -179,20 +182,21 @@ class Subgroup:
 class Section:
     """A quotient U/L together with the projection map from U.
 
-    ``projection[x]`` is the quotient element index for x in U and -1 outside.
-    Coset representatives are the minimal element index per coset.
+    ``projection`` is a read-only np.intp vector over the group: the
+    quotient element index for x in U and -1 outside. Coset representatives
+    are the minimal element index per coset.
     """
 
     upper: Subgroup
     lower: Subgroup
     quotient: Group
-    projection: list[int]
+    projection: np.ndarray
     representatives: tuple[int, ...]
 
     def project(self, x: int) -> int:
         if not 0 <= x < len(self.projection):
             raise ValueError(f"element {x} out of range")
-        q = self.projection[x]
+        q = int(self.projection[x])
         if q < 0:
             raise ValueError(f"element {x} is not in the upper subgroup")
         return q
@@ -231,9 +235,8 @@ def subgroup_generated(g: Group, gens: Iterable[int]) -> Subgroup:
 def _normalizes(g: Group, xs: np.ndarray, h: Subgroup) -> bool:
     """True iff x h x^-1 lies in h for every x in xs, by one gather of the
     conjugates. |x h x^-1| = |h|, so then x h x^-1 = h, that is xh = hx."""
-    ys = np.array(h.elements, dtype=np.intp)
-    conj = g.mult[g.mult[np.ix_(xs, ys)], g.inv[xs, None]]
-    return bool(g.mask(h.elements)[conj].all())
+    conj = g.mult[g.mult[np.ix_(xs, np.flatnonzero(h.mask))], g.inv[xs, None]]
+    return bool(h.mask[conj].all())
 
 
 def is_normal(g: Group, h: Subgroup) -> bool:
@@ -247,7 +250,7 @@ def cosets(g: Group, h: Subgroup) -> list[tuple[int, ...]]:
     Column x of the sorted table mult[H, G] is Hx, and each coset is kept
     once, at the column of its minimal element.
     """
-    cols = np.sort(g.mult[list(h.elements)], axis=0)
+    cols = np.sort(g.mult[h.mask], axis=0)
     own = cols[0] == np.arange(g.order)
     return [tuple(c) for c in cols[:, own].T.tolist()]
 
@@ -259,7 +262,7 @@ def make_section(g: Group, u: Subgroup, l: Subgroup) -> Section:
     """
     if not l <= u:
         raise ValueError("lower subgroup is not contained in the upper subgroup")
-    upper = np.array(u.elements, dtype=np.intp)
+    upper = np.flatnonzero(u.mask)
     if not _normalizes(g, upper, l):
         raise ValueError("lower subgroup is not normal in the upper subgroup")
     # The coset Lx of x in U is column x of mult[L, U]; its representative
@@ -268,13 +271,14 @@ def make_section(g: Group, u: Subgroup, l: Subgroup) -> Section:
     reps = upper[mins == upper]
     projection = np.full(g.order, -1, dtype=np.intp)
     projection[upper] = np.searchsorted(reps, mins)
+    projection.setflags(write=False)
     quotient = Group(
         projection[g.mult[np.ix_(reps, reps)]],
         projection[g.inv[reps]],
         projection[g.identity],
         [g.name(r) for r in reps],
     )
-    return Section(u, l, quotient, projection.tolist(), tuple(reps.tolist()))
+    return Section(u, l, quotient, projection, tuple(reps.tolist()))
 
 
 def _family_name(i: int, j: int, l: int, m: int) -> str:

@@ -54,7 +54,8 @@ class SRingPartition:
     """Partition of a group, candidate or verified S-ring.
 
     Classes are sorted element tuples in canonical order (size, then
-    minimal element); class_of maps an element index to its class id.
+    minimal element); class_of is a read-only np.intp vector mapping each
+    element index to its class id.
     """
 
     def __init__(self, group: Group, classes: Iterable[Iterable[int]]):
@@ -66,17 +67,16 @@ class SRingPartition:
         if canon and not canon[0]:
             raise ValueError("empty class")
         self.classes: tuple[tuple[int, ...], ...] = tuple(canon)
-        self.class_of = [-1] * group.order
-        for cid, cls in enumerate(self.classes):
-            for x in cls:
-                if not 0 <= x < group.order:
-                    raise ValueError(f"element {x} out of range")
-                if self.class_of[x] != -1:
-                    raise ValueError(f"element {group.name(x)} appears in two classes")
-                self.class_of[x] = cid
-        if any(c == -1 for c in self.class_of):
-            missing = next(x for x in group.elements() if self.class_of[x] == -1)
-            raise ValueError(f"element {group.name(missing)} not covered")
+        members = [x for cls in canon for x in cls]
+        covered = group.mask(members)
+        twice = np.bincount(members, minlength=group.order) > 1
+        if twice.any():
+            raise ValueError(f"element {group.name(np.argmax(twice))} appears in two classes")
+        if not covered.all():
+            raise ValueError(f"element {group.name(np.argmin(covered))} not covered")
+        self.class_of = np.empty(group.order, dtype=np.intp)
+        self.class_of[members] = np.repeat(np.arange(len(canon)), [len(c) for c in canon])
+        self.class_of.setflags(write=False)
 
     @property
     def rank(self) -> int:
@@ -88,16 +88,22 @@ class SRingPartition:
         return self.classes[self.class_of[x]]
 
     def is_union_of_classes(self, subset: Iterable[int]) -> bool:
-        s = set(subset)
-        return all(set(self.classes[self.class_of[x]]) <= s for x in s)
+        """True iff every class meeting the subset lies inside it.
+
+        Raises ValueError for an element outside 0..order-1.
+        """
+        met = np.bincount(self.class_of[self.group.mask(subset)], minlength=self.rank)
+        sizes = np.bincount(self.class_of, minlength=self.rank)
+        return bool(((met == 0) | (met == sizes)).all())
 
     def refines(self, other: "SRingPartition") -> bool:
-        """True iff every class of self lies inside a class of other."""
+        """True iff every class of self lies inside a class of other, that
+        is iff there are as many distinct (own id, other id) pairs as
+        classes of self."""
         if self.group is not other.group:
             raise ValueError("partitions live over different groups")
-        return all(
-            len({other.class_of[x] for x in cls}) == 1 for cls in self.classes
-        )
+        pairs = self.class_of * other.rank + other.class_of
+        return len(set(pairs.tolist())) == self.rank
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SRingPartition):
@@ -161,7 +167,7 @@ def is_sring(p: SRingPartition) -> SRingCheck:
 
     n = g.order
     r = p.rank
-    class_of = np.asarray(p.class_of, dtype=np.intp)
+    class_of = p.class_of
     # first[z]: the first element of the class of z, against which the
     # coefficient at z is compared.
     first = np.array([cls[0] for cls in p.classes], dtype=np.intp)[class_of]
@@ -277,17 +283,14 @@ def section_sring(p: SRingPartition, s: Section) -> SRingPartition:
         raise ValueError("upper subgroup is not a union of classes")
     if not p.is_union_of_classes(s.lower.elements):
         raise ValueError("lower subgroup is not a union of classes")
-    inner = [cid for cid, cls in enumerate(p.classes)
-             if all(x in s.upper for x in cls)]
-    q = s.quotient.order
-    counts = [[0] * len(inner) for _ in range(q)]
-    pos = {cid: i for i, cid in enumerate(inner)}
-    for cid in inner:
-        for x in p.classes[cid]:
-            counts[s.projection[x]][pos[cid]] += 1
-    buckets: dict[tuple[int, ...], list[int]] = {}
-    for coset in range(q):
-        buckets.setdefault(tuple(counts[coset]), []).append(coset)
+    # counts[coset, class]: the elements of the class in the coset.  U is a
+    # union of classes, so a class outside U has an all-zero column.
+    upper = np.flatnonzero(s.upper.mask)
+    counts = np.zeros((s.quotient.order, p.rank), dtype=np.intp)
+    np.add.at(counts, (s.projection[upper], p.class_of[upper]), 1)
+    buckets: dict[bytes, list[int]] = {}
+    for coset, row in enumerate(counts):
+        buckets.setdefault(row.tobytes(), []).append(coset)
     return SRingPartition(s.quotient, buckets.values())
 
 
@@ -310,17 +313,6 @@ class WreathDecomposition:
             "rank_quotient": self.rank_quotient,
             "rank_section": self.rank_section,
         }
-
-
-def _as_int(mask: np.ndarray) -> int:
-    """The boolean mask as an int bitmask (bit x set iff mask[x])."""
-    return int.from_bytes(np.packbits(mask, bitorder="little").tobytes(), "little")
-
-
-def _as_mask(bits: int, n: int) -> np.ndarray:
-    """The int bitmask as a boolean mask of length n."""
-    raw = np.frombuffer(bits.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
-    return np.unpackbits(raw, count=n, bitorder="little").astype(bool)
 
 
 def detect_wreath(p: SRingPartition) -> list[WreathDecomposition]:
@@ -348,14 +340,13 @@ def detect_wreath(p: SRingPartition) -> list[WreathDecomposition]:
     subgroup holding L and every class whose radical misses L, and every
     union-of-classes subgroup grown from it by adding classes, short of G.
     Subgroups are closed by repeated squaring on the group's multiplication
-    table, and sets are kept as boolean masks with int bitmasks as set
-    keys. The rank identity is asserted for every decomposition found.
+    table. Sets are boolean masks, kept in dicts keyed by their bytes, so
+    the search order does not matter: the results are sorted at the end.
+    The rank identity is asserted for every decomposition found.
     """
     g = p.group
     n = g.order
     mult, inv = g.mult, g.inv
-    full_mask = (1 << n) - 1
-    identity_mask = 1 << g.identity
 
     cls = np.zeros((p.rank, n), dtype=bool)
     cls[p.class_of, np.arange(n)] = True
@@ -372,44 +363,43 @@ def detect_wreath(p: SRingPartition) -> list[WreathDecomposition]:
         """Which classes lie inside the mask."""
         return ~(cls & ~mask).any(axis=1)
 
-    radicals: dict[int, np.ndarray] = {}
+    radicals: dict[bytes, np.ndarray] = {}
     for row in rad:
-        radicals.setdefault(_as_int(row), row)
-    normal: dict[int, int] = {}
-    candidate_masks: set[int] = set()
-    for rmask, r in radicals.items():
-        if rmask == identity_mask or rmask == full_mask:
+        radicals.setdefault(row.tobytes(), row)
+    normal: dict[int, np.ndarray] = {}
+    candidates: dict[bytes, np.ndarray] = {}
+    for r in radicals.values():
+        if not 1 < np.count_nonzero(r) < n:  # the radical is {e} or G
             continue
-        gens = set()
+        gens: dict[bytes, np.ndarray] = {}
         for cid in np.flatnonzero(inside(r)).tolist():
             if cid not in normal:
-                normal[cid] = _as_int(normal_closure(cls[cid]))
-            if normal[cid] & ~rmask == 0 and normal[cid] != identity_mask:
-                gens.add(normal[cid])
-        joins = set(gens)
-        frontier = list(gens)
+                normal[cid] = normal_closure(cls[cid])
+            nc = normal[cid]
+            if not (nc & ~r).any() and np.count_nonzero(nc) > 1:
+                gens.setdefault(nc.tobytes(), nc)
+        joins = dict(gens)
+        frontier = list(gens.values())
         while frontier:
             a = frontier.pop()
-            for b in gens:
-                j = _as_int(_generated(g, _as_mask(a | b, n)))
-                if j not in joins:
-                    joins.add(j)
+            for b in gens.values():
+                j = _generated(g, a | b)
+                if joins.setdefault(j.tobytes(), j) is j:
                     frontier.append(j)
-        candidate_masks |= joins
+        candidates.update(joins)
 
-    def a_closure(mask: np.ndarray) -> int:
+    def a_closure(mask: np.ndarray) -> np.ndarray:
         """Smallest union-of-classes subgroup containing the mask."""
         h = _generated(g, mask)
         while True:
             grown = cls[cls[:, h].any(axis=1)].any(axis=0)
             if np.array_equal(grown, h):
-                return _as_int(h)
+                return h
             h = _generated(g, grown)
 
     results: list[WreathDecomposition] = []
     whole = Subgroup(g, g.elements(), check=False)
-    for lmask in sorted(candidate_masks):
-        lm = _as_mask(lmask, n)
+    for lm in candidates.values():
         l_elems = np.flatnonzero(lm).tolist()
         if not p.is_union_of_classes(l_elems):
             continue
@@ -418,20 +408,18 @@ def detect_wreath(p: SRingPartition) -> list[WreathDecomposition]:
             continue
         covered = cls[~(lm & ~rad).any(axis=1)].any(axis=0)
         u0 = a_closure(~covered | lm)
-        if u0 == full_mask:
+        if np.count_nonzero(u0) == n:
             continue
-        uppers = {u0}
+        uppers = {u0.tobytes(): u0}
         frontier = [u0]
         while frontier:
-            um = _as_mask(frontier.pop(), n)
+            um = frontier.pop()
             for cid in np.flatnonzero(~inside(um)).tolist():
                 v = a_closure(um | cls[cid])
-                if v != full_mask and v not in uppers:
-                    uppers.add(v)
+                if np.count_nonzero(v) < n and uppers.setdefault(v.tobytes(), v) is v:
                     frontier.append(v)
         rank_quotient = section_sring(p, make_section(g, whole, l_sub)).rank
-        for umask in sorted(uppers, key=lambda m: (m.bit_count(), m)):
-            um = _as_mask(umask, n)
+        for um in uppers.values():
             u_sub = Subgroup(g, np.flatnonzero(um).tolist(), check=False)
             sec = make_section(g, u_sub, l_sub)
             rank_u = int(np.count_nonzero(inside(um)))

@@ -276,3 +276,36 @@ def test_tables_are_read_only_intp_arrays():
             table[0] = 1
     with pytest.raises(ValueError, match="read-only"):
         g.mult[1, 2] = 0
+
+
+def test_subgroup_mask_and_section_projection_are_read_only():
+    g = family_group(3)
+    subs = g.standard_subgroups()
+    sec = make_section(g, subs.u, subs.l)
+    assert subs.u.mask.dtype == bool and sec.projection.dtype == np.intp
+    for vector in (subs.u.mask, sec.projection):
+        with pytest.raises(ValueError, match="read-only"):
+            vector[0] = 0
+
+
+def test_subgroup_membership_is_false_outside_the_group():
+    """mask[-1] would be element n-1, which lies in the whole group."""
+    g = family_group(3)
+    whole = subgroup_generated(g, list(g.elements()))
+    for sub in (whole, g.standard_subgroups().a):
+        assert -1 not in sub
+        assert g.order not in sub
+    assert g.order - 1 in whole
+
+
+def test_subgroups_compare_by_elements():
+    g = family_group(4)
+    subs = g.standard_subgroups()
+    forward = Subgroup(g, subs.l.elements)
+    backward = Subgroup(g, reversed(subs.l.elements))
+    assert forward == backward == subs.l
+    assert hash(forward) == hash(backward)
+    assert forward != subs.u
+    assert subs.a1 <= subs.a
+    assert not subs.a <= subs.a1
+    assert subs.a <= subs.a

@@ -174,8 +174,8 @@ def test_group_layer_equals_the_loop_references(seed):
             normal_outcomes.add(True)
             sec = make_section(g, u, h)
             q = sec.quotient
-            assert (sec.projection, sec.representatives, q.mult.tolist(), q.inv.tolist(),
-                    q.identity, q.names) == expected, (name, gens)
+            assert (sec.projection.tolist(), sec.representatives, q.mult.tolist(),
+                    q.inv.tolist(), q.identity, q.names) == expected, (name, gens)
     assert normal_outcomes == {True, False}
 
 

@@ -117,6 +117,38 @@ def test_class_containing_rejects_elements_out_of_range():
             p.class_containing(bad)
 
 
+def test_partition_rejects_elements_out_of_range():
+    g = family_group(3)
+    for bad in (-1, g.order):
+        with pytest.raises(ValueError, match="out of range"):
+            SRingPartition(g, [[x] for x in g.elements()] + [[bad]])
+
+
+def test_partition_names_a_repeated_and_a_missing_element():
+    g = family_group(3)
+    with pytest.raises(ValueError, match="element a appears in two classes"):
+        SRingPartition(g, [[0, 8], range(8, 24), range(1, 8)])
+    with pytest.raises(ValueError, match="element a not covered"):
+        SRingPartition(g, [[0], range(1, 8), range(9, 24)])
+
+
+def test_is_union_of_classes_rejects_elements_out_of_range():
+    """class_of[-1] would be the class of element n-1."""
+    g = family_group(3)
+    p = SRingPartition(g, [[x] for x in g.elements()])
+    for bad in ([-1, g.order - 1], [g.order]):
+        with pytest.raises(ValueError, match="out of range"):
+            p.is_union_of_classes(bad)
+
+
+def test_class_of_is_a_read_only_intp_vector():
+    p = SRingPartition(family_group(3), [[0], range(1, 24)])
+    assert p.class_of.dtype == np.intp
+    assert p.class_of.tolist() == [0] + [1] * 23
+    with pytest.raises(ValueError, match="read-only"):
+        p.class_of[0] = 1
+
+
 def test_radical_rejects_elements_out_of_range():
     g = family_group(3)
     for bad in (-1, g.order):

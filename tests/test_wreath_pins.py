@@ -10,7 +10,8 @@ sets over family groups and over table-built cyclic, dihedral and
 direct-product groups, and the S-rings {e}, H#, G minus H over C2^m with H
 of index 2. A change to the search must reproduce every list exactly. On
 cases from other seeds the result must equal that of the subgroup
-enumeration at the end of this file.
+enumeration at the end of this file, and every induced partition of a
+section must equal that of the count-list loop there.
 
 Regenerate the data file only for a deliberate change of outcome:
 
@@ -28,6 +29,7 @@ from pathlib import Path
 import pytest
 
 from conftest import cyclic_group, elementary_abelian
+import dezawl.sring
 from dezawl import (
     Group,
     SRingPartition,
@@ -42,6 +44,7 @@ from dezawl import (
     subgroup_generated,
     wl_closure,
 )
+from dezawl.group import Section
 from test_sring_pins import _dihedral, _direct, _relabel
 
 PINS_PATH = Path(__file__).resolve().parent / "data" / "wreath_pins.json"
@@ -143,6 +146,32 @@ def test_index_two_sring_over_c2_7_has_one_decomposition():
     assert (w.rank_u, w.rank_quotient, w.rank_section) == (2, 2, 1)
 
 
+def _reference_is_union(p: SRingPartition, subset) -> bool:
+    """is_union_of_classes by a set comparison per class."""
+    s = set(subset)
+    return all(set(cls) <= s or not s.intersection(cls) for cls in p.classes)
+
+
+def _reference_section_sring(p: SRingPartition, s: Section) -> SRingPartition:
+    """section_sring by a count list per coset over the classes inside U."""
+    if not _reference_is_union(p, s.upper.elements):
+        raise ValueError("upper subgroup is not a union of classes")
+    if not _reference_is_union(p, s.lower.elements):
+        raise ValueError("lower subgroup is not a union of classes")
+    inner = [cid for cid, cls in enumerate(p.classes)
+             if all(x in s.upper for x in cls)]
+    q = s.quotient.order
+    counts = [[0] * len(inner) for _ in range(q)]
+    pos = {cid: i for i, cid in enumerate(inner)}
+    for cid in inner:
+        for x in p.classes[cid]:
+            counts[s.projection[x]][pos[cid]] += 1
+    buckets: dict[tuple[int, ...], list[int]] = {}
+    for coset in range(q):
+        buckets.setdefault(tuple(counts[coset]), []).append(coset)
+    return SRingPartition(s.quotient, buckets.values())
+
+
 def _reference_detect_wreath(p: SRingPartition) -> list:
     """_outcome of detect_wreath, by a join closure over every subgroup of
     every class radical and subgroup_generated at every step."""
@@ -155,7 +184,7 @@ def _reference_detect_wreath(p: SRingPartition) -> list:
         return [x for x in range(n) if mask >> x & 1]
 
     def generated(mask):
-        return subgroup_generated(g, elements(mask)).bitmask
+        return sum(1 << x for x in subgroup_generated(g, elements(mask)).elements)
 
     class_masks = [sum(1 << x for x in cls) for cls in p.classes]
     rad_masks = []
@@ -193,7 +222,7 @@ def _reference_detect_wreath(p: SRingPartition) -> list:
     found = []
     for lmask in sorted(candidates):
         l_sub = Subgroup(g, elements(lmask), check=False)
-        if not p.is_union_of_classes(l_sub.elements) or not is_normal(g, l_sub):
+        if not _reference_is_union(p, l_sub.elements) or not is_normal(g, l_sub):
             continue
         covered = 0
         for cmask, rmask in zip(class_masks, rad_masks):
@@ -216,8 +245,8 @@ def _reference_detect_wreath(p: SRingPartition) -> list:
             u_sub = Subgroup(g, elements(umask), check=False)
             sec = make_section(g, u_sub, l_sub)
             rank_u = sum(1 for cls in p.classes if set(cls) <= set(u_sub.elements))
-            rank_quotient = section_sring(p, make_section(g, whole, l_sub)).rank
-            rank_section = section_sring(p, sec).rank
+            rank_quotient = _reference_section_sring(p, make_section(g, whole, l_sub)).rank
+            rank_section = _reference_section_sring(p, sec).rank
             assert p.rank == rank_u + rank_quotient - rank_section
             found.append(WreathDecomposition(sec, rank_u, rank_quotient, rank_section))
     found.sort(key=lambda w: (w.section.lower.order, w.section.upper.order,
@@ -229,6 +258,23 @@ def _reference_detect_wreath(p: SRingPartition) -> list:
 def test_decompositions_equal_the_reference_search(seed):
     for name, p in wreath_cases(seed):
         assert _outcome(detect_wreath(p)) == _reference_detect_wreath(p), name
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_section_partitions_equal_the_reference_loop(seed, monkeypatch):
+    """Every section detect_wreath projects onto, as a partition."""
+    visited = []
+
+    def recording(p, s):
+        visited.append((p, s))
+        return section_sring(p, s)
+
+    monkeypatch.setattr(dezawl.sring, "section_sring", recording)
+    for _, p in wreath_cases(seed):
+        detect_wreath(p)
+    assert len(visited) >= 100
+    for p, s in visited:
+        assert section_sring(p, s) == _reference_section_sring(p, s)
 
 
 def dump(pins: dict) -> str:
