@@ -210,11 +210,17 @@ def _generated(g: Group, mask: np.ndarray) -> np.ndarray:
     final H is closed under products and, being finite and containing e,
     a subgroup; every step doubles the word length reached, so there are
     O(log |H|) steps.
+
+    As soon as H holds more than n/2 elements the whole group is returned
+    without another gather. H lies in the generated subgroup throughout,
+    whose order divides n by Lagrange's theorem, and a divisor of n above
+    n/2 is n itself.
     """
+    n = g.order
     h = mask.copy()
     h[g.identity] = True
     size = np.count_nonzero(h)
-    while True:
+    while 2 * size <= n:
         idx = np.flatnonzero(h)
         h = np.zeros_like(h)
         h[g.mult[np.ix_(idx, idx)]] = True
@@ -222,6 +228,7 @@ def _generated(g: Group, mask: np.ndarray) -> np.ndarray:
         if grown == size:
             return h
         size = grown
+    return np.ones(n, dtype=bool)
 
 
 def subgroup_generated(g: Group, gens: Iterable[int]) -> Subgroup:

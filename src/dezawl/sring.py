@@ -133,14 +133,34 @@ def is_sring(p: SRingPartition) -> SRingCheck:
     """Validate the three S-ring axioms on a candidate partition.
 
     Axioms 1 and 2 are checked first and every violation of them is listed.
-    Axiom 3 is then checked in Schur-Wielandt form: the convolution of every
-    ordered pair of class sums must be constant on each class. For each class
-    X, one bincount over the pairs (x, y), x in X, y in G, keyed by
-    class(y) * |G| + xy, gives the coefficient row of X*Y for every class Y
-    at once; every coefficient is compared with the one at the first element
-    of its class. The check is exact and shares no code with the refinement
-    in wl_closure. The first violation in the order (X, Y, class, element),
-    classes in canonical order and elements ascending, is the one reported.
+    Axiom 3 is then checked as one sorted multiset per element. The
+    coefficient of z in the product of the class sums of X and Y is
+    #{x in X : x^-1 z in Y}, so every such product is constant on each
+    class exactly when the multiset {(class(x), class(x^-1 z)) : x in G} is
+    the same for z as for the first element of z's class.  Writing
+    x = w^-1, the codes class(w^-1) * r + class(wz), over r classes, are
+    read from column z of the multiplication table; they are built 64
+    elements z at a time, each row is sorted, and the row of the first
+    element of a class (its minimum, so reached no later than the others)
+    is stored for the rest of the class to be compared with. That is
+    O(n^2 log n) time and one r x n int32 table of stored rows plus one
+    block. The codes stay below r^2 <= n^2, exact in int32 while
+    n^2 < 2^31; larger groups raise ValueError.
+
+    Mathematically this is the stability test of one wl_closure round, so
+    it is kept independent of wl_closure, which it rechecks: it uses no
+    _sorted_rows and no _class_ids, it reads pairs (x, x^-1 z) from the
+    columns of the table rather than pairs (z y^-1, y) from permuted rows,
+    and it compares each row with its first element's row instead of
+    renumbering keys.
+
+    The first violation in the order (X, Y, class, element), classes in
+    canonical order and elements ascending, is the one reported. For a
+    rejected z, the first position where its sorted row and the row of its
+    first element differ holds, in the smaller of the two entries, the
+    least code X * r + Y, that is the least pair (X, Y), whose coefficient
+    differs; the least (code, class, element) over the rejected elements
+    names the violation.
     """
     g = p.group
     violations: list[SRingViolation] = []
@@ -166,29 +186,46 @@ def is_sring(p: SRingPartition) -> SRingCheck:
         return SRingCheck(False, violations)
 
     n = g.order
+    if n * n >= 2**31:
+        raise ValueError(f"group order {n} too large for int32 class codes")
     r = p.rank
-    class_of = p.class_of
-    # first[z]: the first element of the class of z, against which the
-    # coefficient at z is compared.
-    first = np.array([cls[0] for cls in p.classes], dtype=np.intp)[class_of]
-    offset = class_of * n
-    for cx in p.classes:
-        coeff = np.bincount(
-            (g.mult[list(cx)] + offset).ravel(), minlength=r * n
-        ).reshape(r, n)
-        bad = coeff != coeff[:, first]
-        if bad.any():
-            cy = int(np.flatnonzero(bad.any(axis=1))[0])
-            z = min(np.flatnonzero(bad[cy]).tolist(), key=lambda z: (p.class_of[z], z))
-            z0 = p.class_containing(z)[0]
-            return SRingCheck(False, [SRingViolation(
-                3,
-                f"product of classes starting at {g.name(cx[0])},"
-                f" {g.name(p.classes[cy][0])} has coefficients"
-                f" {coeff[cy, z0]} and {coeff[cy, z]} inside one class"
-                f" ({g.name(z0)} vs {g.name(z)})",
-            )])
-    return SRingCheck(True, [])
+    cls = p.class_of.astype(np.int32)
+    left = cls[g.inv] * np.int32(r)
+    first = np.array([c[0] for c in p.classes], dtype=np.intp)[p.class_of]
+
+    def rows(zs: np.ndarray) -> np.ndarray:
+        """Row i: the sorted codes class(w^-1) * r + class(w zs[i]) over w."""
+        codes = cls[g.mult.T[zs]]
+        codes += left
+        codes.sort(axis=1)
+        return codes
+
+    stored = np.empty((r, n), dtype=np.int32)
+    rejected: list[tuple[int, int, int]] = []  # (least differing code, class, z)
+    for lo in range(0, n, 64):
+        zs = np.arange(lo, min(lo + 64, n))
+        block = rows(zs)
+        own = first[zs] == zs
+        stored[cls[zs[own]]] = block[own]
+        differ = block != stored[cls[zs]]
+        bad = np.flatnonzero(differ.any(axis=1))
+        if bad.size:
+            at = differ[bad].argmax(axis=1)
+            codes = np.minimum(block[bad, at], stored[cls[zs[bad]], at])
+            rejected += zip(codes.tolist(), cls[zs[bad]].tolist(), zs[bad].tolist())
+    if not rejected:
+        return SRingCheck(True, [])
+    code, _, z = min(rejected)
+    z0 = int(first[z])
+    row, row0 = rows(np.array([z, z0]))
+    cx, cy = divmod(code, r)
+    return SRingCheck(False, [SRingViolation(
+        3,
+        f"product of classes starting at {g.name(p.classes[cx][0])},"
+        f" {g.name(p.classes[cy][0])} has coefficients"
+        f" {np.count_nonzero(row0 == code)} and {np.count_nonzero(row == code)}"
+        f" inside one class ({g.name(z0)} vs {g.name(z)})",
+    )])
 
 
 def _class_ids(keys: Iterable) -> np.ndarray:

@@ -8,7 +8,10 @@ they replaced: a breadth-first orbit closure, bitmask coset comparisons,
 a coset-by-coset quotient build and the nested loop over (i, j, l, m).
 Both must agree on random generator sets, the empty set included, over
 family groups, C2^5 and table-built cyclic, dihedral and direct-product
-groups, and on every family table for k = 3..12.
+groups, and on every family table for k = 3..12. The squaring closure
+returns the whole group once it holds more than half of it; generator sets
+on both sides of that cut, up to an index-two subgroup and beyond, must
+give the orbit closure's subgroup.
 """
 
 from __future__ import annotations
@@ -177,6 +180,33 @@ def test_group_layer_equals_the_loop_references(seed):
             assert (sec.projection.tolist(), sec.representatives, q.mult.tolist(),
                     q.inv.tolist(), q.identity, q.names) == expected, (name, gens)
     assert normal_outcomes == {True, False}
+
+
+LAGRANGE_GROUPS = {
+    **{f"c{n}": cyclic_group(n) for n in (1, 2, 7, 12, 16)},
+    **{f"c2^{m}": elementary_abelian(m) for m in (1, 3, 5)},
+    **{f"family{k}": family_group(k) for k in range(3, 9)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(LAGRANGE_GROUPS))
+def test_generated_subgroups_across_the_lagrange_cut(name):
+    """The even indices form an index-two subgroup of every even-order
+    group here (for C_n with n odd they generate C_n): its square holds
+    exactly n/2 elements, so the cut must not fire on it, while one more
+    element, or any set above n/2, generates the whole group."""
+    g = LAGRANGE_GROUPS[name]
+    n = g.order
+    rng = random.Random(n)
+    evens = list(range(0, n, 2))
+    sets = [[], [g.identity], evens, evens + [n - 1]]
+    for size in sorted({1, 2, 3, n // 2, n // 2 + 1, n - 1, n} & set(range(n + 1))):
+        sets += [rng.sample(range(n), size) for _ in range(3)]
+    for gens in sets:
+        h = subgroup_generated(g, gens)
+        assert h.elements == reference_generated(g, gens), (name, gens)
+        if 2 * len(set(gens) | {g.identity}) > n:
+            assert h.order == n
 
 
 @pytest.mark.parametrize("k", range(3, 13))

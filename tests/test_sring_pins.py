@@ -11,6 +11,11 @@ list exactly, including which product, class and element are named when
 several coefficients differ. On cases from other seeds the result must
 equal that of the loop over ordered class pairs at the end of this file.
 
+is_sring decides axiom 3 by one sorted multiset per element. A second
+reference, the one bincount per class that it replaced, must give the same
+outcome on every inverse-closed merge of two classes of the closures at
+k = 4, 6, 8, 16 and on random inverse-closed partitions of small groups.
+
 Regenerate the data file only for a deliberate change of outcome:
 
     PYTHONPATH=src python3 tests/test_sring_pins.py > tests/data/sring_pins.json
@@ -21,11 +26,15 @@ from __future__ import annotations
 import json
 import random
 import sys
+from itertools import combinations
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import cyclic_group
+from conftest import cyclic_group, elementary_abelian
 from dezawl import Group, SRingPartition, connection_set, family_group, is_sring, wl_closure
 
 PINS_PATH = Path(__file__).resolve().parent / "data" / "sring_pins.json"
@@ -210,6 +219,84 @@ def _reference_is_sring(p: SRingPartition) -> list:
 def test_outcomes_equal_the_reference_loop(seed):
     for name, p in sring_cases(seed):
         assert _outcome(is_sring(p)) == _reference_is_sring(p), name
+
+
+def _bincount_axiom3(p: SRingPartition) -> list:
+    """_outcome of is_sring for a partition satisfying axioms 1 and 2, by
+    one bincount per class X over the pairs (x, y), x in X, y in G, keyed by
+    class(y) * |G| + xy: the coefficient row of X*Y for every class Y at
+    once, each coefficient compared with the one at the first element of
+    its class."""
+    g = p.group
+    n, r = g.order, p.rank
+    first = np.array([cls[0] for cls in p.classes], dtype=np.intp)[p.class_of]
+    offset = p.class_of * n
+    for cx in p.classes:
+        coeff = np.bincount(
+            (g.mult[list(cx)] + offset).ravel(), minlength=r * n
+        ).reshape(r, n)
+        bad = coeff != coeff[:, first]
+        if bad.any():
+            cy = int(np.flatnonzero(bad.any(axis=1))[0])
+            z = min(np.flatnonzero(bad[cy]).tolist(), key=lambda z: (p.class_of[z], z))
+            z0 = p.class_containing(z)[0]
+            return [[3, f"product of classes starting at {g.name(cx[0])},"
+                        f" {g.name(p.classes[cy][0])} has coefficients"
+                        f" {coeff[cy, z0]} and {coeff[cy, z]} inside one class"
+                        f" ({g.name(z0)} vs {g.name(z)})"]]
+    return []
+
+
+def _merged_closures(cache):
+    """(name, partition): the closure of Gamma_k, k = 4, 6, 8, 16, with two
+    classes other than {e} merged wherever the union is inverse-closed, so
+    that axioms 1 and 2 hold and axiom 3 decides."""
+    for k in (4, 6, 8, 16):
+        g = cache.group(k)
+        classes = [c for c in cache.closure(k).classes if c != (g.identity,)]
+        for i, j in combinations(range(len(classes)), 2):
+            union = tuple(sorted(classes[i] + classes[j]))
+            if tuple(sorted(g.inv[list(union)].tolist())) != union:
+                continue
+            rest = [c for t, c in enumerate(classes) if t not in (i, j)]
+            yield f"gamma{k}_merge_{i}_{j}", SRingPartition(g, [[g.identity], union, *rest])
+
+
+def test_merged_closures_equal_the_bincount_reference(cache):
+    cases = list(_merged_closures(cache))
+    assert len(cases) == 1296
+    for name, p in cases:
+        assert _outcome(is_sring(p)) == _bincount_axiom3(p), name
+
+
+PROPERTY_GROUPS = {
+    "c7": cyclic_group(7),
+    "c12": cyclic_group(12),
+    "c70": cyclic_group(70),
+    "c2^3": elementary_abelian(3),
+    "c2^7": elementary_abelian(7),
+    "d8": _dihedral(4),
+    "d12": _dihedral(6),
+    "c2xc4": _direct(cyclic_group(2), cyclic_group(4)),
+    "d6xc2": _direct(_dihedral(3), cyclic_group(2)),
+    "d10_relabelled": _relabel(_dihedral(5), random.Random(0)),
+}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(sorted(PROPERTY_GROUPS)), st.data())
+def test_random_inverse_closed_partitions_equal_the_bincount_reference(name, data):
+    g = PROPERTY_GROUPS[name]
+    pairs = sorted({tuple(sorted((x, int(g.inv[x])))) for x in g.elements()
+                    if x != g.identity})
+    blocks = data.draw(st.integers(1, len(pairs)))
+    dealt = data.draw(st.lists(st.integers(0, blocks - 1),
+                               min_size=len(pairs), max_size=len(pairs)))
+    classes: dict[int, list[int]] = {}
+    for pair, block in zip(pairs, dealt):
+        classes.setdefault(block, []).extend(pair)
+    p = SRingPartition(g, [[g.identity], *classes.values()])
+    assert _outcome(is_sring(p)) == _bincount_axiom3(p)
 
 
 def dump(pins: dict) -> str:
