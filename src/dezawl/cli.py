@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Commands: construct, verify, wl-rank, sweep. Exit codes are stable for
-scripting: 0 success, 1 verification failure, 2 usage or parse error.
+scripting: 0 success, 1 verification failure, 2 usage or parse error or an
+allocation that failed for lack of memory.
 Machine-readable outputs (files and stdout) are byte-identical across
 re-runs; wall-clock timings and work counters go to stderr only.
 """
@@ -247,7 +248,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except MemoryError as exc:
+        return _fail(f"not enough memory: {exc}")
 
 
 if __name__ == "__main__":

@@ -2,12 +2,13 @@
 
 A graph holds one n x n boolean adjacency matrix. Common-neighbor counts
 for the Deza and divisible-design checks come from one product A A^T, and
-the diameter from reachability products; both are float32 BLAS products of
-0/1 matrices. They are exact: every term is 0 or 1, so every partial sum is
-an integer in [0, n], and float32 holds every integer below 2^24 exactly,
-whatever order, blocking or fused multiply-add the BLAS uses. Graphs with
-n >= 2^24 vertices are refused with ValueError. Graphs are treated as
-immutable once built; derived graphs are produced by copy.
+the diameter from reachability products, taken 64 rows at a time; both are
+float32 BLAS products of 0/1 matrices. They are exact: every term is 0 or
+1, so every partial sum is an integer in [0, n], and float32 holds every
+integer below 2^24 exactly, whatever order, blocking or fused multiply-add
+the BLAS uses. Graphs with n >= 2^24 vertices are refused with ValueError.
+Graphs are treated as immutable once built; derived graphs are produced by
+copy.
 """
 
 from __future__ import annotations
@@ -208,26 +209,39 @@ def _exact_float32_adjacency(g: Graph) -> np.ndarray:
     return g.adj.astype(np.float32)
 
 
+# Rows of reach multiplied at a time in a diameter step.
+_DIAMETER_BLOCK_ROWS = 64
+
+
 def diameter(g: Graph) -> Union[int, float]:
     """Maximum eccentricity over all vertices; inf if not strongly connected.
 
     After d steps, reach[u, v] is true iff a walk of at most d arcs leads
     from u to v. The first step gives I | A; each later one appends one arc
     with the float32 product reach A, whose entry (u, v) counts the reached
-    in-neighbors of v and is exact (see the module docstring). The diameter
-    is the first d at which every pair is reached; a step that reaches no
-    new pair before then proves some pair unreachable. Each step costs one
-    n x n x n product, so this is meant for graphs of small diameter: a
-    long path is slower than a breadth-first search from every vertex.
+    in-neighbors of v and is exact (see the module docstring). Row u of
+    reach A depends on row u of reach alone, so a step updates reach in
+    place, 64 rows at a time: it holds one 64 x n float32 block of reach and
+    one of the product besides reach and the float32 A. The diameter is the
+    first d at which every pair is reached; a step that reaches no new pair
+    before then proves some pair unreachable. Each step costs one
+    n x n x n product, so this is meant for graphs of small diameter: a long
+    path is slower than a breadth-first search from every vertex.
     """
     a = _exact_float32_adjacency(g)
     reach = np.eye(g.n, dtype=bool)
     d = 0
     while not reach.all():
-        grown = reach | (g.adj if d == 0 else (reach.astype(np.float32) @ a) > 0)
-        if np.array_equal(grown, reach):
+        reached = np.count_nonzero(reach)
+        if d == 0:
+            reach |= g.adj
+        else:
+            for lo in range(0, g.n, _DIAMETER_BLOCK_ROWS):
+                rows = reach[lo:lo + _DIAMETER_BLOCK_ROWS]
+                rows |= (rows.astype(np.float32) @ a) > 0
+        if np.count_nonzero(reach) == reached:
             return float("inf")
-        reach, d = grown, d + 1
+        d += 1
     return d
 
 

@@ -50,6 +50,25 @@ prime below 2^18. The new color is the first-occurrence id of the row
    the pairs in those rows, each with the first pair of its class there,
    decides coherence. For the family graph and the grid the group is
    transitive and one row is compared.
+
+wl1 is classical color refinement (Berkholz, Bonsma and Grohe, 2017). A
+round keys each vertex u by its signature (color(u), sorted multiset of
+out-neighbor colors, sorted multiset of in-neighbor colors) and numbers the
+distinct keys 0, 1, ... in sorted order; rounds stop when the count stops
+changing. The rounds read a padded out-neighbor index matrix built once
+from adj: row u lists the out-neighbors of u, padded to the maximum degree
+D with a sentinel slot N, the vertex count. A digraph adds the same matrix
+for in-neighbors. An undirected graph does not, because its two multisets
+are equal and a key (c, X, X) sorts as (c, X) does. A round gathers the
+int32 codes color + 1 of 64 rows at a time, with N + 1 for the sentinel,
+sorts each row, so that the sentinels come last, and overwrites them with
+0. Every real code is at least 1, so a row that is a prefix of another
+sorts first, as a Python tuple does, and the bytes of (code, out row,
+in row) as big-endian int32 compare as the signature tuples do. The ids
+are therefore those of the tuple refinement the tests keep as a reference.
+Codes are at most N + 1, which fits int32 for any graph whose adjacency
+matrix fits in memory. A round holds the O(N D) index matrices, one 64-row
+block and the N keys, and no N x N array.
 """
 
 from __future__ import annotations
@@ -394,33 +413,69 @@ def wl1(g: Graph) -> list[int]:
 
     Each round replaces a vertex color by (old color, sorted multiset of
     out-neighbor colors, sorted multiset of in-neighbor colors); for
-    undirected graphs the two multisets coincide.
+    undirected graphs the two multisets coincide. See the module docstring
+    for the array form of the rounds.
     """
-    return _refine_vertex_colors([g.neighbors(u) for u in range(g.n)])
+    return _refine_vertex_colors([g.adj], g.directed).tolist()
 
 
-def _refine_vertex_colors(out_nbrs: list[list[int]]) -> list[int]:
-    """wl1 of the digraph with the given out-neighbor lists."""
-    n = len(out_nbrs)
-    colors = [0] * n
-    in_nbrs: list[list[int]] = [[] for _ in range(n)]
-    for u in range(n):
-        for v in out_nbrs[u]:
-            in_nbrs[v].append(u)
+def _neighbor_index(adjs: Sequence[np.ndarray]) -> np.ndarray:
+    """Padded out-neighbor index matrix of the disjoint union of the digraphs
+    with the given adjacency matrices, each shifted past the ones before it:
+    row u lists the out-neighbors of u in increasing order, then the
+    sentinel N, the union's vertex count, up to the maximum out-degree."""
+    degrees = [np.count_nonzero(a, axis=1) for a in adjs]
+    total = sum(len(degree) for degree in degrees)
+    width = max(int(degree.max(initial=0)) for degree in degrees)
+    index = np.full((total, width), total, dtype=np.int32)
+    offset = 0
+    for a, degree in zip(adjs, degrees):
+        # A boolean mask assigns in row-major order, the order in which
+        # nonzero lists the arcs, so row u gets its arcs in its first
+        # degree[u] slots.
+        part = index[offset:offset + len(degree)]
+        part[np.arange(width) < degree[:, None]] = np.nonzero(a)[1] + offset
+        offset += len(degree)
+    return index
+
+
+# Rows of the neighbor-code block gathered and sorted at a time in a 1-WL round.
+_WL1_BLOCK_ROWS = 64
+
+
+def _refine_vertex_colors(adjs: Sequence[np.ndarray], directed: bool) -> np.ndarray:
+    """wl1 of the disjoint union of the (di)graphs with the given adjacency
+    matrices, as an int32 vector; see the module docstring."""
+    indexes = [_neighbor_index(adjs)]
+    if directed:
+        indexes.append(_neighbor_index([a.T for a in adjs]))
+    n = len(indexes[0])
+    width = 1 + sum(index.shape[1] for index in indexes)
+    key_type = np.dtype((np.void, 4 * width))
+    # code[v] = color(v) + 1 for a vertex, n + 1 for the sentinel slot n.
+    code = np.full(n + 1, n + 1, dtype=np.int32)
+    colors = np.zeros(n, dtype=np.int32)
+    num = min(n, 1)  # the initial coloring has one class, none on no vertices
     while True:
-        sigs = [
-            (
-                colors[u],
-                tuple(sorted(colors[v] for v in out_nbrs[u])),
-                tuple(sorted(colors[v] for v in in_nbrs[u])),
-            )
-            for u in range(n)
-        ]
-        ordering = {s: i for i, s in enumerate(sorted(set(sigs)))}
-        new_colors = [ordering[s] for s in sigs]
-        if len(ordering) == len(set(colors)):
+        code[:n] = colors + 1
+        keys: list[bytes] = []
+        for lo in range(0, n, _WL1_BLOCK_ROWS):
+            hi = min(n, lo + _WL1_BLOCK_ROWS)
+            block = np.empty((hi - lo, width), dtype=">i4")
+            block[:, 0] = code[lo:hi]
+            at = 1
+            for index in indexes:
+                row = code[index[lo:hi]]
+                row.sort(axis=1)
+                row[row > n] = 0
+                block[:, at:at + row.shape[1]] = row
+                at += row.shape[1]
+            keys += block.view(key_type).ravel().tolist()
+        ordering = {key: i for i, key in enumerate(sorted(set(keys)))}
+        new_colors = np.array([ordering[key] for key in keys], dtype=np.int32)
+        if len(ordering) == num:
             return new_colors
-        colors = new_colors
+        colors, num = new_colors, len(ordering)
 
 
 def wl1_distinguishes(g1: Graph, g2: Graph) -> bool:
@@ -436,7 +491,5 @@ def wl1_distinguishes(g1: Graph, g2: Graph) -> bool:
     if g1.directed != g2.directed:
         raise ValueError("graphs must both be directed or both undirected")
     n = g1.n
-    union = [g1.neighbors(u) for u in range(n)]
-    union += [[v + n for v in g2.neighbors(u)] for u in range(n)]
-    colors = _refine_vertex_colors(union)
-    return sorted(colors[:n]) != sorted(colors[n:])
+    colors = _refine_vertex_colors([g1.adj, g2.adj], g1.directed)
+    return not np.array_equal(np.sort(colors[:n]), np.sort(colors[n:]))

@@ -271,3 +271,26 @@ def test_wl_rank_rejects_duplicate_edges(text, tmp_path, capsys):
     path.write_text(text)
     assert main(["wl-rank", "--in", str(path)]) == 2
     assert "duplicate edge" in capsys.readouterr().err
+
+
+# Each size asks for one array larger than a 48-bit address space (256 TiB),
+# so the allocation fails at once whatever the kernel's overcommit policy:
+# a 2e7 x 2e7 boolean adjacency matrix (364 TiB), and the 8e6 x 8e6 int64
+# multiplication table of the family group at k = 1e6 (466 TiB), built
+# after four vectors of 64 MB.
+@pytest.mark.parametrize("argv,text", [
+    (["wl-rank"], "20000000 0\n"),
+    (["wl-rank"], '{"n": 20000000, "directed": false, "edges": []}'),
+    (["verify", "--k", "1000000"], None),
+    (["construct", "--k", "1000000"], None),
+])
+def test_failed_allocation_exits_2(argv, text, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    if text is not None:
+        (tmp_path / "big.txt").write_text(text)
+        argv = argv + ["--in", "big.txt"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: not enough memory: ")
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == ([tmp_path / "big.txt"] if text else [])

@@ -4,10 +4,13 @@ Random graphs and digraphs on at most 40 vertices, including empty,
 complete, disconnected, path-like and Cayley graphs, must give the same
 common-neighbor counts as an int64 loop, the same diameter as a
 breadth-first search, and the same Deza and divisible-design outcomes as
-the pair-by-pair loops of test_graph_pins.
+the pair-by-pair loops of test_graph_pins. On 65 to 160 vertices, past one
+64-row block of a diameter step, the diameter must still equal the search.
 """
 
 from __future__ import annotations
+
+import random
 
 import numpy as np
 from hypothesis import given, settings
@@ -32,13 +35,17 @@ KINDS = ["gnp", "empty", "complete", "path", "cycle", "circulant", "two-circulan
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 
 
+def _gnp_arcs(n, directed, p, rng):
+    """Each arc (u, v), u != v, or each pair u < v, with probability p."""
+    return [(u, v) for u in range(n) for v in range(n)
+            if u != v and (directed or u < v) and rng.random() < p]
+
+
 def _arcs(kind, n, directed, draw):
     """Arcs (u, v), u != v, of a graph of the given kind on n vertices."""
     if kind == "gnp":
         p = draw(st.floats(0, 1))
-        rng = draw(st.randoms(use_true_random=False))
-        return [(u, v) for u in range(n) for v in range(n)
-                if u != v and (directed or u < v) and rng.random() < p]
+        return _gnp_arcs(n, directed, p, draw(st.randoms(use_true_random=False)))
     if kind == "empty":
         return []
     if kind == "complete":
@@ -72,6 +79,22 @@ def graphs(draw, directed=False):
     n = draw(st.integers(0, MAX_N))
     kind = draw(st.sampled_from(KINDS))
     return Graph.from_edges(n, _arcs(kind, n, directed, draw), directed)
+
+
+@st.composite
+def kind_graphs(draw, sizes, directed=False):
+    """A graph or digraph of one of KINDS whose vertex count sizes draws.
+    A gnp draw takes its coin flips from a seeded random.Random: the
+    randoms of Hypothesis would feed each of the n^2 flips from its buffer,
+    which its health check refuses past about 40 vertices."""
+    n = draw(sizes)
+    kind = draw(st.sampled_from(KINDS))
+    if kind == "gnp":
+        p = draw(st.floats(0, 1))
+        arcs = _gnp_arcs(n, directed, p, random.Random(draw(st.integers(0, 2**32 - 1))))
+    else:
+        arcs = _arcs(kind, n, directed, draw)
+    return Graph.from_edges(n, arcs, directed)
 
 
 @st.composite
@@ -110,6 +133,13 @@ def test_common_neighbor_counts_equal_the_loop(g):
 @PROPERTY
 @given(st.one_of(graphs(), graphs(directed=True)))
 def test_diameter_equals_breadth_first_search(g):
+    assert diameter(g) == _reference_diameter(g)
+
+
+@PROPERTY
+@given(st.one_of(kind_graphs(st.integers(65, 160)),
+                 kind_graphs(st.integers(65, 160), directed=True)))
+def test_diameter_past_one_row_block_equals_breadth_first_search(g):
     assert diameter(g) == _reference_diameter(g)
 
 
