@@ -2,13 +2,13 @@
 
 A graph holds one n x n boolean adjacency matrix. Common-neighbor counts
 for the Deza and divisible-design checks come from one product A A^T, and
-the diameter from reachability products, taken 64 rows at a time; both are
-float32 BLAS products of 0/1 matrices. They are exact: every term is 0 or
-1, so every partial sum is an integer in [0, n], and float32 holds every
-integer below 2^24 exactly, whatever order, blocking or fused multiply-add
-the BLAS uses. Graphs with n >= 2^24 vertices are refused with ValueError.
-Graphs are treated as immutable once built; derived graphs are produced by
-copy.
+the diameter from reachability products, taken max(64, n // 8) rows at a
+time; both are float32 BLAS products of 0/1 matrices. They are exact: every
+term is 0 or 1, so every partial sum is an integer in [0, n], and float32
+holds every integer below 2^24 exactly, whatever order, blocking or fused
+multiply-add the BLAS uses. Graphs with n >= 2^24 vertices are refused
+with ValueError. Graphs are treated as immutable once built; derived graphs
+are produced by copy.
 """
 
 from __future__ import annotations
@@ -209,7 +209,8 @@ def _exact_float32_adjacency(g: Graph) -> np.ndarray:
     return g.adj.astype(np.float32)
 
 
-# Rows of reach multiplied at a time in a diameter step.
+# Fewest rows of reach multiplied at a time in a diameter step, which takes
+# max(64, n // 8).
 _DIAMETER_BLOCK_ROWS = 64
 
 
@@ -221,12 +222,14 @@ def diameter(g: Graph) -> Union[int, float]:
     with the float32 product reach A, whose entry (u, v) counts the reached
     in-neighbors of v and is exact (see the module docstring). Row u of
     reach A depends on row u of reach alone, so a step updates reach in
-    place, 64 rows at a time: it holds one 64 x n float32 block of reach and
-    one of the product besides reach and the float32 A. The diameter is the
-    first d at which every pair is reached; a step that reaches no new pair
-    before then proves some pair unreachable. Each step costs one
-    n x n x n product, so this is meant for graphs of small diameter: a long
-    path is slower than a breadth-first search from every vertex.
+    place, max(64, n // 8) rows at a time: it holds one block of reach as
+    float32 and one of the product besides reach and the float32 A, and
+    each sgemm call amortizes its packing of A over at least n / 8 rows.
+    The diameter is the first d at which every pair is reached; a step that
+    reaches no new pair before then proves some pair unreachable. Each step
+    costs one n x n x n product, so this is meant for graphs of small
+    diameter: a long path is slower than a breadth-first search from every
+    vertex.
     """
     a = _exact_float32_adjacency(g)
     reach = np.eye(g.n, dtype=bool)
@@ -236,8 +239,9 @@ def diameter(g: Graph) -> Union[int, float]:
         if d == 0:
             reach |= g.adj
         else:
-            for lo in range(0, g.n, _DIAMETER_BLOCK_ROWS):
-                rows = reach[lo:lo + _DIAMETER_BLOCK_ROWS]
+            block = max(_DIAMETER_BLOCK_ROWS, g.n // 8)
+            for lo in range(0, g.n, block):
+                rows = reach[lo:lo + block]
                 rows |= (rows.astype(np.float32) @ a) > 0
         if np.count_nonzero(reach) == reached:
             return float("inf")

@@ -29,7 +29,8 @@ prime below 2^18. The new color is the first-occurrence id of the row
    without fused multiply-adds, is an integer below n * p^2 < 2^49 while
    n <= 8192 (_HASH_MAX_N), and float64 holds it exactly. The row packs
    into one int64, color * p^2 + h_1 * p + h_2 < n^2 * p^2 < 2^62, because
-   a color is below n^2. Past the bound only exact rounds run.
+   a color is below n^2. Past the bound only exact rounds run. A product
+   formed in row blocks sums the same terms, so it is exact too.
 2. A recheck that passes proves H = W. The new color of a hashed round is a
    function of the old color and the exact signature, so by induction the
    hashed partition H_t after t rounds is never finer than the exact W_t,
@@ -50,6 +51,23 @@ prime below 2^18. The new color is the first-occurrence id of the row
    the pairs in those rows, each with the first pair of its class there,
    decides coherence. For the family graph and the grid the group is
    transitive and one row is compared.
+
+Pair colors are int32 ids below n^2, exact while n^2 < 2^31, that is
+n <= 46340; initial_pair_coloring, and so wl2, raise ValueError past that
+before allocating anything. A unit below is 8 n^2 bytes, one n x n int64
+array. A hashed round (_hashed_key) holds the current coloring (half a
+unit), the int64 key (one), the float64 operand y_t[color] (one) and one
+block of n // 8 + 1 rows of x_t[color] and of its product: it never holds
+x_t[color] or a full product. The key goes straight into
+_renumber_first_occurrence, which sorts it in place and frees it once the
+run starts are known; then the argsort order (one unit of intp), the int32
+run ids and the int32 new ids (half a unit each) remain. wl2 holds no
+reference to the initial coloring and at most the current and the new
+coloring. So wl2 peaks near three units; under tracemalloc it stays within
+four on Gamma_16 and the 4 x 32 grid, which the tests assert, against 8.2
+with int64 colors and whole-matrix products. The recheck holds the coloring,
+one rank x n int64 table of first-pair multisets (one unit when rank = n)
+and a block of 64 rows of int64 codes.
 
 wl1 is classical color refinement (Berkholz, Bonsma and Grohe, 2017). A
 round keys each vertex u by its signature (color(u), sorted multiset of
@@ -84,7 +102,8 @@ from .graphs import Graph
 
 @dataclass
 class PairColoring:
-    """Coloring of V x V with contiguous color ids 0..num_colors-1."""
+    """Coloring of V x V with contiguous color ids 0..num_colors-1: int32 from
+    wl2 and its rounds; verify_coherence also takes int64."""
 
     n: int
     color: np.ndarray
@@ -105,30 +124,48 @@ class CoherentConfiguration:
     recheck_rows: int
 
 
-def _renumber_first_occurrence(flat: np.ndarray) -> tuple[np.ndarray, int]:
-    """Relabel integer array values to 0..r-1 in order of first occurrence."""
-    order = np.argsort(flat)
-    ordered = np.sort(flat)  # at n^2 = 2^20 entries, 7x faster than flat[order]
-    starts = np.ones(len(flat), dtype=bool)
-    np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
+def _renumber_first_occurrence(key: np.ndarray) -> tuple[np.ndarray, int]:
+    """Relabel the values of a 1-D integer array 0..r-1 in order of first
+    occurrence, as int32 ids (r < 2^31). Sorts key in place.
+
+    The caller hands key over: the function drops its reference once the run
+    starts are known, so a key passed straight from the helper that built it
+    is freed before the ids are.
+    """
+    order = np.argsort(key)
+    key.sort()
+    starts = np.ones(len(key), dtype=bool)
+    np.not_equal(key[1:], key[:-1], out=starts[1:])
+    del key
     # The sort need not be stable: take the first index of each value.
     first = np.minimum.reduceat(order, np.flatnonzero(starts))
-    relabel = np.empty(len(first), dtype=np.int64)
-    relabel[np.argsort(first)] = np.arange(len(first))
-    ids = np.empty(len(flat), dtype=np.int64)
-    ids[order] = relabel[np.cumsum(starts) - 1]
-    return ids, len(first)
+    relabel = np.empty(len(first), dtype=np.int32)
+    relabel[np.argsort(first)] = np.arange(len(first), dtype=np.int32)
+    run = np.cumsum(starts, dtype=np.int32)
+    del starts
+    run -= 1
+    ids = np.empty(len(run), dtype=np.int32)
+    ids[order] = run
+    del order, run
+    return relabel[ids], len(first)
+
+
+def _initial_key(g: Graph) -> np.ndarray:
+    """adj + 2 adj^T off the diagonal and 4 on it, as one flat int64 key."""
+    key = np.empty((g.n, g.n), dtype=np.int64)
+    np.multiply(g.adj.T, 2, out=key)
+    key += g.adj
+    np.fill_diagonal(key, 4)
+    return key.ravel()
 
 
 def initial_pair_coloring(g: Graph) -> PairColoring:
     """Diagonal, arc, reverse-arc and non-arc classes, degenerate cases
-    collapsing to fewer colors."""
-    n = g.n
-    a = g.adj.astype(np.int64)
-    code = a + 2 * a.T
-    np.fill_diagonal(code, 4)
-    flat, num = _renumber_first_occurrence(code.ravel())
-    return PairColoring(n, flat.reshape(n, n), num)
+    collapsing to fewer colors. Raises ValueError when n^2 >= 2^31."""
+    if g.n * g.n >= 2**31:
+        raise ValueError(f"{g.n} vertices too many for int32 pair colors")
+    flat, num = _renumber_first_occurrence(_initial_key(g))
+    return PairColoring(g.n, flat.reshape(g.n, g.n), num)
 
 
 # Caps the rows u of a 2-WL signature block at 2^20 // n^2, about 8 MB of int64
@@ -154,7 +191,7 @@ def _wl2_round(color: np.ndarray, num_colors: int) -> tuple[np.ndarray, int]:
         sig[:, :, 1:].sort(axis=2)
         keys = sig.reshape(-1).view(row_type).tolist()
         new_ids += [ids.setdefault(key, len(ids)) for key in keys]
-    return np.array(new_ids, dtype=np.int64).reshape(n, n), len(ids)
+    return np.array(new_ids, dtype=np.int32).reshape(n, n), len(ids)
 
 
 # Hashed rounds reduce modulo a prime p below 2^18 and run while n <= 8192, so
@@ -175,16 +212,33 @@ def _splitmix64(start: int, size: int) -> np.ndarray:
     return z ^ (z >> np.uint64(31))
 
 
-def _hashed_round(color: np.ndarray, num_colors: int, seed: int) -> tuple[np.ndarray, int]:
-    """One 2-WL round on hashed signatures (old color, h_1, h_2), numbered by
-    first occurrence in row-major pair order; see the module docstring."""
+# Each hashed product is formed in this many row blocks, so a round holds no
+# full x_t[color] and no full product.
+_HASH_BLOCKS = 8
+
+
+def _hashed_key(color: np.ndarray, num_colors: int, seed: int) -> np.ndarray:
+    """The flat int64 rows color * p^2 + h_1 * p + h_2 of a hashed round."""
+    n = color.shape[0]
     p = _HASH_PRIME
     words = _splitmix64(seed << 32, 4 * num_colors) % np.uint64(p - 1) + np.uint64(1)
     x1, y1, x2, y2 = words.astype(np.float64).reshape(4, num_colors)
-    key = color.ravel().astype(np.int64) * (p * p)
-    key += (x1[color] @ y1[color]).astype(np.int64).ravel() % p * p
-    key += (x2[color] @ y2[color]).astype(np.int64).ravel() % p
-    new, num = _renumber_first_occurrence(key)
+    key = color.astype(np.int64)
+    key *= p * p
+    rows = n // _HASH_BLOCKS + 1
+    for x, y, scale in ((x1, y1, p), (x2, y2, 1)):
+        y_color = y[color]
+        for lo in range(0, n, rows):
+            key[lo:lo + rows] += (
+                (x[color[lo:lo + rows]] @ y_color).astype(np.int64) % p * scale)
+        del y_color  # before the second operand is built
+    return key.ravel()
+
+
+def _hashed_round(color: np.ndarray, num_colors: int, seed: int) -> tuple[np.ndarray, int]:
+    """One 2-WL round on hashed signatures (old color, h_1, h_2), numbered by
+    first occurrence in row-major pair order; see the module docstring."""
+    new, num = _renumber_first_occurrence(_hashed_key(color, num_colors, seed))
     return new.reshape(color.shape), num
 
 
@@ -202,11 +256,16 @@ def wl2(g: Graph, perms: Sequence[Sequence[int]] = ()) -> CoherentConfiguration:
     recheck; verify_coherence checks that they preserve the coloring and
     ignores them otherwise.
 
+    Colors are int32, so g.n must be at most 46340 (ValueError otherwise).
+    wl2 holds at most the current and the new coloring; the module
+    docstring lists the arrays of a round and bounds the peak memory.
+
     Raises RuntimeError if the stabilized coloring fails the independent
     coherence recheck (an implementation fault, not a property of g).
     """
     init = initial_pair_coloring(g)
     color, num = init.color, init.num_colors
+    del init
     rounds = recheck_rows = 0
     path = []
     steps = [("hashed", _hashed_round)] if g.n <= _HASH_MAX_N else []
@@ -214,11 +273,13 @@ def wl2(g: Graph, perms: Sequence[Sequence[int]] = ()) -> CoherentConfiguration:
     for name, step in steps:
         path.append(name)
         while g.n > 0:
-            new_color, new_num = step(color, num, rounds)
+            # A round refines; one that keeps the count keeps the partition,
+            # and so, numbered by first occurrence, the very matrix.
+            color, new_num = step(color, num, rounds)
             rounds += 1
             if new_num == num:
                 break
-            color, num = new_color, new_num
+            num = new_num
         coloring = PairColoring(g.n, color, num)
         check = verify_coherence(coloring, perms)
         recheck_rows += check.rows
@@ -276,6 +337,10 @@ def _orbit_representatives(
     return reps
 
 
+# Rows v of the int64 code block a recheck builds and sorts at a time.
+_RECHECK_BLOCK_ROWS = 64
+
+
 def _varying_intersection(
     color: np.ndarray, rank: int, rows: Sequence[int]
 ) -> Optional[tuple[int, int]]:
@@ -283,29 +348,49 @@ def _varying_intersection(
     pairs of the given rows, each compared with the first pair of its class
     among them in row-major order; None if none varies."""
     n = color.shape[0]
-    flat = color[rows].ravel()
-    first = np.full(rank, flat.size)
-    np.minimum.at(first, flat, np.arange(flat.size))
-    classes = np.flatnonzero(first < flat.size)
-    rep_at, rep_col = np.divmod(first[classes], n)
-    # reps[r] is the multiset of the first pair of class r, filled in the row
-    # that pair lies in, before any other pair of the class is compared to it.
+    # first[r] is the position at * n + v of the first pair of class r met so
+    # far; reps[r] is its multiset, filled when that pair is reached, before
+    # any other pair of the class is compared to it.
+    first = np.full(rank, len(rows) * n)
     reps = np.empty((rank, n), dtype=np.int64)
     worst = None
     for at, u in enumerate(rows):
-        multisets = np.sort(color[u] * np.int64(rank) + color.T, axis=1)
-        new = np.flatnonzero(rep_at == at)
-        reps[classes[new]] = multisets[rep_col[new]]
-        differ = multisets != reps[color[u]]
-        bad = np.flatnonzero(differ.any(axis=1))
-        if len(bad):
-            # At the first position where two sorted multisets differ, the
-            # smaller entry is the smallest code whose multiplicities differ.
-            at_pos = differ[bad].argmax(axis=1)
-            codes = np.minimum(multisets[bad, at_pos], reps[color[u, bad], at_pos])
-            found = min(zip(codes.tolist(), color[u, bad].tolist()))
-            worst = found if worst is None else min(worst, found)
+        row = color[u]
+        here = np.arange(at * n, at * n + n)
+        np.minimum.at(first, row, here)
+        is_first = first[row] == here
+        left = row * np.int64(rank)
+        for v0 in range(0, n, _RECHECK_BLOCK_ROWS):
+            v1 = min(n, v0 + _RECHECK_BLOCK_ROWS)
+            # multisets[v - v0] holds the codes color(u, w) * rank + color(w, v).
+            multisets = left + color.T[v0:v1]
+            multisets.sort(axis=1)
+            cls = row[v0:v1]
+            new = np.flatnonzero(is_first[v0:v1])
+            reps[cls[new]] = multisets[new]
+            expected = reps[cls]
+            differ = multisets != expected
+            bad = np.flatnonzero(differ.any(axis=1))
+            if len(bad):
+                # At the first position where two sorted multisets differ, the
+                # smaller entry is the smallest code whose multiplicities differ.
+                at_pos = differ[bad].argmax(axis=1)
+                codes = np.minimum(multisets[bad, at_pos], expected[bad, at_pos])
+                found = min(zip(codes.tolist(), cls[bad].tolist()))
+                worst = found if worst is None else min(worst, found)
+            del multisets, expected, differ  # before the next block is built
     return worst
+
+
+def _intersection_counts(color: np.ndarray, i: int, j: int) -> np.ndarray:
+    """p_ij(u, v) for every pair (u, v), as the float32 BLAS product of the
+    0/1 matrices of classes i and j. A count is at most n, so every partial
+    sum is an exact integer while n < 2^24; larger colorings raise
+    ValueError before any product."""
+    n = color.shape[0]
+    if n >= 2**24:
+        raise ValueError(f"{n} vertices too many for exact float32 counts")
+    return (color == i).astype(np.float32) @ (color == j).astype(np.float32)
 
 
 def verify_coherence(c: PairColoring, perms: Sequence[Sequence[int]] = ()) -> CoherenceResult:
@@ -318,9 +403,10 @@ def verify_coherence(c: PairColoring, perms: Sequence[Sequence[int]] = ()) -> Co
     check is an exact integer count, made one row u at a time and
     independently of the refinement: the sorted multiset over w of the codes
     color(u, w) * rank + color(w, v) of every pair (u, v) must equal that of
-    the first pair of its class in row-major order. This takes O(n^2 log n)
-    time per row and O(n^2 + rank * n) memory, which is O(n^2) when rank <= n,
-    as for every Cayley graph.
+    the first pair of its class in row-major order. The codes are built as
+    int64 in blocks of 64 pairs (u, v), so colors may be int32 or int64.
+    This takes O(n^2 log n) time per row and O(n^2 + rank * n) memory, which
+    is O(n^2) when rank <= n, as for every Cayley graph.
 
     Given vertex permutations perms, it first checks exactly that each is a
     permutation with color[p][:, p] == color, and then compares only the
@@ -334,7 +420,9 @@ def verify_coherence(c: PairColoring, perms: Sequence[Sequence[int]] = ()) -> Co
 
     Returns a witness describing the first failure: for intersection
     numbers, the lexicographically smallest color pair (i, j) and then the
-    smallest class on which p_ij varies.
+    smallest class on which p_ij varies, with a pair of that class where
+    p_ij is smallest and one where it is largest, counted by an exact
+    float32 product (ValueError from n = 2^24).
     """
     n = c.n
     color = c.color
@@ -374,7 +462,7 @@ def verify_coherence(c: PairColoring, perms: Sequence[Sequence[int]] = ()) -> Co
     code, r = worst
     i, j = divmod(code, rank)
     pairs = np.argwhere(color == r)
-    vals = ((color == i).astype(np.int64) @ (color == j).astype(np.int64))[color == r]
+    vals = _intersection_counts(color, i, j)[color == r]
     p_lo = pairs[int(np.argmin(vals))]
     p_hi = pairs[int(np.argmax(vals))]
     return CoherenceResult(

@@ -5,7 +5,9 @@ complete, disconnected, path-like and Cayley graphs, must give the same
 common-neighbor counts as an int64 loop, the same diameter as a
 breadth-first search, and the same Deza and divisible-design outcomes as
 the pair-by-pair loops of test_graph_pins. On 65 to 160 vertices, past one
-64-row block of a diameter step, the diameter must still equal the search.
+64-row block of a diameter step, and on 530 vertices, where a step takes
+blocks of n // 8 rows and a shorter last one, the diameter must still equal
+the search.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import random
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -140,6 +143,23 @@ def test_diameter_equals_breadth_first_search(g):
 @given(st.one_of(kind_graphs(st.integers(65, 160)),
                  kind_graphs(st.integers(65, 160), directed=True)))
 def test_diameter_past_one_row_block_equals_breadth_first_search(g):
+    assert diameter(g) == _reference_diameter(g)
+
+
+def _circulant_union(n, parts, shifts, directed):
+    """parts disjoint circulants on n // parts vertices each."""
+    size = n // parts
+    arcs = [(base + u, base + (u + s) % size)
+            for base in range(0, n, size) for u in range(size) for s in shifts]
+    return Graph.from_edges(n, arcs, directed=directed)
+
+
+@pytest.mark.parametrize(
+    "parts, shifts, directed",
+    [(1, (1, 37, 113), True), (2, (1, 12), False)],
+)
+def test_diameter_in_blocks_of_an_eighth_equals_breadth_first_search(parts, shifts, directed):
+    g = _circulant_union(530, parts, shifts, directed)
     assert diameter(g) == _reference_diameter(g)
 
 
