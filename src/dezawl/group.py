@@ -336,13 +336,20 @@ class FamilyGroup(Group):
         self.b = self.element(0, 1)
         self.c = self.element(0, 0, 1)
         self.d = self.element(0, 0, 0, 1)
+        self._standard: Optional[StandardSubgroups] = None
 
     def element(self, i: int, j: int = 0, l: int = 0, m: int = 0) -> int:
         """Index of a^i b^j c^l d^m."""
         return (i % self.k) * 8 + (j % 2) * 4 + (l % 2) * 2 + m % 2
 
     def standard_subgroups(self) -> "StandardSubgroups":
-        """The named subgroups used throughout the verification pipeline."""
+        """The named subgroups used throughout the verification pipeline,
+        built on the first call and shared by every later one."""
+        if self._standard is None:
+            self._standard = self._build_standard_subgroups()
+        return self._standard
+
+    def _build_standard_subgroups(self) -> "StandardSubgroups":
         a, b, c = self.a, self.b, self.c
         sub_a = subgroup_generated(self, [a])
         sub_c = subgroup_generated(self, [c])
@@ -357,7 +364,7 @@ class FamilyGroup(Group):
         return StandardSubgroups(sub_a, sub_a1, sub_c, sub_h, sub_l, sub_u)
 
 
-@dataclass
+@dataclass(frozen=True)
 class StandardSubgroups:
     """Named subgroups of a FamilyGroup: A = <a>, A1 = <a^2>, C = <c>,
     H = <a, b>, L = A1 <cb>, U = <L, ca, da>."""

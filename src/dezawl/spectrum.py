@@ -1,12 +1,34 @@
 """Exact integral-spectrum certification.
 
-Floating point only nominates: the eigenvalues numpy computes that lie
-within CANDIDATE_TOLERANCE of an integer form the candidate set C. The
-certificate itself is exact.
+Candidate eigenvalues are only nominated; the certificate itself is exact.
+The nomination is untrusted: a candidate set that misses an eigenvalue
+makes the annihilator below refuse (P != 0), and a candidate that is no
+eigenvalue gets multiplicity 0 and is dropped. A wrong nomination can
+therefore only send integral_spectrum on to its next path, never change
+its result.
 
-When every float was matched to a candidate, integral_spectrum proves that
-the product P = prod_{lambda in C} (A - lambda*I) is the zero matrix. A is
-real symmetric, hence diagonalizable, so its minimal polynomial has simple
+The nomination needs no eigensolver (Wiedemann, IEEE Trans. Inf. Theory
+1986). With p = 2^31 - 1 and v, w vectors of entries in [1, p) drawn from
+the fixed-seed splitmix64 generator, it forms u_0 = v, u_{j+1} = A u_j mod p
+and s_j = w . u_j mod p, finds the minimal polynomial of the sequence (s_j)
+over GF(p) by Berlekamp-Massey (Massey, IEEE Trans. Inf. Theory 1969), and
+nominates the integers lambda in [-D, D], D the maximum degree, at which
+that polynomial vanishes mod p, provided there are exactly as many as its
+degree L. It divides the minimal polynomial of A, and for almost every v, w
+equals it. Two bounds keep the sequence exact. The products A u_j are
+float64, and every entry of u_j is below p, so each row sum is an integer
+below D * p < 2^53 (nomination is refused from D = 2^22 on). And s_j is
+summed in Python integers, never as a float64 dot product. The sequence
+stops once it holds 2L + 2 terms, L the current linear complexity, and is
+abandoned as soon as L exceeds the number of distinct candidates the
+certificate could accept: at most 2D + 1, and fewer when the product
+prod (D + |lambda|) over the smallest factors reaches 2^53. So it takes at
+most twice that number plus two terms, a few dozen matrix-vector products,
+even on non-integral input.
+
+Given a candidate set C, integral_spectrum proves that the product
+P = prod_{lambda in C} (A - lambda*I) is the zero matrix. A is real
+symmetric, hence diagonalizable, so its minimal polynomial has simple
 roots, namely its distinct eigenvalues; P = 0 means that polynomial divides
 prod (x - lambda), so every eigenvalue of A lies in C. Writing
 A = sum lambda*E_lambda with E_lambda the orthogonal projection onto the
@@ -20,18 +42,28 @@ multiplicities, i.e. of the nullities of A - lambda*I.
 
 P is applied to blocks of _BLOCK_COLUMNS columns of the identity, one
 factor at a time, with float64 matrix products; the partial products
-p_j(A) on the same blocks give the traces. Every entry of every partial
-product is an integer bounded by prod (D + |lambda|), D the maximum degree,
-because each factor has absolute row sums at most D + |lambda|. While that
-bound is below 2^53 every float64 operation, whatever order BLAS sums in,
-acts on integers it represents exactly, so the products, the zero test and
-the traces are exact.
+p_j(A) on the same blocks give the traces. The first factor needs no
+product: its block is A's own columns with lambda_0 subtracted on the
+diagonal, so a block takes |C| - 1 products. Every entry of every partial
+product is an integer bounded by prod (D + |lambda|), because each factor
+has absolute row sums at most D + |lambda|. While that bound is below 2^53
+every float64 operation, whatever order BLAS sums in, acts on integers it
+represents exactly, so the products, the zero test and the traces are
+exact.
 
-When a float is unmatched, the bound is reached, P is not zero, or the
-solution is not a vector of non-negative integers, the multiplicities are
-instead computed as exact nullities of A - lambda*I over the rationals by
-integer row elimination (cross-multiplication with per-row gcd reduction,
-which preserves rank), and the dimension they leave unexplained is reported.
+When the nomination fails or the annihilator refuses it (the bound is
+reached, P is not zero, or the solution is not a vector of non-negative
+integers), numpy's eigvalsh nominates instead: its eigenvalues within
+CANDIDATE_TOLERANCE of an integer are the candidates, and the others are
+reported as unmatched. Their multiplicities are computed as exact nullities
+of A - lambda*I over the rationals by integer row elimination
+(cross-multiplication with per-row gcd reduction, which preserves rank),
+and the dimension they leave unexplained is reported. The annihilator is
+not tried again on the float candidates. For an integral graph they are
+its distinct eigenvalues, which the Krylov sequence misses only for an
+unlucky v, w (probability about L/p) or whose factors D + |lambda|
+multiply past the entry bound, in which case the annihilator refuses them
+as well.
 """
 
 from __future__ import annotations
@@ -44,6 +76,7 @@ from typing import Optional
 import numpy as np
 
 from .graphs import Graph
+from .wl import _splitmix64
 
 CANDIDATE_TOLERANCE = 1e-6
 
@@ -53,6 +86,12 @@ _BLOCK_COLUMNS = 64
 
 # Integers up to 2^53 in absolute value are exact in float64.
 _FLOAT_EXACT = 2**53
+
+# The Krylov nomination works modulo this prime. Its sequence entries are
+# below it, so a float64 product sums at most D of them exactly while
+# D < _KRYLOV_MAX_DEGREE: D * p < 2^22 * 2^31 = 2^53.
+_KRYLOV_PRIME = 2**31 - 1
+_KRYLOV_MAX_DEGREE = 2**22
 
 
 @dataclass(frozen=True)
@@ -159,15 +198,20 @@ def _annihilator_multiplicities(
             return None
     n = a.shape[0]
     c = len(candidates)
+    if c == 0:
+        return None  # the empty product is I, never zero
     traces = [0] * c
     for start in range(0, n, _BLOCK_COLUMNS):
         rows = np.arange(start, min(start + _BLOCK_COLUMNS, n))
         cols = np.arange(len(rows))
-        block = np.zeros((n, len(rows)))
-        block[rows, cols] = 1.0
-        for j, lam in enumerate(candidates):
+        # p_0(A) = I on these columns has trace len(rows); p_1(A) = A - lambda_0 I
+        # is A's own columns, copied by the fancy index, with no product.
+        traces[0] += len(rows)
+        block = a[:, rows]
+        block[rows, cols] -= candidates[0]
+        for j in range(1, c):
             traces[j] += sum(int(x) for x in block[rows, cols].tolist())
-            block = a @ block - lam * block
+            block = a @ block - candidates[j] * block
         if block.any():
             return None
     # Equation j: sum_{i >= j} m_i * p_j(lambda_i) = traces[j], since
@@ -192,6 +236,73 @@ def _newton(candidates: list[int], j: int, x: int) -> int:
     return value
 
 
+def _candidate_cap(max_degree: int) -> int:
+    """Most distinct integers in [-D, D], D = max_degree, that one candidate
+    set accepted by _annihilator_multiplicities can hold: the factors
+    D + |lambda| taken smallest first while their product stays below 2^53."""
+    cap, bound = 0, 1
+    for t in range(2 * max_degree + 1):
+        bound *= max_degree + (t + 1) // 2  # |lambda| = 0, 1, 1, 2, 2, ...
+        if bound >= _FLOAT_EXACT:
+            break
+        cap += 1
+    return cap
+
+
+def _krylov_candidates(a: np.ndarray, max_degree: int) -> Optional[list[int]]:
+    """Distinct integers, decreasing, nominated as the eigenvalues of the
+    symmetric 0/1 matrix a (float64, maximum row sum max_degree) by the
+    Krylov sequence s_j = w . A^j v mod p and Berlekamp-Massey, or None when
+    the nomination fails (module docstring). Untrusted: only the
+    annihilator certifies."""
+    if max_degree >= _KRYLOV_MAX_DEGREE:
+        return None
+    p = _KRYLOV_PRIME
+    n = a.shape[0]
+    words = (_splitmix64(0, 2 * n) % np.uint64(p - 1) + np.uint64(1)).reshape(2, n)
+    w = words[0].tolist()
+    u = words[1].astype(np.float64)
+    cap = _candidate_cap(max_degree)
+    # Berlekamp-Massey over GF(p): conn is the connection polynomial of
+    # linear complexity length, prev the one before the last length change,
+    # prev_disc that change's discrepancy and shift the terms since it.
+    s: list[int] = []
+    conn, prev = [1], [1]
+    length, shift, prev_disc = 0, 1, 1
+    while len(s) < 2 * length + 2:
+        if s:
+            u = a @ u
+            np.fmod(u, p, out=u)
+        s.append(sum(map(int.__mul__, w, u.astype(np.int64).tolist())) % p)
+        i = len(s) - 1
+        disc = sum(c * s[i - j] for j, c in enumerate(conn)) % p
+        if disc == 0:
+            shift += 1
+            continue
+        coef = disc * pow(prev_disc, -1, p) % p
+        new = conn + [0] * (len(prev) + shift - len(conn))
+        for j, b in enumerate(prev):
+            new[j + shift] = (new[j + shift] - coef * b) % p
+        if 2 * length <= i:
+            prev, prev_disc, length, shift = conn, disc, i + 1 - length, 1
+            if length > cap:
+                return None
+        else:
+            shift += 1
+        conn = new
+    # The minimal polynomial is x^L + conn[1] x^(L-1) + ... + conn[L].
+    coeffs = (conn + [0] * length)[:length + 1]
+    lams = np.arange(max_degree, -max_degree - 1, -1, dtype=np.int64)
+    x = lams % p
+    value = np.zeros_like(x)
+    for c in coeffs:
+        value *= x  # below p^2 < 2^62
+        value += c
+        value %= p
+    roots = lams[value == 0].tolist()
+    return roots if len(roots) == length else None
+
+
 def integral_spectrum(g: Graph):
     """Certify that all adjacency eigenvalues of g are integers.
 
@@ -201,9 +312,13 @@ def integral_spectrum(g: Graph):
     certificate (see the module docstring: A symmetric, so diagonalizable;
     prod over the candidates of (A - lambda*I) = 0, checked exactly in
     float64 while prod (D + |lambda|) < 2^53; the trace equations solved
-    exactly), and from exact integer elimination, one nullity per
-    candidate, whenever a float matches no integer or the certificate does
-    not go through. NonIntegralVerdict only ever comes from elimination.
+    exactly), or else from exact integer elimination, one nullity per
+    candidate. NonIntegralVerdict only ever comes from elimination.
+
+    The candidates are the exact Krylov nomination. eigvalsh runs only when
+    that nomination fails or the annihilator refuses it; its
+    integer-rounded eigenvalues then go to elimination, which also reports
+    the unmatched floats.
     """
     if g.directed:
         raise ValueError("spectrum certification requires an undirected graph")
@@ -212,6 +327,13 @@ def integral_spectrum(g: Graph):
         return IntegralSpectrum(())
 
     a = g.adj.astype(np.float64)
+    max_degree = int(g.adj.sum(axis=1).max())
+    nominated = _krylov_candidates(a, max_degree)
+    if nominated is not None:
+        mults = _annihilator_multiplicities(a, nominated, max_degree)
+        if mults is not None:
+            return _certified(nominated, mults)
+
     floats = np.linalg.eigvalsh(a)
     candidates: set[int] = set()
     unmatched: list[float] = []
@@ -222,13 +344,6 @@ def integral_spectrum(g: Graph):
         else:
             unmatched.append(float(x))
     ordered = sorted(candidates, reverse=True)
-
-    if not unmatched:
-        mults = _annihilator_multiplicities(a, ordered, int(g.adj.sum(axis=1).max()))
-        if mults is not None:
-            return IntegralSpectrum(
-                tuple((lam, m) for lam, m in zip(ordered, mults) if m > 0)
-            )
 
     # One list of A - lambda*I, its (zero) diagonal overwritten for each
     # lambda; exact_nullity works on a copy.
@@ -245,6 +360,11 @@ def integral_spectrum(g: Graph):
     if total != n:
         return NonIntegralVerdict(tuple(pairs), n - total, tuple(unmatched))
     return IntegralSpectrum(tuple(pairs))
+
+
+def _certified(candidates: list[int], mults: list[int]) -> IntegralSpectrum:
+    """The certified pairs, candidates of multiplicity 0 dropped."""
+    return IntegralSpectrum(tuple((lam, m) for lam, m in zip(candidates, mults) if m > 0))
 
 
 def spectrum_to_json(spec: IntegralSpectrum) -> str:

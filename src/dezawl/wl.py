@@ -9,13 +9,15 @@ signatures 0, 1, ... in order of first occurrence in row-major pair order.
 The ids therefore depend only on which signatures are equal, never on byte
 order or on how signatures sort, so they are the same on every platform.
 The signature tensor is built a block of rows u at a time, so a round holds
-O(max(2^20, n^2)) tensor entries, n^2 new ids and the n + 1 entries of each
-distinct signature: O(n^2 + rank * n) memory, which is O(n^2) when the new
-rank is at most n. The stable coloring W is the smallest coherent
-configuration in which the arc set is a union of classes: the initial
-(diagonal, arc, non-arc) classes are unions of classes of any such
-configuration, and each round preserves that property because intersection
-numbers are well defined there.
+O(max(2^20, n^2)) tensor entries and one bytes key per pair of the block,
+the int32 array of the n^2 new ids, written one block at a time, and the
+n + 1 entries of each distinct signature: O(n^2 + rank * n) memory, which
+is O(n^2) when the new rank is at most n. The codes are formed from the
+int32 coloring block by block, with no int64 copy of it. The stable
+coloring W is the smallest coherent configuration in which the arc set is
+a union of classes: the initial (diagonal, arc, non-arc) classes are unions
+of classes of any such configuration, and each round preserves that
+property because intersection numbers are well defined there.
 
 wl2 first refines with hashed rounds (_hashed_round), which compress each
 signature, following Shervashidze et al. (JMLR 2011), to two numbers
@@ -176,22 +178,24 @@ _BLOCK_ENTRIES = 1 << 20
 def _wl2_round(color: np.ndarray, num_colors: int) -> tuple[np.ndarray, int]:
     n = color.shape[0]
     rows = max(1, _BLOCK_ENTRIES // (n * n))
-    scaled = color.astype(np.int64) * num_colors
-    color_t = color.T.astype(np.int64)
     row_type = np.dtype((np.void, (n + 1) * 8))
     ids: dict[bytes, int] = {}
-    new_ids: list[int] = []
+    new = np.empty(n * n, dtype=np.int32)
     for u0 in range(0, n, rows):
         u1 = min(n, u0 + rows)
         # sig[u, v] = (color(u, v), sorted over w of the code of the pair
         # (color(u, w), color(w, v))), one contiguous row per pair.
         sig = np.empty((u1 - u0, n, n + 1), dtype=np.int64)
         sig[:, :, 0] = color[u0:u1]
-        np.add(scaled[u0:u1, None, :], color_t[None, :, :], out=sig[:, :, 1:])
+        np.multiply(color[u0:u1, None, :], num_colors, out=sig[:, :, 1:], dtype=np.int64)
+        sig[:, :, 1:] += color.T[None, :, :]
         sig[:, :, 1:].sort(axis=2)
         keys = sig.reshape(-1).view(row_type).tolist()
-        new_ids += [ids.setdefault(key, len(ids)) for key in keys]
-    return np.array(new_ids, dtype=np.int32).reshape(n, n), len(ids)
+        del sig  # before the keys are numbered
+        new[u0 * n:u1 * n] = np.fromiter(
+            (ids.setdefault(key, len(ids)) for key in keys), dtype=np.int32, count=len(keys))
+        del keys  # before the next block is built
+    return new.reshape(n, n), len(ids)
 
 
 # Hashed rounds reduce modulo a prime p below 2^18 and run while n <= 8192, so
@@ -359,7 +363,7 @@ def _varying_intersection(
         here = np.arange(at * n, at * n + n)
         np.minimum.at(first, row, here)
         is_first = first[row] == here
-        left = row * np.int64(rank)
+        left = np.multiply(row, rank, dtype=np.int64)
         for v0 in range(0, n, _RECHECK_BLOCK_ROWS):
             v1 = min(n, v0 + _RECHECK_BLOCK_ROWS)
             # multisets[v - v0] holds the codes color(u, w) * rank + color(w, v).

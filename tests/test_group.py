@@ -309,3 +309,29 @@ def test_subgroups_compare_by_elements():
     assert subs.a1 <= subs.a
     assert not subs.a <= subs.a1
     assert subs.a <= subs.a
+
+
+@pytest.mark.parametrize("k", [3, 4, 16])
+def test_standard_subgroups_are_built_once_and_frozen(k):
+    g = family_group(k)
+    subs = g.standard_subgroups()
+    assert g.standard_subgroups() is subs
+    assert subs == g._build_standard_subgroups()
+    with pytest.raises(AttributeError):
+        subs.a = subs.c
+
+
+def test_one_standard_subgroup_build_per_certificate(monkeypatch):
+    from dezawl.verify import verify_family
+    from dezawl.group import FamilyGroup
+
+    builds = []
+    original = FamilyGroup._build_standard_subgroups
+
+    def counting(self):
+        builds.append(self.k)
+        return original(self)
+
+    monkeypatch.setattr(FamilyGroup, "_build_standard_subgroups", counting)
+    assert verify_family(16).verdict == "pass"
+    assert builds == [16]

@@ -1,6 +1,11 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import elementary_abelian
 from dezawl import spectrum
 from dezawl import (
     Graph,
@@ -294,4 +299,186 @@ def test_block_width_does_not_change_the_result(cache, monkeypatch, width):
     g = cache.graph(5)
     monkeypatch.setattr(spectrum, "_BLOCK_COLUMNS", width)
     assert _certify(g, [12, 8, 2, -2, -8]) == [1, 1, 17, 19, 2]
+    assert integral_spectrum(g) == _reference_spectrum(g)
+
+
+# ------------------------------------------------ exact Krylov nomination
+
+class _NoLinalg:
+    """numpy as the spectrum module sees it, with every np.linalg routine
+    raising."""
+
+    def __getattr__(self, name):
+        if name == "linalg":
+            raise AssertionError("integral_spectrum reached np.linalg")
+        return getattr(np, name)
+
+
+def _max_degree(g):
+    return int(g.adj.sum(axis=1).max())
+
+
+def _nominate(g):
+    return spectrum._krylov_candidates(g.adj.astype(np.float64), _max_degree(g))
+
+
+def _distinct_eigenvalues(spec):
+    return [lam for lam, _ in spec.pairs]
+
+
+@pytest.mark.parametrize("name", sorted(INTEGRAL_CASES))
+def test_integral_graphs_certify_without_linalg(cache, monkeypatch, name):
+    g = INTEGRAL_CASES[name](cache)
+    expected = _reference_spectrum(g)
+    assert _nominate(g) == _distinct_eigenvalues(expected)
+    monkeypatch.setattr(spectrum, "np", _NoLinalg())
+    assert integral_spectrum(g) == expected
+
+
+def test_gamma_128_certifies_without_linalg(monkeypatch):
+    g = family_group(128)
+    gamma = cayley_graph(g, connection_set(g, 128))
+    monkeypatch.setattr(spectrum, "np", _NoLinalg())
+    spec = integral_spectrum(gamma)
+    assert spec.pairs == ((258, 1), (254, 1), (2, 509), (-2, 511), (-254, 2))
+
+
+def _patched_nominator(monkeypatch, change):
+    original = spectrum._krylov_candidates
+
+    def patched(a, max_degree):
+        return change(original(a, max_degree))
+
+    monkeypatch.setattr(spectrum, "_krylov_candidates", patched)
+
+
+NOMINATION_FAULTS = {
+    "drop_first": lambda c: None if c is None else c[1:],
+    "drop_last": lambda c: None if c is None else c[:-1],
+    "add_non_eigenvalue": lambda c: None if c is None else sorted(set(c) | {1000}, reverse=True),
+    "none": lambda c: None,
+}
+
+
+@pytest.mark.parametrize("fault", sorted(NOMINATION_FAULTS))
+@pytest.mark.parametrize("name", ["gamma3", "gamma5", "petersen", "q4", "c5",
+                                  "gamma3_minus_edge", "gnp12_seed1"])
+def test_a_wrong_nomination_never_changes_the_verdict(cache, monkeypatch, fault, name):
+    g = {**INTEGRAL_CASES, **NON_INTEGRAL_CASES}[name](cache)
+    expected = _reference_spectrum(g)
+    _patched_nominator(monkeypatch, NOMINATION_FAULTS[fault])
+    assert integral_spectrum(g) == expected
+
+
+def test_a_refused_nomination_goes_to_elimination(cache, monkeypatch):
+    """With the float bound set so that the annihilator refuses Gamma_4's
+    true spectrum, the annihilator runs once, on the nominated set, and
+    elimination gives the verdict."""
+    g = cache.graph(4)
+    expected = integral_spectrum(g)
+    calls = []
+    original = spectrum._annihilator_multiplicities
+
+    def counting(a, candidates, max_degree):
+        calls.append(list(candidates))
+        return original(a, candidates, max_degree)
+
+    eliminated = []
+    original_nullity = spectrum.exact_nullity
+
+    def counting_nullity(matrix):
+        eliminated.append(-matrix[0][0])
+        return original_nullity(matrix)
+
+    monkeypatch.setattr(spectrum, "_annihilator_multiplicities", counting)
+    monkeypatch.setattr(spectrum, "exact_nullity", counting_nullity)
+    monkeypatch.setattr(spectrum, "_FLOAT_EXACT", 20 * 16 * 12 * 12 * 16)
+    assert integral_spectrum(g) == expected
+    assert calls == [[10, 6, 2, -2, -6]]
+    assert eliminated == [10, 6, 2, -2, -6]
+
+
+def _counting(a, products):
+    """a as an array whose products a @ x are logged in products."""
+
+    class Counting(np.ndarray):
+        def __matmul__(self, other):
+            products.append(other.shape)
+            return np.asarray(self) @ other
+
+    return a.view(Counting)
+
+
+def test_annihilator_runs_one_product_fewer_per_block(cache, monkeypatch):
+    g = cache.graph(5)  # n = 40, five candidates
+    products = []
+    a = _counting(g.adj.astype(np.float64), products)
+    monkeypatch.setattr(spectrum, "_BLOCK_COLUMNS", 16)
+    mults = spectrum._annihilator_multiplicities(a, [12, 8, 2, -2, -8], _max_degree(g))
+    assert mults == [1, 1, 17, 19, 2]
+    assert products == [(40, 16)] * 8 + [(40, 8)] * 4  # 3 blocks, 4 products each
+    assert spectrum._annihilator_multiplicities(a, [], _max_degree(g)) is None
+
+
+def _count_products(g):
+    products = []
+    nominated = spectrum._krylov_candidates(
+        _counting(g.adj.astype(np.float64), products), _max_degree(g))
+    return nominated, len(products)
+
+
+@pytest.mark.parametrize("g", [_path(60), _cycle(61)], ids=["p60", "c61"])
+def test_nomination_of_many_eigenvalues_stops_at_its_term_cap(g):
+    cap = spectrum._candidate_cap(_max_degree(g))
+    assert cap == 5  # D = 2: all of -2..2
+    nominated, products = _count_products(g)
+    assert nominated is None
+    # At most 2 cap + 2 terms s_0, s_1, ..., one product each after s_0.
+    assert products <= 2 * cap + 1
+    assert integral_spectrum(g) == _reference_spectrum(g)
+
+
+def test_nomination_of_the_family_graph_takes_2L_plus_2_terms(cache):
+    nominated, products = _count_products(cache.graph(15))
+    assert nominated == [32, 28, 2, -2, -28]
+    assert products == 2 * 5 + 1
+
+
+@pytest.mark.parametrize("d", [0, 1, 2, 10, 98, 514, 2**21])
+def test_candidate_cap_is_the_largest_set_under_the_float_bound(d):
+    cap = spectrum._candidate_cap(d)
+    # The cap + 1 smallest factors all have |lambda| <= cap + 1.
+    m = min(d, cap + 1)
+    factors = sorted(d + abs(lam) for lam in range(-m, m + 1))
+    assert math.prod(factors[:cap]) < 2**53
+    assert cap == 2 * d + 1 or math.prod(factors[:cap + 1]) >= 2**53
+
+
+def test_nomination_refuses_degrees_past_the_float64_bound():
+    assert spectrum._krylov_candidates(np.zeros((1, 1)), 2**22) is None
+
+
+PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+
+@PROPERTY
+@given(st.integers(2, 5), st.data())
+def test_cayley_graphs_of_c2m_nominate_their_distinct_eigenvalues(m, data):
+    group = elementary_abelian(m)
+    # Every element of C2^m is its own inverse, so any set without 0 is
+    # inverse-closed.
+    s = data.draw(st.sets(st.integers(1, group.order - 1)))
+    g = cayley_graph(group, s)
+    expected = _reference_spectrum(g)
+    assert isinstance(expected, IntegralSpectrum)
+    distinct = _distinct_eigenvalues(expected)
+    cap = spectrum._candidate_cap(_max_degree(g))
+    assert _nominate(g) == (distinct if len(distinct) <= cap else None)
+    assert integral_spectrum(g) == expected
+
+
+@PROPERTY
+@given(st.integers(1, 24), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
+def test_gnp_verdicts_equal_the_reference(n, p, seed):
+    g = _gnp(n, p, seed)
     assert integral_spectrum(g) == _reference_spectrum(g)

@@ -10,6 +10,10 @@ import dataclasses
 import importlib
 import importlib.util
 import inspect
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import dezawl
@@ -122,3 +126,36 @@ def test_wl2_spans_are_tagged_and_each_holds_its_recheck():
     for i in wl2_spans:
         children = [span[0] for span in recorder.spans if span[2] == i]
         assert children == ["wl.verify_coherence"]
+
+
+# Modules whose import alone costs resident memory that no certificate needs:
+# numpy.random about 5.4 MB. A certificate that loads one of them loses the
+# peak RSS its phases were trimmed for.
+HEAVY_MODULES = ("numpy.random", "numpy.ma", "fractions", "scipy")
+
+_LOADED_AFTER_VERIFY = """
+import json, sys
+from dezawl.cli import main
+code = main(["verify", "--k", "4", "--json", sys.argv[1]])
+with open(sys.argv[2], "w") as fh:
+    json.dump({"code": code, "modules": sorted(sys.modules)}, fh)
+"""
+
+
+def test_verify_loads_no_heavy_module(tmp_path):
+    out = tmp_path / "modules.json"
+    # The child imports the dezawl this test imported, from any directory.
+    src = str(Path(dezawl.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
+    proc = subprocess.run(
+        [sys.executable, "-c", _LOADED_AFTER_VERIFY, str(tmp_path / "report.json"), str(out)],
+        capture_output=True, text=True, cwd=tmp_path, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(out.read_text())
+    assert loaded["code"] == 0
+    assert "dezawl.spectrum" in loaded["modules"]
+    heavy = [m for m in loaded["modules"]
+             if any(m == h or m.startswith(h + ".") for h in HEAVY_MODULES)]
+    assert not heavy

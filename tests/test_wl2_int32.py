@@ -122,3 +122,23 @@ def test_wl2_peak_memory_is_at_most_four_int64_matrices(cache, name):
     wl2(graph, perms)  # warm every lazy import and cache first
     peak = _traced_peak(lambda: wl2(graph, perms))
     assert peak <= 4 * 8 * graph.n ** 2, peak / (8 * graph.n ** 2)
+
+
+def test_exact_round_peak_memory_is_below_four_int64_matrices(cache, monkeypatch):
+    """One exact round on the stable coloring of Gamma_33 (n = 264, 264
+    colors, so most ids are not cached small ints), one row u per block:
+    the ids go into a preallocated int32 array, not a Python list, and the
+    codes are built from the int32 coloring block by block. The round keeps
+    the coloring, ids included."""
+    graph, perms = _family_with_translations(cache, 33)
+    conf = wl2(graph, perms)
+    color, rank = conf.coloring.color, conf.rank
+    assert rank == graph.n == 264
+    monkeypatch.setattr(wl, "_BLOCK_ENTRIES", 1)
+    wl._wl2_round(color, rank)  # warm every lazy import and cache first
+    result = []
+    peak = _traced_peak(lambda: result.append(wl._wl2_round(color, rank)))
+    new, num = result[0]
+    assert num == rank
+    assert new.dtype == np.int32 and np.array_equal(new, color)
+    assert peak < 4 * 8 * graph.n ** 2, peak / (8 * graph.n ** 2)
