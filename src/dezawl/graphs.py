@@ -1,14 +1,17 @@
 """Graph construction and combinatorial parameter verification.
 
 A graph holds one n x n boolean adjacency matrix. Common-neighbor counts
-for the Deza and divisible-design checks come from one product A A^T, and
-the diameter from reachability products, taken max(64, n // 8) rows at a
-time; both are float32 BLAS products of 0/1 matrices. They are exact: every
-term is 0 or 1, so every partial sum is an integer in [0, n], and float32
-holds every integer below 2^24 exactly, whatever order, blocking or fused
-multiply-add the BLAS uses. Graphs with n >= 2^24 vertices are refused
-with ValueError. Graphs are treated as immutable once built; derived graphs
-are produced by copy.
+for the Deza and divisible-design checks and the diameter's reachability
+come from float32 BLAS products of 0/1 matrices taken max(64, n // 8) rows
+at a time (_BLOCK_ROWS), so no n x n product is ever held. The counts come
+from the blocks A[lo:hi] A[lo:]^T, which hold the pairs u <= v of rows lo
+to hi and together cost about the flops of one symmetric product A A^T;
+each check decides its verdict block by block, in row-major order of
+pairs. The products are exact: every term is 0 or 1, so every partial sum
+is an integer in [0, n], and float32 holds every integer below 2^24
+exactly, whatever order, blocking or fused multiply-add the BLAS uses.
+Graphs with n >= 2^24 vertices are refused with ValueError. Graphs are
+treated as immutable once built; derived graphs are produced by copy.
 """
 
 from __future__ import annotations
@@ -209,9 +212,10 @@ def _exact_float32_adjacency(g: Graph) -> np.ndarray:
     return g.adj.astype(np.float32)
 
 
-# Fewest rows of reach multiplied at a time in a diameter step, which takes
-# max(64, n // 8).
-_DIAMETER_BLOCK_ROWS = 64
+# Fewest rows multiplied at a time by diameter, deza_parameters and
+# ddg_check, which take max(_BLOCK_ROWS, n // 8): each sgemm call amortizes
+# its packing of the right operand over at least n / 8 rows.
+_BLOCK_ROWS = 64
 
 
 def diameter(g: Graph) -> Union[int, float]:
@@ -223,8 +227,7 @@ def diameter(g: Graph) -> Union[int, float]:
     in-neighbors of v and is exact (see the module docstring). Row u of
     reach A depends on row u of reach alone, so a step updates reach in
     place, max(64, n // 8) rows at a time: it holds one block of reach as
-    float32 and one of the product besides reach and the float32 A, and
-    each sgemm call amortizes its packing of A over at least n / 8 rows.
+    float32 and one of the product besides reach and the float32 A.
     The diameter is the first d at which every pair is reached; a step that
     reaches no new pair before then proves some pair unreachable. Each step
     costs one n x n x n product, so this is meant for graphs of small
@@ -239,7 +242,7 @@ def diameter(g: Graph) -> Union[int, float]:
         if d == 0:
             reach |= g.adj
         else:
-            block = max(_DIAMETER_BLOCK_ROWS, g.n // 8)
+            block = max(_BLOCK_ROWS, g.n // 8)
             for lo in range(0, g.n, block):
                 rows = reach[lo:lo + block]
                 rows |= (rows.astype(np.float32) @ a) > 0
@@ -249,24 +252,48 @@ def diameter(g: Graph) -> Union[int, float]:
     return d
 
 
-def _common_neighbor_counts(g: Graph) -> np.ndarray:
-    """C = A A^T as float32, so C[u, v] counts the common out-neighbors of
-    u and v; each entry is an exact integer in [0, n] (see the module
-    docstring), so callers compare it with ints directly.
+def _common_neighbor_blocks(g: Graph):
+    """Yield (lo, counts, upper) for the row blocks lo:hi of
+    max(64, n // 8) rows, in order: counts = A[lo:hi] A[lo:]^T as float32,
+    so counts[i, j] counts the common out-neighbors of u = lo + i and
+    v = lo + j, an exact integer in [0, n] (see the module docstring) that
+    callers compare with ints directly; upper marks the pairs v > u and is
+    a new array per block, which callers may overwrite. The float32 A lives
+    in the generator alone and is freed when it is exhausted or closed.
+    Raises ValueError for n >= 2^24 on the first next(), before adj is
+    read.
     """
     a = _exact_float32_adjacency(g)
-    return a @ a.T
-
-
-def _upper_triangle(n: int) -> np.ndarray:
-    """Mask of the pairs u < v, whose row-major order orders witnesses."""
-    return np.triu(np.ones((n, n), dtype=bool), 1)
+    block = max(_BLOCK_ROWS, g.n // 8)
+    for lo in range(0, g.n, block):
+        hi = min(g.n, lo + block)
+        upper = np.arange(lo, g.n) > np.arange(lo, hi)[:, None]
+        yield lo, a[lo:hi] @ a[lo:].T, upper
 
 
 def _first_pair(mask: np.ndarray) -> tuple[int, int]:
-    """The first true entry of an n x n mask in row-major order."""
+    """The first true entry of a 2-D mask in row-major order."""
     u, v = divmod(int(np.argmax(mask)), mask.shape[1])
     return (u, v)
+
+
+def _off_level(
+    counts: np.ndarray, kinds: Sequence[np.ndarray], levels: list[Optional[int]]
+) -> np.ndarray:
+    """The pairs of one block of counts whose count differs from the level
+    of their kind. kinds are disjoint masks of that block; levels[kind] is
+    the count of the first pair of that kind, None until a block holds one,
+    and is set here from the first pair of kinds[kind] when it is None.
+    Called on the blocks in order, this keeps each level at the count of the
+    first pair of its kind in row-major order.
+    """
+    off = np.zeros(counts.shape, dtype=bool)
+    for kind, pairs in enumerate(kinds):
+        if levels[kind] is None and pairs.any():
+            levels[kind] = int(counts[_first_pair(pairs)])
+        if levels[kind] is not None:
+            off |= pairs & (counts != levels[kind])
+    return off
 
 
 def deza_parameters(g: Graph) -> Union[DezaParameters, NotDezaVerdict]:
@@ -277,6 +304,8 @@ def deza_parameters(g: Graph) -> Union[DezaParameters, NotDezaVerdict]:
     the first pair, in row-major order of pairs u < v, that shows a third
     count. A strongly regular graph is one where the count depends only on
     adjacency; strictly Deza means diameter 2 and not strongly regular.
+    The counts are read one row block at a time (module docstring), and the
+    float32 A they need is freed before diameter builds its own.
     """
     if g.directed:
         raise ValueError("Deza parameters are defined for undirected graphs")
@@ -288,20 +317,24 @@ def deza_parameters(g: Graph) -> Union[DezaParameters, NotDezaVerdict]:
         degrees = g.adj.sum(axis=1)
         return NotDezaVerdict("not regular", (int(degrees.argmin()), int(degrees.argmax())))
 
-    counts = _common_neighbor_counts(g)
-    upper = _upper_triangle(g.n)
     values: list[int] = []  # distinct counts in order of first occurrence
-    fresh = upper.copy()  # the pairs whose count is not in values yet
-    while fresh.any():
-        u, v = _first_pair(fresh)
-        if len(values) == 2:
-            return NotDezaVerdict("more than two common-neighbor counts", (u, v))
-        values.append(int(counts[u, v]))
-        fresh &= counts != values[-1]
-
     # Strong regularity: the count is a function of adjacency alone, i.e.
     # constant on adjacent and on non-adjacent pairs (vacuous on no pairs).
-    srg = all((c == c[:1]).all() for c in (counts[upper & g.adj], counts[upper & ~g.adj]))
+    srg, levels = True, [None, None]
+    for lo, counts, upper in _common_neighbor_blocks(g):
+        if srg:
+            adjacent = g.adj[lo:lo + len(counts), lo:]
+            srg = not _off_level(counts, (upper & adjacent, upper & ~adjacent), levels).any()
+        fresh = upper  # the pairs whose count is not in values yet
+        for value in values:
+            fresh &= counts != value
+        while fresh.any():
+            i, j = _first_pair(fresh)
+            if len(values) == 2:
+                return NotDezaVerdict("more than two common-neighbor counts",
+                                      (lo + i, lo + j))
+            values.append(int(counts[i, j]))
+            fresh &= counts != values[-1]
     strictly = (not srg) and diameter(g) == 2
     return DezaParameters(g.n, k, max(values), min(values), strictly=strictly,
                           strongly_regular=srg, degenerate=len(values) == 1)
@@ -318,7 +351,9 @@ def ddg_check(
     For singleton classes alpha is vacuous and reported as 0. alpha and beta
     are the counts of the first within-class and between-class pair; the
     witness of a failure is the first pair u < v, in row-major order, whose
-    count differs from the one of its kind.
+    count differs from the one of its kind. The counts are read one row
+    block at a time (module docstring); a block is decided before the next
+    is formed.
     """
     if g.directed:
         raise ValueError("divisible design check requires an undirected graph")
@@ -340,20 +375,16 @@ def ddg_check(
     if len(sizes) != 1:
         return DDGFailure("classes have unequal sizes")
 
-    counts = _common_neighbor_counts(g)
-    upper = _upper_triangle(g.n)
-    same = class_of[:, None] == class_of
-    levels = []
-    off = np.zeros_like(upper)
-    for pairs in (upper & same, upper & ~same):
-        level = int(counts[_first_pair(pairs)]) if pairs.any() else 0
-        off |= pairs & (counts != level)
-        levels.append(level)
-    if off.any():
-        u, v = _first_pair(off)
-        kind = "within" if same[u, v] else "between"
-        return DDGFailure(f"{kind}-class count not constant", (u, v))
-    return DDGParameters(g.n, k, levels[0], levels[1], len(partition), sizes.pop())
+    levels: list[Optional[int]] = [None, None]  # within, between
+    for lo, counts, upper in _common_neighbor_blocks(g):
+        same = class_of[lo:lo + len(counts), None] == class_of[lo:]
+        off = _off_level(counts, (upper & same, upper & ~same), levels)
+        if off.any():
+            i, j = _first_pair(off)
+            kind = "within" if same[i, j] else "between"
+            return DDGFailure(f"{kind}-class count not constant", (lo + i, lo + j))
+    within, between = (level or 0 for level in levels)
+    return DDGParameters(g.n, k, within, between, len(partition), sizes.pop())
 
 
 def canonical_ddg_partition(g: Group, k: int) -> list[tuple[int, ...]]:

@@ -40,16 +40,23 @@ change of basis; they are triangular in the m_lambda, and the unique
 solution, found by exact integer back substitution, is the vector of
 multiplicities, i.e. of the nullities of A - lambda*I.
 
-P is applied to blocks of _BLOCK_COLUMNS columns of the identity, one
-factor at a time, with float64 matrix products; the partial products
-p_j(A) on the same blocks give the traces. The first factor needs no
-product: its block is A's own columns with lambda_0 subtracted on the
-diagonal, so a block takes |C| - 1 products. Every entry of every partial
-product is an integer bounded by prod (D + |lambda|), because each factor
-has absolute row sums at most D + |lambda|. While that bound is below 2^53
-every float64 operation, whatever order BLAS sums in, acts on integers it
-represents exactly, so the products, the zero test and the traces are
-exact.
+P is applied to blocks of max(64, n // 8) columns of the identity
+(_BLOCK_COLUMNS), one factor at a time, with float64 matrix products; the
+partial products p_j(A) on the same blocks give the traces. The first
+factor needs no product: its block is A's own columns with lambda_0
+subtracted on the diagonal, so a block takes |C| - 1 products. Every entry
+of every partial product is an integer bounded by prod (D + |lambda|),
+because each factor has absolute row sums at most D + |lambda|. While that
+bound is below 2^53 every float64 operation, whatever order BLAS sums in,
+acts on integers it represents exactly, so the products, the zero test and
+the traces are exact.
+
+No n x n float64 copy of A is made on the certificate's path. Every
+product of A, in the nomination and in the annihilator, goes through
+_adjacency_product, which converts max(64, n // 8) rows of the boolean
+adjacency to float64 at a time; each row of a block product sums the same
+integer terms as the full product would, so both exactness arguments
+above hold unchanged. Only the eigvalsh fallback below builds a float64 A.
 
 When the nomination fails or the annihilator refuses it (the bound is
 reached, P is not zero, or the solution is not a vector of non-negative
@@ -75,13 +82,15 @@ from typing import Optional
 
 import numpy as np
 
-from .graphs import Graph
+from .graphs import _BLOCK_ROWS, Graph
 from .wl import _splitmix64
 
 CANDIDATE_TOLERANCE = 1e-6
 
-# Columns of the identity per block the annihilator is applied to: the
-# working set is n * _BLOCK_COLUMNS floats, not n * n.
+# Fewest columns of the identity per block the annihilator is applied to,
+# which takes max(_BLOCK_COLUMNS, n // 8): the working set is a few n x n/8
+# float64 blocks, not n x n, and the number of blocks, each of which
+# converts all of A to float64 once per product, stays at most 8 at large n.
 _BLOCK_COLUMNS = 64
 
 # Integers up to 2^53 in absolute value are exact in float64.
@@ -183,11 +192,27 @@ def exact_nullity(matrix: list[list[int]]) -> int:
     return len(matrix) - integer_rank(matrix)
 
 
+def _adjacency_product(adj: np.ndarray, x: np.ndarray, shift: int = 0) -> np.ndarray:
+    """(A - shift*I) x in float64, for the 0/1 matrix A = adj and a float64
+    vector or block x, with max(64, n // 8) rows of adj converted to float64
+    at a time. Exact while every partial sum is an integer below 2^53 (module
+    docstring)."""
+    n = adj.shape[0]
+    out = np.empty(x.shape)
+    step = max(_BLOCK_ROWS, n // 8)
+    for lo in range(0, n, step):
+        rows = out[lo:lo + step]
+        np.matmul(adj[lo:lo + step].astype(np.float64), x, out=rows)
+        if shift:
+            rows -= shift * x[lo:lo + step]
+    return out
+
+
 def _annihilator_multiplicities(
-    a: np.ndarray, candidates: list[int], max_degree: int
+    adj: np.ndarray, candidates: list[int], max_degree: int
 ) -> Optional[list[int]]:
     """Exact multiplicities of the distinct integers `candidates` as
-    eigenvalues of the symmetric 0/1 matrix a (float64, maximum row sum
+    eigenvalues of the symmetric 0/1 matrix adj (maximum row sum
     max_degree), or None when the certificate of the module docstring does
     not go through: the entry bound reaches 2^53, prod (A - lambda*I) is not
     zero, or the solved multiplicities are not non-negative integers."""
@@ -196,22 +221,23 @@ def _annihilator_multiplicities(
         bound *= max_degree + abs(lam)
         if bound >= _FLOAT_EXACT:
             return None
-    n = a.shape[0]
+    n = adj.shape[0]
     c = len(candidates)
     if c == 0:
         return None  # the empty product is I, never zero
     traces = [0] * c
-    for start in range(0, n, _BLOCK_COLUMNS):
-        rows = np.arange(start, min(start + _BLOCK_COLUMNS, n))
-        cols = np.arange(len(rows))
+    width = max(_BLOCK_COLUMNS, n // 8)
+    for start in range(0, n, width):
         # p_0(A) = I on these columns has trace len(rows); p_1(A) = A - lambda_0 I
-        # is A's own columns, copied by the fancy index, with no product.
+        # is A's own columns, converted to float64, with no product.
+        block = adj[:, start:start + width].astype(np.float64)
+        rows = np.arange(start, start + block.shape[1])
+        cols = np.arange(len(rows))
         traces[0] += len(rows)
-        block = a[:, rows]
         block[rows, cols] -= candidates[0]
         for j in range(1, c):
             traces[j] += sum(int(x) for x in block[rows, cols].tolist())
-            block = a @ block - candidates[j] * block
+            block = _adjacency_product(adj, block, candidates[j])
         if block.any():
             return None
     # Equation j: sum_{i >= j} m_i * p_j(lambda_i) = traces[j], since
@@ -249,16 +275,16 @@ def _candidate_cap(max_degree: int) -> int:
     return cap
 
 
-def _krylov_candidates(a: np.ndarray, max_degree: int) -> Optional[list[int]]:
+def _krylov_candidates(adj: np.ndarray, max_degree: int) -> Optional[list[int]]:
     """Distinct integers, decreasing, nominated as the eigenvalues of the
-    symmetric 0/1 matrix a (float64, maximum row sum max_degree) by the
+    symmetric 0/1 matrix adj (maximum row sum max_degree) by the
     Krylov sequence s_j = w . A^j v mod p and Berlekamp-Massey, or None when
     the nomination fails (module docstring). Untrusted: only the
     annihilator certifies."""
     if max_degree >= _KRYLOV_MAX_DEGREE:
         return None
     p = _KRYLOV_PRIME
-    n = a.shape[0]
+    n = adj.shape[0]
     words = (_splitmix64(0, 2 * n) % np.uint64(p - 1) + np.uint64(1)).reshape(2, n)
     w = words[0].tolist()
     u = words[1].astype(np.float64)
@@ -271,7 +297,7 @@ def _krylov_candidates(a: np.ndarray, max_degree: int) -> Optional[list[int]]:
     length, shift, prev_disc = 0, 1, 1
     while len(s) < 2 * length + 2:
         if s:
-            u = a @ u
+            u = _adjacency_product(adj, u)
             np.fmod(u, p, out=u)
         s.append(sum(map(int.__mul__, w, u.astype(np.int64).tolist())) % p)
         i = len(s) - 1
@@ -326,15 +352,14 @@ def integral_spectrum(g: Graph):
     if n == 0:
         return IntegralSpectrum(())
 
-    a = g.adj.astype(np.float64)
     max_degree = int(g.adj.sum(axis=1).max())
-    nominated = _krylov_candidates(a, max_degree)
+    nominated = _krylov_candidates(g.adj, max_degree)
     if nominated is not None:
-        mults = _annihilator_multiplicities(a, nominated, max_degree)
+        mults = _annihilator_multiplicities(g.adj, nominated, max_degree)
         if mults is not None:
             return _certified(nominated, mults)
 
-    floats = np.linalg.eigvalsh(a)
+    floats = np.linalg.eigvalsh(g.adj.astype(np.float64))
     candidates: set[int] = set()
     unmatched: list[float] = []
     for x in floats:

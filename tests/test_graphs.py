@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -26,7 +27,7 @@ from dezawl import (
     to_dot,
     write_edgelist,
 )
-from dezawl.graphs import _common_neighbor_counts
+from dezawl.graphs import _common_neighbor_blocks
 
 
 def _cycle(n):
@@ -184,7 +185,11 @@ def test_diameter_examples():
     assert diameter(empty) == float("inf")
 
 
-@pytest.mark.parametrize("product", [_common_neighbor_counts, diameter])
+def _first_count_block(g):
+    return next(_common_neighbor_blocks(g))
+
+
+@pytest.mark.parametrize("product", [_first_count_block, diameter])
 def test_products_refuse_graphs_past_the_float32_bound(product):
     """Counts up to n are exact in float32 only below 2^24. The stand-in has
     no adjacency matrix, so reading adj would raise AttributeError: the
@@ -328,3 +333,23 @@ def test_parse_edgelist_rejects_garbage():
         parse_edgelist("not a graph\n")
     with pytest.raises(ValueError):
         parse_edgelist("2 5\n0 1\n")
+
+
+@pytest.mark.parametrize("check", ["deza", "ddg"])
+def test_common_neighbor_checks_peak_below_one_float64_matrix(cache, check):
+    """The counts and masks are held one row block at a time: on Gamma_48
+    (n = 384) each check's traced peak, the float32 A and diameter's step
+    included, stays below 8 n^2 bytes. Forming A A^T and its n x n masks
+    whole peaked at 12.3 n^2 (deza) and 11.1 n^2 (ddg)."""
+    gamma = cache.graph(48)
+    partition = canonical_ddg_partition(cache.group(48), 48)
+    run = {"deza": lambda: deza_parameters(gamma),
+           "ddg": lambda: ddg_check(gamma, partition)}[check]
+    run()  # warm every lazy import first
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * gamma.n**2

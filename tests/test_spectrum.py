@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -249,8 +250,7 @@ def test_non_integral_graphs_match_elimination(cache, name):
 
 
 def _certify(g, candidates):
-    a = g.adj.astype(np.float64)
-    return spectrum._annihilator_multiplicities(a, candidates, int(g.adj.sum(axis=1).max()))
+    return spectrum._annihilator_multiplicities(g.adj, candidates, int(g.adj.sum(axis=1).max()))
 
 
 def test_annihilator_gives_the_multiplicities(cache):
@@ -294,12 +294,28 @@ def test_spectrum_past_the_float_bound_goes_to_elimination(cache, monkeypatch):
     assert calls == [32] * 5
 
 
-@pytest.mark.parametrize("width", [1, 5, 64])
+@pytest.mark.parametrize("width", [1, 5, 16, 64])
 def test_block_width_does_not_change_the_result(cache, monkeypatch, width):
+    """Columns per block are max(width, n // 8): 5, 5, 16 and 40 at n = 40."""
     g = cache.graph(5)
     monkeypatch.setattr(spectrum, "_BLOCK_COLUMNS", width)
     assert _certify(g, [12, 8, 2, -2, -8]) == [1, 1, 17, 19, 2]
     assert integral_spectrum(g) == _reference_spectrum(g)
+
+
+def test_spectrum_peaks_below_one_float64_matrix(cache):
+    """The certificate makes no n x n float64 copy of A: on Gamma_48
+    (n = 384) its traced peak stays below 8 n^2 bytes. A float64 A with
+    blocks of 64 columns beside it peaked at 13.8 n^2."""
+    g = cache.graph(48)
+    integral_spectrum(g)  # warm every lazy import first
+    tracemalloc.start()
+    try:
+        integral_spectrum(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * g.n**2
 
 
 # ------------------------------------------------ exact Krylov nomination
@@ -319,7 +335,7 @@ def _max_degree(g):
 
 
 def _nominate(g):
-    return spectrum._krylov_candidates(g.adj.astype(np.float64), _max_degree(g))
+    return spectrum._krylov_candidates(g.adj, _max_degree(g))
 
 
 def _distinct_eigenvalues(spec):
@@ -346,8 +362,8 @@ def test_gamma_128_certifies_without_linalg(monkeypatch):
 def _patched_nominator(monkeypatch, change):
     original = spectrum._krylov_candidates
 
-    def patched(a, max_degree):
-        return change(original(a, max_degree))
+    def patched(adj, max_degree):
+        return change(original(adj, max_degree))
 
     monkeypatch.setattr(spectrum, "_krylov_candidates", patched)
 
@@ -379,9 +395,9 @@ def test_a_refused_nomination_goes_to_elimination(cache, monkeypatch):
     calls = []
     original = spectrum._annihilator_multiplicities
 
-    def counting(a, candidates, max_degree):
+    def counting(adj, candidates, max_degree):
         calls.append(list(candidates))
-        return original(a, candidates, max_degree)
+        return original(adj, candidates, max_degree)
 
     eliminated = []
     original_nullity = spectrum.exact_nullity
@@ -398,48 +414,60 @@ def test_a_refused_nomination_goes_to_elimination(cache, monkeypatch):
     assert eliminated == [10, 6, 2, -2, -6]
 
 
-def _counting(a, products):
-    """a as an array whose products a @ x are logged in products."""
+def _counting(monkeypatch):
+    """The shapes of the operands x of every product of A, one per call of
+    spectrum._adjacency_product, in call order."""
+    products = []
+    original = spectrum._adjacency_product
 
-    class Counting(np.ndarray):
-        def __matmul__(self, other):
-            products.append(other.shape)
-            return np.asarray(self) @ other
+    def counting(adj, x, shift=0):
+        products.append(x.shape)
+        return original(adj, x, shift)
 
-    return a.view(Counting)
+    monkeypatch.setattr(spectrum, "_adjacency_product", counting)
+    return products
 
 
 def test_annihilator_runs_one_product_fewer_per_block(cache, monkeypatch):
     g = cache.graph(5)  # n = 40, five candidates
-    products = []
-    a = _counting(g.adj.astype(np.float64), products)
+    products = _counting(monkeypatch)
     monkeypatch.setattr(spectrum, "_BLOCK_COLUMNS", 16)
-    mults = spectrum._annihilator_multiplicities(a, [12, 8, 2, -2, -8], _max_degree(g))
+    mults = spectrum._annihilator_multiplicities(g.adj, [12, 8, 2, -2, -8], _max_degree(g))
     assert mults == [1, 1, 17, 19, 2]
     assert products == [(40, 16)] * 8 + [(40, 8)] * 4  # 3 blocks, 4 products each
-    assert spectrum._annihilator_multiplicities(a, [], _max_degree(g)) is None
+    assert spectrum._annihilator_multiplicities(g.adj, [], _max_degree(g)) is None
 
 
-def _count_products(g):
-    products = []
-    nominated = spectrum._krylov_candidates(
-        _counting(g.adj.astype(np.float64), products), _max_degree(g))
+def test_past_512_vertices_blocks_are_an_eighth_wide(cache, monkeypatch):
+    """At n = 8k = 576 the nomination takes 2L + 1 products of vectors, and
+    the annihilator 8 blocks of n // 8 = 72 columns, |C| - 1 = 4 products
+    each."""
+    g = cache.graph(72)
+    products = _counting(monkeypatch)
+    spec = integral_spectrum(g)
+    assert spec.pairs == ((146, 1), (142, 1), (2, 285), (-2, 287), (-142, 2))
+    assert products == [(576,)] * (2 * 5 + 1) + [(576, 72)] * (8 * 4)
+
+
+def _count_products(monkeypatch, g):
+    products = _counting(monkeypatch)
+    nominated = spectrum._krylov_candidates(g.adj, _max_degree(g))
     return nominated, len(products)
 
 
 @pytest.mark.parametrize("g", [_path(60), _cycle(61)], ids=["p60", "c61"])
-def test_nomination_of_many_eigenvalues_stops_at_its_term_cap(g):
+def test_nomination_of_many_eigenvalues_stops_at_its_term_cap(monkeypatch, g):
     cap = spectrum._candidate_cap(_max_degree(g))
     assert cap == 5  # D = 2: all of -2..2
-    nominated, products = _count_products(g)
+    nominated, products = _count_products(monkeypatch, g)
     assert nominated is None
     # At most 2 cap + 2 terms s_0, s_1, ..., one product each after s_0.
     assert products <= 2 * cap + 1
     assert integral_spectrum(g) == _reference_spectrum(g)
 
 
-def test_nomination_of_the_family_graph_takes_2L_plus_2_terms(cache):
-    nominated, products = _count_products(cache.graph(15))
+def test_nomination_of_the_family_graph_takes_2L_plus_2_terms(cache, monkeypatch):
+    nominated, products = _count_products(monkeypatch, cache.graph(15))
     assert nominated == [32, 28, 2, -2, -28]
     assert products == 2 * 5 + 1
 
@@ -455,7 +483,7 @@ def test_candidate_cap_is_the_largest_set_under_the_float_bound(d):
 
 
 def test_nomination_refuses_degrees_past_the_float64_bound():
-    assert spectrum._krylov_candidates(np.zeros((1, 1)), 2**22) is None
+    assert spectrum._krylov_candidates(np.zeros((1, 1), dtype=bool), 2**22) is None
 
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
