@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Commands: construct, verify, wl-rank, sweep. Exit codes are stable for
-scripting: 0 success, 1 verification failure, 2 usage or parse error or an
-allocation that failed for lack of memory.
+scripting: 0 success, 1 verification failure, 2 usage, parse or range error
+or an allocation that failed for lack of memory.
 Machine-readable outputs (files and stdout) are byte-identical across
 re-runs; wall-clock timings and work counters go to stderr only.
 """
@@ -88,12 +88,9 @@ def _print_summary(report: VerificationReport) -> None:
 
 
 def cmd_construct(args: argparse.Namespace) -> int:
-    try:
-        g = family_group(args.k)
-        graph = cayley_graph(g, connection_set(g, args.k))
-        payload = save_graph(graph, args.format)
-    except ValueError as exc:
-        return _fail(str(exc))
+    g = family_group(args.k)
+    graph = cayley_graph(g, connection_set(g, args.k))
+    payload = save_graph(graph, args.format)
     if args.out == "-":
         sys.stdout.write(payload)
         return EXIT_OK
@@ -106,10 +103,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     drop = tuple(args.drop_edge) if args.drop_edge else None
-    try:
-        report = verify_family(args.k, drop_edge=drop)
-    except ValueError as exc:
-        return _fail(str(exc))
+    report = verify_family(args.k, drop_edge=drop)
     json_path = Path(args.json) if args.json else Path(f"verification_k{args.k}.json")
     try:
         json_path.write_text(_report_json(report), encoding="utf-8")
@@ -252,6 +246,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return args.func(args)
     except MemoryError as exc:
         return _fail(f"not enough memory: {exc}")
+    except ValueError as exc:
+        return _fail(str(exc))
 
 
 if __name__ == "__main__":

@@ -196,7 +196,8 @@ def grid_graph(l: int, m: int) -> Graph:
     labels = [f"({i},{j})" for i in range(l) for j in range(m)]
     g = Graph(l * m, directed=False, labels=labels)
     row, col = np.divmod(np.arange(l * m), m)
-    g.adj = (row[:, None] == row) ^ (col[:, None] == col)
+    np.equal(row[:, None], row, out=g.adj)
+    g.adj ^= col[:, None] == col
     return g
 
 

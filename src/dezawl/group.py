@@ -257,7 +257,8 @@ def cosets(g: Group, h: Subgroup) -> list[tuple[int, ...]]:
     Column x of the sorted table mult[H, G] is Hx, and each coset is kept
     once, at the column of its minimal element.
     """
-    cols = np.sort(g.mult[h.mask], axis=0)
+    cols = g.mult[h.mask]
+    cols.sort(axis=0)
     own = cols[0] == np.arange(g.order)
     return [tuple(c) for c in cols[:, own].T.tolist()]
 

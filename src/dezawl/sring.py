@@ -46,7 +46,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .group import Group, Section, Subgroup, _generated, is_normal, make_section
+from .group import Group, Section, Subgroup, _generated, make_section
 from .groupring import connection_set
 
 
@@ -301,7 +301,8 @@ def radical(g: Group, x: Iterable[int]) -> Subgroup:
     """The subgroup of two-sided stabilizers {h : Xh = hX = X}.
 
     It is {e} for X = {e} and the whole group for X = G or X empty.
-    detect_wreath computes the radical of each class by the same helper.
+    detect_wreath computes the radical of each class by the same helper;
+    as a subgroup, it holds every join of the M_X inside it.
     Raises ValueError for an element outside 0..order-1.
     """
     members = np.flatnonzero(_radical(g, g.mask(x)))
@@ -352,49 +353,59 @@ class WreathDecomposition:
         }
 
 
+def _minimal_normal_s_subgroup(p: SRingPartition, mask: np.ndarray) -> np.ndarray:
+    """M_X, the smallest normal subgroup holding the mask that is a union
+    of classes: the normal closure (generated by the conjugates y x y^-1)
+    and the union of the classes met alternate until neither grows. Each
+    step stays inside every such subgroup, and the last is one."""
+    g = p.group
+    grown = mask
+    while True:
+        conj = np.zeros(g.order, dtype=bool)
+        conj[g.mult[g.mult[:, np.flatnonzero(grown)], g.inv[:, None]]] = True
+        h = _generated(g, conj)
+        met = np.zeros(p.rank, dtype=bool)
+        met[p.class_of[h]] = True
+        grown = met[p.class_of]
+        if np.array_equal(grown, h):
+            return h
+
+
 def detect_wreath(p: SRingPartition) -> list[WreathDecomposition]:
     """All nontrivial generalized wreath decompositions of a valid S-ring.
 
-    A pair (U, L) qualifies when both are unions of classes, L is normal in
-    the whole group, {e} < L <= U < G, and L lies in the radical of every
-    class outside U. Candidate L are found inside class radicals (any valid
-    L sits inside the radical of some class outside U), so S-rings whose
-    classes all have trivial radical are rejected without any enumeration.
+    A pair (U, L) qualifies when both are S-subgroups (subgroups that are
+    unions of classes), L is normal in the whole group, {e} < L <= U < G,
+    and L lies in the radical of every class outside U. Candidate L are
+    found inside class radicals (any valid L sits inside the radical of
+    some class outside U), so S-rings whose classes all have trivial
+    radical are rejected without any enumeration.
 
-    Candidates inside a radical R (neither {e} nor G) come from the normal
-    closures N_X of the classes X inside R: those N_X that lie in R, and
-    every join of them. A union-of-classes normal subgroup L with
-    {e} < L <= R contains N_X for each class X inside L and is covered by
-    those classes, so it is the join of those N_X, all of which lie in R;
-    conversely every such join is a normal subgroup inside R. After the
-    union-of-classes and normality filters the candidates are therefore
-    exactly the union-of-classes normal subgroups {e} < L <= R, the same
-    set as filtering every subgroup of R, without enumerating the
-    subgroups of R (there are exponentially many on elementary abelian
-    radicals).
+    The subgroup generated by a union of classes is an S-subgroup (see
+    Evdokimov and Ponomarenko, St. Petersburg Math. J. 2002), and so is
+    M_X, the smallest normal S-subgroup containing the class X. Inside a
+    radical R (neither {e} nor G) the candidates are the M_X that lie in R
+    and their joins. A normal S-subgroup {e} < L <= R is the join of the
+    M_X of the classes X inside L, all in R; conversely a join of normal
+    S-subgroups is normal and generated by a union of classes, so it is
+    one, inside the subgroup R. So the candidates need no filter, and the
+    subgroups of R (exponentially many on elementary abelian radicals) are
+    never enumerated.
 
-    For each L, the upper groups U are the smallest union-of-classes
-    subgroup holding L and every class whose radical misses L, and every
-    union-of-classes subgroup grown from it by adding classes, short of G.
-    Subgroups are closed by repeated squaring on the group's multiplication
-    table. Sets are boolean masks, kept in dicts keyed by their bytes, so
-    the search order does not matter: the results are sorted at the end.
-    The rank identity is asserted for every decomposition found.
+    For each L, the upper groups U are the subgroup generated by L and
+    every class whose radical misses L, and every subgroup generated from
+    it by adding classes, short of G. Subgroups are closed by repeated
+    squaring on the group's multiplication table. Sets are boolean masks,
+    kept in dicts keyed by their bytes, so the search order does not
+    matter: the results are sorted at the end. The rank identity is
+    asserted for every decomposition found.
     """
     g = p.group
     n = g.order
-    mult, inv = g.mult, g.inv
 
     cls = np.zeros((p.rank, n), dtype=bool)
     cls[p.class_of, np.arange(n)] = True
     rad = np.array([_radical(g, row) for row in cls])
-
-    def normal_closure(row: np.ndarray) -> np.ndarray:
-        """The smallest normal subgroup containing the row's elements: the
-        subgroup generated by their conjugates y x y^-1."""
-        conj = np.zeros(n, dtype=bool)
-        conj[mult[mult[:, np.flatnonzero(row)], inv[:, None]]] = True
-        return _generated(g, conj)
 
     def inside(mask: np.ndarray) -> np.ndarray:
         """Which classes lie inside the mask."""
@@ -403,18 +414,18 @@ def detect_wreath(p: SRingPartition) -> list[WreathDecomposition]:
     radicals: dict[bytes, np.ndarray] = {}
     for row in rad:
         radicals.setdefault(row.tobytes(), row)
-    normal: dict[int, np.ndarray] = {}
+    minimal: dict[int, np.ndarray] = {}
     candidates: dict[bytes, np.ndarray] = {}
     for r in radicals.values():
         if not 1 < np.count_nonzero(r) < n:  # the radical is {e} or G
             continue
         gens: dict[bytes, np.ndarray] = {}
         for cid in np.flatnonzero(inside(r)).tolist():
-            if cid not in normal:
-                normal[cid] = normal_closure(cls[cid])
-            nc = normal[cid]
-            if not (nc & ~r).any() and np.count_nonzero(nc) > 1:
-                gens.setdefault(nc.tobytes(), nc)
+            if cid not in minimal:
+                minimal[cid] = _minimal_normal_s_subgroup(p, cls[cid])
+            m = minimal[cid]
+            if not (m & ~r).any() and np.count_nonzero(m) > 1:
+                gens.setdefault(m.tobytes(), m)
         joins = dict(gens)
         frontier = list(gens.values())
         while frontier:
@@ -425,26 +436,12 @@ def detect_wreath(p: SRingPartition) -> list[WreathDecomposition]:
                     frontier.append(j)
         candidates.update(joins)
 
-    def a_closure(mask: np.ndarray) -> np.ndarray:
-        """Smallest union-of-classes subgroup containing the mask."""
-        h = _generated(g, mask)
-        while True:
-            grown = cls[cls[:, h].any(axis=1)].any(axis=0)
-            if np.array_equal(grown, h):
-                return h
-            h = _generated(g, grown)
-
     results: list[WreathDecomposition] = []
     whole = Subgroup(g, g.elements(), check=False)
     for lm in candidates.values():
-        l_elems = np.flatnonzero(lm).tolist()
-        if not p.is_union_of_classes(l_elems):
-            continue
-        l_sub = Subgroup(g, l_elems, check=False)
-        if not is_normal(g, l_sub):
-            continue
+        l_sub = Subgroup(g, np.flatnonzero(lm).tolist(), check=False)
         covered = cls[~(lm & ~rad).any(axis=1)].any(axis=0)
-        u0 = a_closure(~covered | lm)
+        u0 = _generated(g, ~covered | lm)
         if np.count_nonzero(u0) == n:
             continue
         uppers = {u0.tobytes(): u0}
@@ -452,7 +449,7 @@ def detect_wreath(p: SRingPartition) -> list[WreathDecomposition]:
         while frontier:
             um = frontier.pop()
             for cid in np.flatnonzero(~inside(um)).tolist():
-                v = a_closure(um | cls[cid])
+                v = _generated(g, um | cls[cid])
                 if np.count_nonzero(v) < n and uppers.setdefault(v.tobytes(), v) is v:
                     frontier.append(v)
         rank_quotient = section_sring(p, make_section(g, whole, l_sub)).rank

@@ -51,7 +51,11 @@ prime below 2^18. The new color is the first-occurrence id of the row
    (pi u, pi v), because w -> pi w is a bijection. Every class meets a row
    whose vertex is the smallest of its orbit, so comparing the multisets of
    the pairs in those rows, each with the first pair of its class there,
-   decides coherence. For the family graph and the grid the group is
+   decides coherence, with the full comparison's witness: the first pair
+   (u, v) of a class lies in a representative row (were s < u the least of
+   u's orbit, (s, pi v) with pi u = s would come earlier), and every
+   multiset of a class occurs in one, so the least (code, class) that
+   varies is the same. For the family graph and the grid the group is
    transitive and one row is compared.
 
 Pair colors are int32 ids below n^2, exact while n^2 < 2^31, that is
@@ -417,10 +421,11 @@ def verify_coherence(c: PairColoring, perms: Sequence[Sequence[int]] = ()) -> Co
     rows of the smallest vertex of each orbit of the group they generate.
     That is sound: the generated group preserves the coloring, an element
     pi maps the multiset of (u, v) to that of (pi u, pi v), and every class
-    meets a representative row (see the module docstring). If perms is
-    empty, if any check on them fails, or if the reduced comparison rejects,
-    every row is compared, so the verdict and the witness never depend on
-    perms. The result counts the rows compared.
+    meets a representative row, which holds its first pair (see the module
+    docstring). So the reduced comparison alone gives the full one's
+    verdict and witness, on rejection too, and neither depends on perms.
+    If perms is empty or any check on them fails, every row is compared.
+    The result counts the rows compared.
 
     Returns a witness describing the first failure: for intersection
     numbers, the lexicographically smallest color pair (i, j) and then the
@@ -457,12 +462,10 @@ def verify_coherence(c: PairColoring, perms: Sequence[Sequence[int]] = ()) -> Co
         )
 
     reps = _orbit_representatives(color, perms)
-    if reps is not None and _varying_intersection(color, rank, reps) is None:
-        return CoherenceResult(True, rows=len(reps))
-    compared = n + (len(reps) if reps is not None else 0)
-    worst = _varying_intersection(color, rank, range(n))
+    rows = range(n) if reps is None else reps
+    worst = _varying_intersection(color, rank, rows)
     if worst is None:
-        return CoherenceResult(True, rows=compared)
+        return CoherenceResult(True, rows=len(rows))
     code, r = worst
     i, j = divmod(code, rank)
     pairs = np.argwhere(color == r)
@@ -479,7 +482,7 @@ def verify_coherence(c: PairColoring, perms: Sequence[Sequence[int]] = ()) -> Co
                       tuple(int(x) for x in p_hi)),
             "counts": (int(vals.min()), int(vals.max())),
         },
-        compared,
+        len(rows),
     )
 
 

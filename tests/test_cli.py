@@ -294,3 +294,21 @@ def test_failed_allocation_exits_2(argv, text, tmp_path, capsys, monkeypatch):
     assert captured.err.startswith("error: not enough memory: ")
     assert captured.out == ""
     assert list(tmp_path.iterdir()) == ([tmp_path / "big.txt"] if text else [])
+
+
+# Inputs past a size bound raise ValueError deep in the pipeline; the CLI
+# reports it as one error line with exit 2, never a traceback: 46341 vertices
+# need pair colors past int32, and k = 10^18 an array past numpy's limit.
+@pytest.mark.parametrize("argv,text", [
+    (["wl-rank", "--in", "g.json"], '{"n": 46341, "directed": false, "edges": []}'),
+    (["sweep", "--from", str(10**18), "--to", str(10**18)], None),
+])
+def test_value_error_exits_2_with_one_error_line(argv, text, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    if text is not None:
+        (tmp_path / "g.json").write_text(text)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""

@@ -172,8 +172,9 @@ def test_orbit_reduced_recheck_on_every_round(cache, k):
     while True:
         coloring = PairColoring(init.n, color, num)
         reduced = _assert_reduced_agrees(coloring, perms)
-        # the translations preserve every round and move 0 to every vertex
-        assert reduced.rows == (1 if reduced.ok else 1 + init.n)
+        # the translations preserve every round and move 0 to every vertex,
+        # so one row decides, on rejection too
+        assert reduced.rows == 1
         sigma = rng.sample(range(init.n), init.n)
         moved = _assert_reduced_agrees(*_relabel(coloring, perms, sigma))
         assert moved.rows == reduced.rows
@@ -205,17 +206,17 @@ def _invariant_coloring(rng: random.Random):
 def test_orbit_reduced_recheck_on_random_invariant_colorings():
     rng = random.Random("orbit-reduced")
     kinds = Counter()
-    fewer_rows = 0
+    fewer_rows = Counter()  # by verdict
     for _ in range(300):
         coloring, pi = _invariant_coloring(rng)
         kinds[_check_against_reference(coloring)] += 1
         reduced = _assert_reduced_agrees(coloring, [pi])
-        if reduced.ok:
+        if reduced.ok or reduced.witness["kind"] == "intersection":
             cycles = len({min(_orbit(pi, u)) for u in range(coloring.n)})
             assert reduced.rows == cycles
-            fewer_rows += cycles < coloring.n
+            fewer_rows[reduced.ok] += cycles < coloring.n
     assert {"ok", "intersection", "transpose"} <= set(kinds)
-    assert fewer_rows > 0
+    assert fewer_rows[True] > 0 and fewer_rows[False] > 0
 
 
 def _orbit(pi, u):

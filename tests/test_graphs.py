@@ -353,3 +353,24 @@ def test_common_neighbor_checks_peak_below_one_float64_matrix(cache, check):
     finally:
         tracemalloc.stop()
     assert peak < 8 * gamma.n**2
+
+
+@pytest.mark.parametrize("build", ["ddg_partition", "grid"])
+def test_ddg_partition_and_grid_peak_near_their_n2_arrays(build):
+    """At n = 1024 the coset table of canonical_ddg_partition is sorted in
+    place and grid_graph XORs the column comparison into adj, so each
+    traced peak stays below 2.5 n^2 bytes (an n^2 boolean adj is 1). A
+    sorted copy of the table peaked at 4.0 n^2, and two comparison
+    temporaries and their XOR at 3.2 n^2."""
+    g = family_group(128)
+    n = g.order
+    run = {"ddg_partition": lambda: canonical_ddg_partition(g, 128),
+           "grid": lambda: grid_graph(4, 256)}[build]
+    run()  # warm every lazy import first
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * n**2

@@ -26,6 +26,7 @@ import random
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import cyclic_group, elementary_abelian
@@ -44,7 +45,8 @@ from dezawl import (
     subgroup_generated,
     wl_closure,
 )
-from dezawl.group import Section
+from dezawl.group import Section, _generated
+from dezawl.sring import _minimal_normal_s_subgroup
 from test_sring_pins import _dihedral, _direct, _relabel
 
 PINS_PATH = Path(__file__).resolve().parent / "data" / "wreath_pins.json"
@@ -258,6 +260,37 @@ def _reference_detect_wreath(p: SRingPartition) -> list:
 def test_decompositions_equal_the_reference_search(seed):
     for name, p in wreath_cases(seed):
         assert _outcome(detect_wreath(p)) == _reference_detect_wreath(p), name
+
+
+# The two S-ring facts detect_wreath searches by: subgroups generated by
+# unions of classes are unions of classes, and so are the M_X.
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_generated_union_of_classes_is_a_union_of_classes(seed):
+    rng = random.Random(f"generated-{seed}")
+    for name, p in wreath_cases(seed):
+        g = p.group
+        for _ in range(6):
+            chosen = rng.sample(p.classes, rng.randint(1, min(3, p.rank)))
+            h = _generated(g, g.mask([x for cls in chosen for x in cls]))
+            Subgroup(g, np.flatnonzero(h).tolist())  # validates closure
+            assert p.is_union_of_classes(np.flatnonzero(h).tolist()), name
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_minimal_normal_s_subgroups(seed):
+    """Every M_X is a normal subgroup holding X and a union of classes, and
+    it lies inside every M_Y that holds X."""
+    for name, p in wreath_cases(seed):
+        g = p.group
+        minimal = [_minimal_normal_s_subgroup(p, g.mask(cls)) for cls in p.classes]
+        for cls, m in zip(p.classes, minimal):
+            sub = Subgroup(g, np.flatnonzero(m).tolist())
+            assert set(cls) <= set(sub.elements), name
+            assert is_normal(g, sub) and p.is_union_of_classes(sub.elements), name
+            for other in minimal:
+                if other[list(cls)].all():
+                    assert not (m & ~other).any(), name
 
 
 @pytest.mark.parametrize("seed", [1, 2])
