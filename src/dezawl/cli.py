@@ -19,8 +19,7 @@ from typing import Optional, Sequence
 from .graphs import cayley_graph, load_graph, save_graph
 from .group import family_group
 from .groupring import connection_set
-from .spectrum import IntegralSpectrum
-from .verify import VerificationReport, verify_family
+from .verify import verify_family
 from .wl import wl_rank
 
 EXIT_OK = 0
@@ -33,13 +32,9 @@ def _fail(message: str) -> int:
     return EXIT_USAGE
 
 
-def _report_json(report: VerificationReport) -> str:
-    return json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
-
-
-def _print_summary(report: VerificationReport) -> None:
-    d = report.to_dict()
-    print(f"k={report.k}  n={report.group_order}")
+def _print_summary(d: dict) -> None:
+    """The human-readable summary of a certificate."""
+    print(f"k={d['k']}  n={d['group_order']}")
     deza = d["deza"]
     if "n" in deza:
         flags = "strictly Deza" if deza["strictly"] else "not strictly Deza"
@@ -49,13 +44,13 @@ def _print_summary(report: VerificationReport) -> None:
         )
     else:
         print(f"  deza parameters     NOT DEZA: {deza['not_deza']}")
-    print(f"  square identity     {report.square_identity_holds}")
+    print(f"  square identity     {d['square_identity_holds']}")
     print(
-        f"  wl rank             graph={report.wl_rank_graph}"
-        f" sring={report.wl_rank_sring} expected={report.expected_wl_rank}"
+        f"  wl rank             graph={d['wl_rank_graph']}"
+        f" sring={d['wl_rank_sring']} expected={d['expected_wl_rank']}"
     )
-    if report.wreath is not None:
-        w = report.wreath
+    w = d["wreath"]
+    if w is not None:
         print(
             f"  wreath structure    |L|={w['lower_order']} |U|={w['upper_order']}"
             f" ranks {w['rank_u']}+{w['rank_quotient']}-{w['rank_section']}"
@@ -68,23 +63,24 @@ def _print_summary(report: VerificationReport) -> None:
         )
     else:
         print(f"  divisible design    FAILED: {ddg['failure']}")
-    if isinstance(report.spectrum, IntegralSpectrum):
-        pairs = ", ".join(f"{lam}^{m}" for lam, m in report.spectrum.pairs)
+    spectrum = d["spectrum"]
+    if spectrum["integral"]:
+        pairs = ", ".join(f"{lam}^{m}" for lam, m in spectrum["pairs"])
         print(f"  spectrum            integral: {pairs}")
     else:
         print(
             "  spectrum            NOT CERTIFIED INTEGRAL, residual dimension"
-            f" {report.spectrum.residual_dimension}"
+            f" {spectrum['residual_dimension']}"
         )
-    g = report.grid_comparison
+    g = d["grid_comparison"]
     print(
         f"  grid comparison     same parameters={g['same_parameters']}"
         f" grid rank={g['grid_wl_rank']} 1-WL distinguishes={g['wl1_distinguishes']}"
     )
-    print(f"  closure trace       {'ok' if report.closure_trace.all_hold else 'FAILED'}")
-    for name, ok in sorted(report.claims.items()):
+    print(f"  closure trace       {'ok' if d['closure_trace']['all_hold'] else 'FAILED'}")
+    for name, ok in sorted(d["claims"].items()):
         print(f"  claim {name:<24s} {'pass' if ok else 'FAIL'}")
-    print(f"verdict: {report.verdict}")
+    print(f"verdict: {d['verdict']}")
 
 
 def cmd_construct(args: argparse.Namespace) -> int:
@@ -106,10 +102,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
     report = verify_family(args.k, drop_edge=drop)
     json_path = Path(args.json) if args.json else Path(f"verification_k{args.k}.json")
     try:
-        json_path.write_text(_report_json(report), encoding="utf-8")
+        json_path.write_text(
+            json.dumps(report.certificate, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+        )
     except OSError as exc:
         return _fail(f"cannot write {json_path}: {exc}")
-    _print_summary(report)
+    _print_summary(report.certificate)
     for phase, seconds in report.timings.items():
         print(f"timing {phase}: {seconds:.3f}s", file=sys.stderr)
     for name, counters in report.work.items():
@@ -142,12 +140,12 @@ SWEEP_COLUMNS = [
 ]
 
 
-def _sweep_row(report: VerificationReport) -> dict:
-    d = report.to_dict()
+def _sweep_row(d: dict) -> dict:
+    """The CSV row of a certificate."""
     deza = d["deza"]
     spectrum = (
-        " ".join(str(lam) for lam, _ in report.spectrum.pairs)
-        if isinstance(report.spectrum, IntegralSpectrum)
+        " ".join(str(lam) for lam, _ in d["spectrum"]["pairs"])
+        if d["spectrum"]["integral"]
         else "non-integral"
     )
     ddg = d["ddg"]
@@ -157,20 +155,20 @@ def _sweep_row(report: VerificationReport) -> dict:
         else "failed"
     )
     return {
-        "k": report.k,
-        "n": report.group_order,
-        "s_size": 2 * (report.k + 1),
+        "k": d["k"],
+        "n": d["group_order"],
+        "s_size": 2 * (d["k"] + 1),
         "deza_n": deza.get("n", ""),
         "deza_k": deza.get("k", ""),
         "deza_beta": deza.get("beta", ""),
         "deza_alpha": deza.get("alpha", ""),
         "strictly": deza.get("strictly", False),
-        "wl_rank_graph": report.wl_rank_graph,
-        "wl_rank_sring": report.wl_rank_sring,
-        "expected_wl_rank": report.expected_wl_rank,
+        "wl_rank_graph": d["wl_rank_graph"],
+        "wl_rank_sring": d["wl_rank_sring"],
+        "expected_wl_rank": d["expected_wl_rank"],
         "spectrum": spectrum,
         "ddg": ddg_text,
-        "verdict": report.verdict,
+        "verdict": d["verdict"],
     }
 
 
@@ -182,8 +180,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     rows = []
     for k in range(args.start, args.end + 1):
         t0 = time.perf_counter()
-        report = verify_family(k)
-        rows.append(_sweep_row(report))
+        rows.append(_sweep_row(verify_family(k).certificate))
         print(f"timing k={k}: {time.perf_counter() - t0:.3f}s", file=sys.stderr)
     lines = [",".join(SWEEP_COLUMNS)]
     for row in rows:

@@ -193,14 +193,6 @@ class Section:
     projection: np.ndarray
     representatives: tuple[int, ...]
 
-    def project(self, x: int) -> int:
-        if not 0 <= x < len(self.projection):
-            raise ValueError(f"element {x} out of range")
-        q = int(self.projection[x])
-        if q < 0:
-            raise ValueError(f"element {x} is not in the upper subgroup")
-        return q
-
 
 def _generated(g: Group, mask: np.ndarray) -> np.ndarray:
     """Mask of the subgroup generated by the mask.

@@ -75,7 +75,6 @@ as well.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from math import gcd
 from typing import Optional
@@ -112,24 +111,6 @@ class IntegralSpectrum:
 
     def eigenvalues(self) -> set[int]:
         return {lam for lam, _ in self.pairs}
-
-    def multiplicity(self, lam: int) -> int:
-        for value, mult in self.pairs:
-            if value == lam:
-                return mult
-        return 0
-
-    def to_dict(self) -> dict:
-        n = sum(m for _, m in self.pairs)
-        trace_sum = sum(lam * m for lam, m in self.pairs)
-        second_moment = sum(lam * lam * m for lam, m in self.pairs)
-        return {
-            "pairs": [[lam, mult] for lam, mult in self.pairs],
-            "n": n,
-            "trace_sum": trace_sum,
-            "trace_is_zero": trace_sum == 0,
-            "second_moment": second_moment,
-        }
 
 
 @dataclass(frozen=True)
@@ -390,12 +371,6 @@ def integral_spectrum(g: Graph):
 def _certified(candidates: list[int], mults: list[int]) -> IntegralSpectrum:
     """The certified pairs, candidates of multiplicity 0 dropped."""
     return IntegralSpectrum(tuple((lam, m) for lam, m in zip(candidates, mults) if m > 0))
-
-
-def spectrum_to_json(spec: IntegralSpectrum) -> str:
-    """JSON form: decreasing (eigenvalue, multiplicity) pairs plus the
-    trace-identity checks."""
-    return json.dumps(spec.to_dict(), sort_keys=True) + "\n"
 
 
 def expected_eigenvalues(k: int) -> set[int]:

@@ -1,12 +1,14 @@
-"""Full verification pipeline for one family graph: every claim checked,
-aggregated into a machine-readable report with a per-claim verdict."""
+"""Full verification pipeline for one family graph: every claim checked
+and aggregated into one certificate, the deterministic JSON payload that
+`dezawl verify` writes, with a per-claim verdict. Phase timings and work
+counters differ between runs and are kept apart from it."""
 
 from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import Optional, Union
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -29,7 +31,7 @@ from .spectrum import (
     expected_eigenvalues,
     integral_spectrum,
 )
-from .sring import ClosureTrace, closure_trace, detect_wreath, is_sring, wl_closure
+from .sring import closure_trace, detect_wreath, is_sring, wl_closure
 from .wl import CoherentConfiguration, wl1_distinguishes, wl2
 
 SCHEMA_VERSION = 1
@@ -42,79 +44,55 @@ def expected_wl_rank(k: int) -> int:
 
 @dataclass
 class VerificationReport:
-    k: int
-    group_order: int
-    deza: Union[DezaParameters, NotDezaVerdict]
-    square_identity_holds: bool
-    wl_rank_graph: int
-    wl_rank_sring: int
-    expected_wl_rank: int
-    wreath: Optional[dict]
-    ddg: Union[DDGParameters, DDGFailure]
-    spectrum: Union[IntegralSpectrum, NonIntegralVerdict]
-    grid_comparison: dict
-    closure_trace: ClosureTrace
-    claims: dict[str, bool]
-    timings: dict[str, float] = field(default_factory=dict)
-    work: dict[str, dict] = field(default_factory=dict)
+    """One run of verify_family. certificate is the deterministic JSON
+    payload of schemas/verification_report.schema.json, plain dicts, lists,
+    ints, bools and strings, so re-runs are byte-identical. timings (wall
+    seconds per phase) and work (counters per 2-WL run) are kept apart
+    from it."""
+
+    certificate: dict
+    timings: dict[str, float]
+    work: dict[str, dict]
 
     @property
     def verdict(self) -> str:
-        return "pass" if all(self.claims.values()) else "fail"
+        return self.certificate["verdict"]
 
     def failed_claims(self) -> list[str]:
-        return [name for name, ok in self.claims.items() if not ok]
+        return [name for name, ok in self.certificate["claims"].items() if not ok]
 
-    def to_dict(self) -> dict:
-        """Deterministic JSON payload; timings and work counters are
-        deliberately excluded so re-runs are byte-identical."""
-        if isinstance(self.deza, DezaParameters):
-            deza = {
-                "n": self.deza.n,
-                "k": self.deza.k,
-                "beta": self.deza.beta,
-                "alpha": self.deza.alpha,
-                "strictly": self.deza.strictly,
-                "strongly_regular": self.deza.strongly_regular,
-            }
-        else:
-            deza = {"not_deza": self.deza.reason,
-                    "witness": list(self.deza.witness or [])}
-        if isinstance(self.ddg, DDGParameters):
-            ddg = {
-                "n": self.ddg.n, "k": self.ddg.k,
-                "alpha": self.ddg.alpha, "beta": self.ddg.beta,
-                "m": self.ddg.m, "l": self.ddg.l,
-            }
-        else:
-            ddg = {"failure": self.ddg.reason,
-                   "witness": list(self.ddg.witness or [])}
-        if isinstance(self.spectrum, IntegralSpectrum):
-            spectrum = {"integral": True,
-                        "pairs": [[lam, m] for lam, m in self.spectrum.pairs]}
-        else:
-            spectrum = {
-                "integral": False,
-                "certified": [[lam, m] for lam, m in self.spectrum.certified],
-                "residual_dimension": self.spectrum.residual_dimension,
-            }
+
+def _deza_entry(deza: DezaParameters | NotDezaVerdict) -> dict:
+    if isinstance(deza, DezaParameters):
         return {
-            "schema_version": SCHEMA_VERSION,
-            "k": self.k,
-            "group_order": self.group_order,
-            "deza": deza,
-            "square_identity_holds": self.square_identity_holds,
-            "wl_rank_graph": self.wl_rank_graph,
-            "wl_rank_sring": self.wl_rank_sring,
-            "expected_wl_rank": self.expected_wl_rank,
-            "wreath": self.wreath,
-            "ddg": ddg,
-            "spectrum": spectrum,
-            "grid_comparison": self.grid_comparison,
-            "closure_trace": self.closure_trace.to_dict(),
-            "claims": dict(sorted(self.claims.items())),
-            "verdict": self.verdict,
+            "n": deza.n,
+            "k": deza.k,
+            "beta": deza.beta,
+            "alpha": deza.alpha,
+            "strictly": deza.strictly,
+            "strongly_regular": deza.strongly_regular,
         }
+    return {"not_deza": deza.reason, "witness": list(deza.witness or [])}
+
+
+def _ddg_entry(ddg: DDGParameters | DDGFailure) -> dict:
+    if isinstance(ddg, DDGParameters):
+        return {
+            "n": ddg.n, "k": ddg.k,
+            "alpha": ddg.alpha, "beta": ddg.beta,
+            "m": ddg.m, "l": ddg.l,
+        }
+    return {"failure": ddg.reason, "witness": list(ddg.witness or [])}
+
+
+def _spectrum_entry(spectrum: IntegralSpectrum | NonIntegralVerdict) -> dict:
+    if isinstance(spectrum, IntegralSpectrum):
+        return {"integral": True, "pairs": [[lam, m] for lam, m in spectrum.pairs]}
+    return {
+        "integral": False,
+        "certified": [[lam, m] for lam, m in spectrum.certified],
+        "residual_dimension": spectrum.residual_dimension,
+    }
 
 
 def _right_translations(g: Group, gens: list[int]) -> np.ndarray:
@@ -249,20 +227,21 @@ def verify_family(k: int, drop_edge: Optional[tuple[int, int]] = None) -> Verifi
         "closure_trace": trace.all_hold,
     }
 
-    return VerificationReport(
-        k=k,
-        group_order=n,
-        deza=deza,
-        square_identity_holds=square.holds,
-        wl_rank_graph=rank_graph,
-        wl_rank_sring=closure.rank,
-        expected_wl_rank=expect_rank,
-        wreath=wreath_summary,
-        ddg=ddg,
-        spectrum=spectrum,
-        grid_comparison=grid_comparison,
-        closure_trace=trace,
-        claims=claims,
-        timings=timings,
-        work=work,
-    )
+    certificate = {
+        "schema_version": SCHEMA_VERSION,
+        "k": k,
+        "group_order": n,
+        "deza": _deza_entry(deza),
+        "square_identity_holds": square.holds,
+        "wl_rank_graph": rank_graph,
+        "wl_rank_sring": closure.rank,
+        "expected_wl_rank": expect_rank,
+        "wreath": wreath_summary,
+        "ddg": _ddg_entry(ddg),
+        "spectrum": _spectrum_entry(spectrum),
+        "grid_comparison": grid_comparison,
+        "closure_trace": trace.to_dict(),
+        "claims": claims,
+        "verdict": "pass" if all(claims.values()) else "fail",
+    }
+    return VerificationReport(certificate, timings, work)

@@ -486,20 +486,11 @@ def verify_coherence(c: PairColoring, perms: Sequence[Sequence[int]] = ()) -> Co
     )
 
 
-def configuration_to_json(c: CoherentConfiguration, run_length: bool = False) -> str:
+def configuration_to_json(c: CoherentConfiguration) -> str:
     """Serialize a coherent configuration: n, rank and the color matrix in
-    row-major order, run-length encoded as [color, count] pairs on request."""
+    row-major order."""
     flat = [int(x) for x in c.coloring.color.ravel()]
-    if run_length:
-        encoded: list[list[int]] = []
-        for value in flat:
-            if encoded and encoded[-1][0] == value:
-                encoded[-1][1] += 1
-            else:
-                encoded.append([value, 1])
-        obj = {"n": c.coloring.n, "rank": c.rank, "colors_rle": encoded}
-    else:
-        obj = {"n": c.coloring.n, "rank": c.rank, "colors": flat}
+    obj = {"n": c.coloring.n, "rank": c.rank, "colors": flat}
     return json.dumps(obj, sort_keys=True) + "\n"
 
 

@@ -312,3 +312,39 @@ def test_value_error_exits_2_with_one_error_line(argv, text, tmp_path, capsys, m
     assert captured.err.startswith("error: ")
     assert captured.err.count("\n") == 1
     assert captured.out == ""
+
+
+# sha256 of the bytes each command writes, pinned where no other test pins
+# them: the stdout summary, and the report's failure branches (not_deza,
+# failure, certified/residual_dimension) from a graph with one edge dropped.
+@pytest.mark.parametrize("argv,pins", [
+    (["verify", "--k", "3", "--drop-edge", "0", "2", "--json", "out"], {
+        "out": "4602a587c541dcb297167c6976c7f7f0338580327c36ad0c0ef255d2a5783878",
+        "stdout": "2b55be02e1f5fc77b36f0e8afc28667acd6d162fe0c948e9277b41de8fc5bd9c",
+    }),
+    (["verify", "--k", "4", "--json", "out"], {
+        "stdout": "047898ccda1971968150abf3f7f774bca2bd422de07775a84ba891f43f13dbcd",
+    }),
+    (["sweep", "--from", "3", "--to", "6", "--csv", "out"], {
+        "out": "09b1b5a7db0b35418ac7a2dd50f6848f48d8df034de8d90caf216fd7ab7c9b45",
+        "stdout": "09b1b5a7db0b35418ac7a2dd50f6848f48d8df034de8d90caf216fd7ab7c9b45",
+    }),
+])
+def test_outputs_match_pinned_bytes(argv, pins, tmp_path, capsys, monkeypatch):
+    import hashlib
+
+    monkeypatch.chdir(tmp_path)
+    main(argv)
+    written = {"out": (tmp_path / "out").read_bytes(),
+               "stdout": capsys.readouterr().out.encode()}
+    assert {name: hashlib.sha256(written[name]).hexdigest() for name in pins} == pins
+
+
+@pytest.mark.parametrize("k,drop", [(3, None), (4, None), (3, (0, 2))])
+def test_certificate_is_plain_json(k, drop):
+    """json.dumps takes the certificate as it is, with no default= hook, and
+    reads back equal: it holds no numpy scalar, tuple or dataclass."""
+    from dezawl.verify import verify_family
+
+    certificate = verify_family(k, drop_edge=drop).certificate
+    assert json.loads(json.dumps(certificate)) == certificate

@@ -134,19 +134,6 @@ def test_empty_graph_spectrum():
     assert spec.pairs == ((0, 4),)
 
 
-def test_spectrum_serialization_includes_identity_checks(cache):
-    import json
-
-    from dezawl import spectrum_to_json
-
-    spec = integral_spectrum(cache.graph(3))
-    doc = json.loads(spectrum_to_json(spec))
-    assert doc["pairs"] == [[8, 1], [4, 1], [2, 9], [-2, 11], [-4, 2]]
-    assert doc["n"] == 24
-    assert doc["trace_is_zero"] is True
-    assert doc["second_moment"] == 24 * 8
-
-
 # ---------------------------------------------- cross-oracle: pure elimination
 
 def _reference_spectrum(g):

@@ -188,10 +188,6 @@ def test_configuration_serialization(cache):
     assert plain["n"] == 24
     assert plain["rank"] == 24
     assert len(plain["colors"]) == 24 * 24
-    rle = json.loads(configuration_to_json(conf, run_length=True))
-    assert rle["rank"] == 24
-    expanded = [v for v, c in rle["colors_rle"] for _ in range(c)]
-    assert expanded == plain["colors"]
 
 
 def test_refinement_never_decreases_color_count(cache):
