@@ -1,13 +1,15 @@
 """Finite groups as explicit multiplication tables.
 
 Elements are plain integers indexing into the parent group's element list.
-The multiplication table mult[x, y] = xy is one read-only n x n np.intp
-array and inv[x] = x^-1 one read-only np.intp vector; subgroups, cosets,
-normality and quotients are gathers on them. A subgroup is a read-only
-boolean mask over the group, and a section's projection a read-only
-np.intp vector. All set-valued results use sorted index order, so outputs
-are deterministic. Groups, subgroups and sections are immutable once
-constructed and safe to share between workers.
+The multiplication table mult[x, y] = xy is one read-only n x n np.int32
+array of 4 n^2 bytes and inv[x] = x^-1 one read-only np.int32 vector; the
+entries are element indices below n, so int32 holds them exactly for any
+table that fits in memory. Subgroups, cosets, normality and quotients are
+gathers on them. A subgroup is a read-only boolean mask over the group,
+and a section's projection a read-only np.intp vector. All set-valued
+results use sorted index order, so outputs are deterministic. Groups,
+subgroups and sections are immutable once constructed and safe to share
+between workers.
 """
 
 from __future__ import annotations
@@ -20,13 +22,24 @@ import numpy as np
 
 
 def _read_only(table, shape: tuple[int, ...], what: str) -> np.ndarray:
-    """The table as a new read-only np.intp array of the given shape."""
+    """The table as a new read-only np.int32 array of the given shape.
+
+    Raises ValueError unless every entry lies in 0..n-1, n = shape[0]. The
+    range is checked before narrowing, so an entry such as 2^32 is refused
+    and never wraps to a valid index. The result is always a copy, so the
+    caller's array is never frozen.
+    """
     try:
-        arr = np.array(table, dtype=np.intp)
+        arr = np.asarray(table)
     except ValueError:
         raise ValueError(f"{what} table is ragged") from None
     if arr.shape != shape:
         raise ValueError(f"{what} table has shape {arr.shape}, expected {shape}")
+    n = shape[0]
+    if not 0 <= arr.min() <= arr.max() < n:
+        bad = (arr < 0) | (arr >= n)
+        raise ValueError(f"{what} entry {arr[bad][0]} out of range")
+    arr = np.array(arr, dtype=np.int32)
     arr.setflags(write=False)
     return arr
 
@@ -59,10 +72,6 @@ class Group:
         n, e, mult, inv = self.order, self.identity, self.mult, self.inv
         if not 0 <= e < n:
             raise ValueError(f"identity {e} out of range")
-        for what, table in (("mult", mult), ("inv", inv)):
-            bad = (table < 0) | (table >= n)
-            if bad.any():
-                raise ValueError(f"{what} entry {table[bad][0]} out of range")
         x = np.arange(n)
         bad = (mult[e] != x) | (mult[:, e] != x)
         if bad.any():
@@ -215,7 +224,7 @@ def _generated(g: Group, mask: np.ndarray) -> np.ndarray:
     while 2 * size <= n:
         idx = np.flatnonzero(h)
         h = np.zeros_like(h)
-        h[g.mult[np.ix_(idx, idx)]] = True
+        h[g.mult[idx[:, None], idx]] = True
         grown = np.count_nonzero(h)
         if grown == size:
             return h
@@ -234,8 +243,8 @@ def subgroup_generated(g: Group, gens: Iterable[int]) -> Subgroup:
 def _normalizes(g: Group, xs: np.ndarray, h: Subgroup) -> bool:
     """True iff x h x^-1 lies in h for every x in xs, by one gather of the
     conjugates. |x h x^-1| = |h|, so then x h x^-1 = h, that is xh = hx."""
-    conj = g.mult[g.mult[np.ix_(xs, np.flatnonzero(h.mask))], g.inv[xs, None]]
-    return bool(h.mask[conj].all())
+    conj = g.mult[g.mult[xs[:, None], np.flatnonzero(h.mask)], g.inv[xs, None]]
+    return bool(h.mask.take(conj).all())
 
 
 def is_normal(g: Group, h: Subgroup) -> bool:
@@ -273,8 +282,8 @@ def make_section(g: Group, u: Subgroup, l: Subgroup) -> Section:
     projection[upper] = np.searchsorted(reps, mins)
     projection.setflags(write=False)
     quotient = Group(
-        projection[g.mult[np.ix_(reps, reps)]],
-        projection[g.inv[reps]],
+        projection.take(g.mult[reps[:, None], reps]),
+        projection.take(g.inv[reps]),
         projection[g.identity],
         [g.name(r) for r in reps],
     )
@@ -312,14 +321,18 @@ class FamilyGroup(Group):
         self.k = k
         # x = 8i + 4j + 2l + m. The product has exponent i1 + i2, or i1 - i2
         # when j1 = 1, and b, c, d bits j1 + j2, l1 + l2, m1 + m2 mod 2.
-        x = np.arange(8 * k)
+        # The int32 table is built in place: the bits low1 ^ low2 are added
+        # for one column residue t = low2 = y mod 8 at a time, so no n x n
+        # XOR temporary is formed.
+        x = np.arange(8 * k, dtype=np.int32)
         i, low = x >> 3, x & 7
         sign = 1 - 2 * (low >> 2)
-        mult = np.outer(sign, i)
+        mult = np.multiply.outer(sign, i)
         mult += i[:, None]
         mult %= k
         mult *= 8
-        mult += low[:, None] ^ low
+        for t in range(8):
+            mult[:, t::8] += (low ^ t)[:, None]
         # (a^i b^j)^-1 = a^i b if j = 1, else a^-i.
         inv = -sign * i % k * 8 + low
         names = [_family_name(i1, j1, l1, m1) for i1 in range(k)

@@ -195,7 +195,7 @@ def is_sring(p: SRingPartition) -> SRingCheck:
 
     def rows(zs: np.ndarray) -> np.ndarray:
         """Row i: the sorted codes class(w^-1) * r + class(w zs[i]) over w."""
-        codes = cls[g.mult.T[zs]]
+        codes = cls.take(g.mult.T[zs])
         codes += left
         codes.sort(axis=1)
         return codes
@@ -252,9 +252,10 @@ def wl_closure(g: Group, marked: Sequence[Iterable[int]]) -> SRingPartition:
     which also proves the result the minimum and not merely some admissible
     partition.
 
-    quot[z, y] = z y^-1 is one n x n int32 copy of the multiplication
-    table with its columns permuted in place, so (z y^-1, y) runs over the
-    pairs with product z. With r classes, a round writes the codes
+    quot[z, y] = z y^-1 is one n x n copy of the int32 multiplication
+    table, its columns permuted by inversion (np.take writes it
+    C-contiguous, unlike mult[:, inv]), so (z y^-1, y) runs over the pairs
+    with product z. With r classes, a round writes the codes
     cls[z y^-1] * r + cls[y] 64 rows at a time and sorts each row in place.
     The key of z is its sorted row with the pair (cls[z], cls[z^-1]), and
     keys are numbered by first occurrence. Each round but the last adds a
@@ -273,9 +274,7 @@ def wl_closure(g: Group, marked: Sequence[Iterable[int]]) -> SRingPartition:
     cls = _class_ids(zip(
         np.arange(n) == g.identity, map(bytes, member), map(bytes, member[inv])
     ))
-    quot = g.mult.astype(np.int32)
-    for row in quot:
-        row[:] = row[inv]
+    quot = g.mult.take(inv, axis=1)
     rank = int(cls.max()) + 1
     while True:
         keys = zip(cls.tolist(), cls[inv].tolist(), _sorted_rows(quot, cls, rank))
@@ -294,7 +293,8 @@ def _radical(g: Group, in_x: np.ndarray) -> np.ndarray:
     """Mask of {h : Xh = hX = X} for the set X with membership mask in_x:
     h passes when every xh and every hx lies in X, since |Xh| = |hX| = |X|."""
     xs = np.flatnonzero(in_x)
-    return in_x[g.mult[xs, :]].all(axis=0) & in_x[g.mult[:, xs]].all(axis=1)
+    rows, cols = g.mult.take(xs, axis=0), g.mult.take(xs, axis=1)
+    return in_x.take(rows).all(axis=0) & in_x.take(cols).all(axis=1)
 
 
 def radical(g: Group, x: Iterable[int]) -> Subgroup:

@@ -517,10 +517,14 @@ def _neighbor_index(adjs: Sequence[np.ndarray]) -> np.ndarray:
     offset = 0
     for a, degree in zip(adjs, degrees):
         # A boolean mask assigns in row-major order, the order in which
-        # nonzero lists the arcs, so row u gets its arcs in its first
-        # degree[u] slots.
+        # flatnonzero lists the arcs, so row u gets its arcs in its first
+        # degree[u] slots. The flat index u * n + v reaches n^2, so the
+        # column v is taken modulo n in intp, in the one array of arcs.
+        cols = np.flatnonzero(a)
+        cols %= len(degree)
+        cols += offset
         part = index[offset:offset + len(degree)]
-        part[np.arange(width) < degree[:, None]] = np.nonzero(a)[1] + offset
+        part[np.arange(width) < degree[:, None]] = cols
         offset += len(degree)
     return index
 

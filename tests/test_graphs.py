@@ -25,6 +25,7 @@ from dezawl import (
     simple_quantity,
     subgroup_generated,
     to_dot,
+    wl1_distinguishes,
     write_edgelist,
 )
 from dezawl.graphs import _common_neighbor_blocks
@@ -374,3 +375,36 @@ def test_ddg_partition_and_grid_peak_near_their_n2_arrays(build):
     finally:
         tracemalloc.stop()
     assert peak < 2.5 * n**2
+
+
+def test_family_group_table_built_in_place():
+    """family_group(48) builds its int32 table in place, adding the low bits
+    one column residue at a time, and Group keeps one int32 copy: the traced
+    peak stays below 12 n^2 bytes. An intp outer product, an n x n XOR
+    temporary and the intp copy peaked at 19.3 n^2."""
+    family_group(48)  # warm every lazy import first
+    n = 8 * 48
+    tracemalloc.start()
+    try:
+        family_group(48)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * n**2
+
+
+def test_wl1_neighbor_index_in_one_pass(cache):
+    """The 1-WL neighbor index takes its columns from one flatnonzero array
+    of arcs, reduced modulo n in place: comparing Gamma_48 with the 4 x 96
+    grid (n = 384) traces below 7 n^2 bytes. The rows, columns and shifted
+    columns of nonzero peaked at 8.2 n^2."""
+    gamma = cache.graph(48)
+    grid = grid_graph(4, 96)
+    wl1_distinguishes(gamma, grid)  # warm every lazy import first
+    tracemalloc.start()
+    try:
+        wl1_distinguishes(gamma, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 7 * gamma.n**2

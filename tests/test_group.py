@@ -240,9 +240,13 @@ def _with_entry(table, x, y, value):
     # 1 * 2 = e but 2 * 1 = 1: a right inverse only (the table is no group)
     ([[0, 1, 2], [1, 1, 0], [2, 1, 2]], [0, 2, 1], 0,
      "inv\\[1\\]=2 is not a two-sided inverse"),
+    # 2^32 narrowed to int32 would wrap to 0, the trivial group's table
+    (np.array([[2**32]]), np.array([0]), 0, "mult entry 4294967296 out of range"),
+    # a Python int past int32 must not raise OverflowError while narrowing
+    (C3, [0, 2, 2**31], 0, "inv entry 2147483648 out of range"),
 ], ids=["ragged", "wrong_shape", "inv_wrong_shape", "entry_minus_one", "entry_n",
         "identity_n", "identity_minus_one", "identity_one_sided", "inv_minus_one",
-        "inv_n", "inverse_one_sided"])
+        "inv_n", "inverse_one_sided", "entry_wraps_in_int32", "inv_past_int32"])
 def test_group_validation_errors(mult, inv, identity, match):
     with pytest.raises(ValueError, match=match):
         Group(mult, inv, identity)
@@ -259,14 +263,26 @@ def test_subgroup_check_errors(elements, match):
         Subgroup(cyclic_group(4), elements, check=True)
 
 
-def test_tables_are_read_only_intp_arrays():
+def test_tables_are_read_only_int32_arrays():
     g = family_group(3)
+    n = g.order
+    assert g.mult.nbytes == 4 * n * n
     for table in (g.mult, g.inv):
-        assert table.dtype == np.intp
+        assert table.dtype == np.int32
         with pytest.raises(ValueError, match="read-only"):
             table[0] = 1
     with pytest.raises(ValueError, match="read-only"):
         g.mult[1, 2] = 0
+
+
+def test_group_copies_the_callers_tables():
+    """An int32 table is narrowed without a cast, but Group still copies it,
+    so the caller's arrays stay writable and later writes do not reach g."""
+    mult, inv = np.array(C3, dtype=np.int32), np.array([0, 2, 1], dtype=np.int32)
+    g = Group(mult, inv, 0)
+    mult[1, 1] = 0
+    inv[1] = 1
+    assert g.mult[1, 1] == 2 and g.inv[1] == 2
 
 
 def test_subgroup_mask_and_section_projection_are_read_only():
