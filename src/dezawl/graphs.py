@@ -2,14 +2,14 @@
 
 A graph holds one n x n boolean adjacency matrix. Common-neighbor counts
 for the Deza and divisible-design checks and the diameter's reachability
-come from float32 BLAS products of 0/1 matrices taken max(64, n // 8) rows
-at a time (_BLOCK_ROWS), so no n x n product is ever held. The counts come
-from the blocks A[lo:hi] A[lo:]^T, which hold the pairs u <= v of rows lo
-to hi and together cost about the flops of one symmetric product A A^T;
-each check decides its verdict block by block, in row-major order of
-pairs. The products are exact: every term is 0 or 1, so every partial sum
-is an integer in [0, n], and float32 holds every integer below 2^24
-exactly, whatever order, blocking or fused multiply-add the BLAS uses.
+come from float32 BLAS products of 0/1 matrices taken in eight row blocks
+(_row_blocks), so no n x n product is ever held. The counts come from the
+blocks A[lo:hi] A[lo:]^T, which hold the pairs u <= v of rows lo to hi and
+together cost about the flops of one symmetric product A A^T; each check
+decides its verdict block by block, in row-major order of pairs. The
+products are exact: every term is 0 or 1, so every partial sum is an
+integer in [0, n], and float32 holds every integer below 2^24 exactly,
+whatever order, blocking or fused multiply-add the BLAS uses.
 Graphs with n >= 2^24 vertices are refused with ValueError. Graphs are
 treated as immutable once built; derived graphs are produced by copy.
 """
@@ -213,10 +213,16 @@ def _exact_float32_adjacency(g: Graph) -> np.ndarray:
     return g.adj.astype(np.float32)
 
 
-# Fewest rows multiplied at a time by diameter, deza_parameters and
-# ddg_check, which take max(_BLOCK_ROWS, n // 8): each sgemm call amortizes
-# its packing of the right operand over at least n / 8 rows.
-_BLOCK_ROWS = 64
+# Row blocks of each BLAS pass over n rows, here, in spectrum and in wl's
+# hashed rounds: a call amortizes its packing of the right operand over n / 8.
+_BLOCKS = 8
+
+
+def _row_blocks(n: int) -> list[tuple[int, int]]:
+    """The bounds (lo, hi) of _BLOCKS consecutive blocks of ceil(n / _BLOCKS)
+    rows that cover 0..n-1, the last one shorter; none for n = 0."""
+    rows = max(1, -(-n // _BLOCKS))
+    return [(lo, min(n, lo + rows)) for lo in range(0, n, rows)]
 
 
 def diameter(g: Graph) -> Union[int, float]:
@@ -227,8 +233,8 @@ def diameter(g: Graph) -> Union[int, float]:
     with the float32 product reach A, whose entry (u, v) counts the reached
     in-neighbors of v and is exact (see the module docstring). Row u of
     reach A depends on row u of reach alone, so a step updates reach in
-    place, max(64, n // 8) rows at a time: it holds one block of reach as
-    float32 and one of the product besides reach and the float32 A.
+    place, in eight row blocks: it holds one block of reach as float32 and
+    one of the product besides reach and the float32 A.
     The diameter is the first d at which every pair is reached; a step that
     reaches no new pair before then proves some pair unreachable. Each step
     costs one n x n x n product, so this is meant for graphs of small
@@ -243,9 +249,8 @@ def diameter(g: Graph) -> Union[int, float]:
         if d == 0:
             reach |= g.adj
         else:
-            block = max(_BLOCK_ROWS, g.n // 8)
-            for lo in range(0, g.n, block):
-                rows = reach[lo:lo + block]
+            for lo, hi in _row_blocks(g.n):
+                rows = reach[lo:hi]
                 rows |= (rows.astype(np.float32) @ a) > 0
         if np.count_nonzero(reach) == reached:
             return float("inf")
@@ -254,20 +259,17 @@ def diameter(g: Graph) -> Union[int, float]:
 
 
 def _common_neighbor_blocks(g: Graph):
-    """Yield (lo, counts, upper) for the row blocks lo:hi of
-    max(64, n // 8) rows, in order: counts = A[lo:hi] A[lo:]^T as float32,
-    so counts[i, j] counts the common out-neighbors of u = lo + i and
-    v = lo + j, an exact integer in [0, n] (see the module docstring) that
-    callers compare with ints directly; upper marks the pairs v > u and is
-    a new array per block, which callers may overwrite. The float32 A lives
-    in the generator alone and is freed when it is exhausted or closed.
-    Raises ValueError for n >= 2^24 on the first next(), before adj is
-    read.
+    """Yield (lo, counts, upper) for the eight row blocks lo:hi, in order:
+    counts = A[lo:hi] A[lo:]^T as float32, so counts[i, j] counts the common
+    out-neighbors of u = lo + i and v = lo + j, an exact integer in [0, n]
+    (see the module docstring) that callers compare with ints directly;
+    upper marks the pairs v > u and is a new array per block, which callers
+    may overwrite. The float32 A lives in the generator alone and is freed
+    when it is exhausted or closed. Raises ValueError for n >= 2^24 on the
+    first next(), before adj is read.
     """
     a = _exact_float32_adjacency(g)
-    block = max(_BLOCK_ROWS, g.n // 8)
-    for lo in range(0, g.n, block):
-        hi = min(g.n, lo + block)
+    for lo, hi in _row_blocks(g.n):
         upper = np.arange(lo, g.n) > np.arange(lo, hi)[:, None]
         yield lo, a[lo:hi] @ a[lo:].T, upper
 
@@ -433,9 +435,9 @@ def parse_edgelist(text: str) -> Graph:
     return Graph.from_edges(n, edges, directed=False)
 
 
-def to_dot(g: Graph, name: str = "G") -> str:
+def to_dot(g: Graph) -> str:
     kind, sep = ("digraph", "->") if g.directed else ("graph", "--")
-    lines = [f"{kind} {name} {{"]
+    lines = [f"{kind} G {{"]
     if g.labels is not None:
         for v in range(g.n):
             lines.append(f'  {v} [label="{g.labels[v]}"];')

@@ -31,9 +31,6 @@ class GroupRingElement:
     def __getitem__(self, x: int) -> int:
         return self.coeffs.get(x, 0)
 
-    def support(self) -> frozenset[int]:
-        return frozenset(self.coeffs)
-
     def _check_same_group(self, other: "GroupRingElement") -> None:
         if self.group is not other.group:
             raise ValueError("operands live over different groups")
@@ -56,23 +53,7 @@ class GroupRingElement:
         return GroupRingElement(self.group, {x: -c for x, c in self.coeffs.items()})
 
     def scaled(self, factor: int) -> "GroupRingElement":
-        if factor == 0:
-            return GroupRingElement(self.group)
-        return GroupRingElement(
-            self.group, {x: factor * c for x, c in self.coeffs.items()}
-        )
-
-    def __mul__(self, other):
-        if isinstance(other, GroupRingElement):
-            return multiply(self, other)
-        if isinstance(other, int):
-            return self.scaled(other)
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, int):
-            return self.scaled(other)
-        return NotImplemented
+        return GroupRingElement(self.group, {x: factor * c for x, c in self.coeffs.items()})
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GroupRingElement):

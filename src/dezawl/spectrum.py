@@ -40,23 +40,23 @@ change of basis; they are triangular in the m_lambda, and the unique
 solution, found by exact integer back substitution, is the vector of
 multiplicities, i.e. of the nullities of A - lambda*I.
 
-P is applied to blocks of max(64, n // 8) columns of the identity
-(_BLOCK_COLUMNS), one factor at a time, with float64 matrix products; the
-partial products p_j(A) on the same blocks give the traces. The first
-factor needs no product: its block is A's own columns with lambda_0
-subtracted on the diagonal, so a block takes |C| - 1 products. Every entry
-of every partial product is an integer bounded by prod (D + |lambda|),
-because each factor has absolute row sums at most D + |lambda|. While that
-bound is below 2^53 every float64 operation, whatever order BLAS sums in,
-acts on integers it represents exactly, so the products, the zero test and
-the traces are exact.
+P is applied to eight blocks of columns of the identity, one factor at a
+time, with float64 matrix products, so the working set is a few n x n/8
+float64 blocks, not n x n; the partial products p_j(A) on the same blocks
+give the traces. The first factor needs no product: its block is A's own
+columns with lambda_0 subtracted on the diagonal, so a block takes |C| - 1
+products. Every entry of every partial product is an integer bounded by
+prod (D + |lambda|), because each factor has absolute row sums at most
+D + |lambda|. While that bound is below 2^53 every float64 operation,
+whatever order BLAS sums in, acts on integers it represents exactly, so the
+products, the zero test and the traces are exact.
 
 No n x n float64 copy of A is made on the certificate's path. Every
 product of A, in the nomination and in the annihilator, goes through
-_adjacency_product, which converts max(64, n // 8) rows of the boolean
-adjacency to float64 at a time; each row of a block product sums the same
-integer terms as the full product would, so both exactness arguments
-above hold unchanged. Only the eigvalsh fallback below builds a float64 A.
+_adjacency_product, which converts the boolean adjacency to float64 in
+eight row blocks; each row of a block product sums the same integer terms
+as the full product would, so both exactness arguments above hold
+unchanged. Only the eigvalsh fallback below builds a float64 A.
 
 When the nomination fails or the annihilator refuses it (the bound is
 reached, P is not zero, or the solution is not a vector of non-negative
@@ -81,16 +81,10 @@ from typing import Optional
 
 import numpy as np
 
-from .graphs import _BLOCK_ROWS, Graph
+from .graphs import Graph, _row_blocks
 from .wl import _splitmix64
 
 CANDIDATE_TOLERANCE = 1e-6
-
-# Fewest columns of the identity per block the annihilator is applied to,
-# which takes max(_BLOCK_COLUMNS, n // 8): the working set is a few n x n/8
-# float64 blocks, not n x n, and the number of blocks, each of which
-# converts all of A to float64 once per product, stays at most 8 at large n.
-_BLOCK_COLUMNS = 64
 
 # Integers up to 2^53 in absolute value are exact in float64.
 _FLOAT_EXACT = 2**53
@@ -175,17 +169,15 @@ def exact_nullity(matrix: list[list[int]]) -> int:
 
 def _adjacency_product(adj: np.ndarray, x: np.ndarray, shift: int = 0) -> np.ndarray:
     """(A - shift*I) x in float64, for the 0/1 matrix A = adj and a float64
-    vector or block x, with max(64, n // 8) rows of adj converted to float64
-    at a time. Exact while every partial sum is an integer below 2^53 (module
+    vector or block x, with adj converted to float64 in eight row blocks.
+    Exact while every partial sum is an integer below 2^53 (module
     docstring)."""
-    n = adj.shape[0]
     out = np.empty(x.shape)
-    step = max(_BLOCK_ROWS, n // 8)
-    for lo in range(0, n, step):
-        rows = out[lo:lo + step]
-        np.matmul(adj[lo:lo + step].astype(np.float64), x, out=rows)
+    for lo, hi in _row_blocks(adj.shape[0]):
+        rows = out[lo:hi]
+        np.matmul(adj[lo:hi].astype(np.float64), x, out=rows)
         if shift:
-            rows -= shift * x[lo:lo + step]
+            rows -= shift * x[lo:hi]
     return out
 
 
@@ -202,17 +194,15 @@ def _annihilator_multiplicities(
         bound *= max_degree + abs(lam)
         if bound >= _FLOAT_EXACT:
             return None
-    n = adj.shape[0]
     c = len(candidates)
     if c == 0:
         return None  # the empty product is I, never zero
     traces = [0] * c
-    width = max(_BLOCK_COLUMNS, n // 8)
-    for start in range(0, n, width):
+    for start, stop in _row_blocks(adj.shape[0]):
         # p_0(A) = I on these columns has trace len(rows); p_1(A) = A - lambda_0 I
         # is A's own columns, converted to float64, with no product.
-        block = adj[:, start:start + width].astype(np.float64)
-        rows = np.arange(start, start + block.shape[1])
+        block = adj[:, start:stop].astype(np.float64)
+        rows = np.arange(start, stop)
         cols = np.arange(len(rows))
         traces[0] += len(rows)
         block[rows, cols] -= candidates[0]

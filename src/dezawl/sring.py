@@ -524,49 +524,36 @@ def closure_trace(g, k: int) -> ClosureTrace:
     def names(xs):
         return tuple(sorted(g.name(x) for x in xs))
 
+    def is_singleton(x: int) -> bool:
+        return closure.class_containing(x) == (x,)
+
     entries: list[TraceAssertion] = []
 
-    def singleton(name: str, x: int) -> None:
-        cls = closure.class_containing(x)
-        entries.append(
-            TraceAssertion(name, (g.name(x),), names(cls), cls == (x,))
-        )
+    def assertion(name: str, xs, holds: bool) -> None:
+        """Expect the names of xs; observe those of the classes xs meets."""
+        met = {y for x in xs for y in closure.class_containing(x)}
+        entries.append(TraceAssertion(name, names(xs), names(met), holds))
 
     cb = g.mul(g.c, g.b)
     ca = g.mul(g.c, g.a)
     da = g.mul(g.d, g.a)
     da_inv = g.mul(g.d, g.inverse(g.a))
     a_sq = g.element(2)
-    singleton("cb_is_singleton", cb)
-    singleton("ca_is_singleton", ca)
-    singleton("da_inverse_is_singleton", da_inv)
-    singleton("a_squared_is_singleton", a_sq)
+    assertion("cb_is_singleton", [cb], is_singleton(cb))
+    assertion("ca_is_singleton", [ca], is_singleton(ca))
+    assertion("da_inverse_is_singleton", [da_inv], is_singleton(da_inv))
+    assertion("a_squared_is_singleton", [a_sq], is_singleton(a_sq))
 
     a1 = subs.a1.elements
-    a1_union = sorted({y for x in a1 for y in closure.class_containing(x)})
-    entries.append(
-        TraceAssertion(
-            "a1_elements_are_singletons",
-            names(a1),
-            names(a1_union),
-            all(closure.class_containing(x) == (x,) for x in a1),
-        )
-    )
+    assertion("a1_elements_are_singletons", a1, all(is_singleton(x) for x in a1))
 
     if k % 2 == 0:
-        singleton("da_is_singleton", da)
+        assertion("da_is_singleton", [da], is_singleton(da))
         cda = g.mul(g.mul(g.c, g.d), g.a)
         for label, rep in (("Lc", g.c), ("La", g.a), ("Ld", g.d), ("Lcda", cda)):
-            coset = sorted(g.mul(x, rep) for x in subs.l.elements)
-            observed = sorted({y for x in coset for y in closure.class_containing(x)})
-            entries.append(
-                TraceAssertion(
-                    f"coset_{label}_is_class_union",
-                    names(coset),
-                    names(observed),
-                    closure.is_union_of_classes(coset),
-                )
-            )
+            coset = [g.mul(x, rep) for x in subs.l.elements]
+            assertion(f"coset_{label}_is_class_union", coset,
+                      closure.is_union_of_classes(coset))
 
     singles = all(len(cls) == 1 for cls in closure.classes)
     return ClosureTrace(k, closure.rank, entries, singles)

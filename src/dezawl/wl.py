@@ -63,7 +63,7 @@ n <= 46340; initial_pair_coloring, and so wl2, raise ValueError past that
 before allocating anything. A unit below is 8 n^2 bytes, one n x n int64
 array. A hashed round (_hashed_key) holds the current coloring (half a
 unit), the int64 key (one), the float64 operand y_t[color] (one) and one
-block of n // 8 + 1 rows of x_t[color] and of its product: it never holds
+of eight row blocks of x_t[color] and of its product: it never holds
 x_t[color] or a full product. The key goes straight into
 _renumber_first_occurrence, which sorts it in place and frees it once the
 run starts are known; then the argsort order (one unit of intp), the int32
@@ -103,7 +103,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .graphs import Graph
+from .graphs import Graph, _row_blocks
 
 
 @dataclass
@@ -220,25 +220,18 @@ def _splitmix64(start: int, size: int) -> np.ndarray:
     return z ^ (z >> np.uint64(31))
 
 
-# Each hashed product is formed in this many row blocks, so a round holds no
-# full x_t[color] and no full product.
-_HASH_BLOCKS = 8
-
-
 def _hashed_key(color: np.ndarray, num_colors: int, seed: int) -> np.ndarray:
     """The flat int64 rows color * p^2 + h_1 * p + h_2 of a hashed round."""
-    n = color.shape[0]
     p = _HASH_PRIME
     words = _splitmix64(seed << 32, 4 * num_colors) % np.uint64(p - 1) + np.uint64(1)
     x1, y1, x2, y2 = words.astype(np.float64).reshape(4, num_colors)
     key = color.astype(np.int64)
     key *= p * p
-    rows = n // _HASH_BLOCKS + 1
     for x, y, scale in ((x1, y1, p), (x2, y2, 1)):
         y_color = y[color]
-        for lo in range(0, n, rows):
-            key[lo:lo + rows] += (
-                (x[color[lo:lo + rows]] @ y_color).astype(np.int64) % p * scale)
+        # Row blocks, so a round holds no full x_t[color] and no full product.
+        for lo, hi in _row_blocks(len(color)):
+            key[lo:hi] += (x[color[lo:hi]] @ y_color).astype(np.int64) % p * scale
         del y_color  # before the second operand is built
     return key.ravel()
 
@@ -345,8 +338,9 @@ def _orbit_representatives(
     return reps
 
 
-# Rows v of the int64 code block a recheck builds and sorts at a time.
-_RECHECK_BLOCK_ROWS = 64
+# Rows of the code block that a coherence recheck or a 1-WL round builds and
+# sorts at a time.
+_SORT_BLOCK_ROWS = 64
 
 
 def _varying_intersection(
@@ -368,8 +362,8 @@ def _varying_intersection(
         np.minimum.at(first, row, here)
         is_first = first[row] == here
         left = np.multiply(row, rank, dtype=np.int64)
-        for v0 in range(0, n, _RECHECK_BLOCK_ROWS):
-            v1 = min(n, v0 + _RECHECK_BLOCK_ROWS)
+        for v0 in range(0, n, _SORT_BLOCK_ROWS):
+            v1 = min(n, v0 + _SORT_BLOCK_ROWS)
             # multisets[v - v0] holds the codes color(u, w) * rank + color(w, v).
             multisets = left + color.T[v0:v1]
             multisets.sort(axis=1)
@@ -529,10 +523,6 @@ def _neighbor_index(adjs: Sequence[np.ndarray]) -> np.ndarray:
     return index
 
 
-# Rows of the neighbor-code block gathered and sorted at a time in a 1-WL round.
-_WL1_BLOCK_ROWS = 64
-
-
 def _refine_vertex_colors(adjs: Sequence[np.ndarray], directed: bool) -> np.ndarray:
     """wl1 of the disjoint union of the (di)graphs with the given adjacency
     matrices, as an int32 vector; see the module docstring."""
@@ -549,8 +539,8 @@ def _refine_vertex_colors(adjs: Sequence[np.ndarray], directed: bool) -> np.ndar
     while True:
         code[:n] = colors + 1
         keys: list[bytes] = []
-        for lo in range(0, n, _WL1_BLOCK_ROWS):
-            hi = min(n, lo + _WL1_BLOCK_ROWS)
+        for lo in range(0, n, _SORT_BLOCK_ROWS):
+            hi = min(n, lo + _SORT_BLOCK_ROWS)
             block = np.empty((hi - lo, width), dtype=">i4")
             block[:, 0] = code[lo:hi]
             at = 1

@@ -3,16 +3,16 @@
 Random graphs and digraphs on at most 40 vertices, including empty,
 complete, disconnected, path-like and Cayley graphs, must give the same
 common-neighbor counts as an int64 loop (put together from the row blocks,
-of the default size and of n // 8 rows), the same diameter as a
-breadth-first search, and the same Deza and divisible-design outcomes as
-the pair-by-pair loops of test_graph_pins. On 65 to 160 vertices, past one
-64-row block of a diameter step, and on 530 vertices, where a step takes
-blocks of n // 8 rows and a shorter last one, the diameter must still equal
-the search. On 65 to 300 vertices, regular graphs whose first break of a
-pattern is pushed past the first row block by a switch of edges among
-high-numbered vertices must give the Deza and divisible-design outcomes of
-the loops, and fixed cases put the deciding pair in the first row of a
-later block and inside the last one.
+eight of them and one), the same diameter as a breadth-first search, and
+the same Deza and divisible-design outcomes as the pair-by-pair loops of
+test_graph_pins, in eight row blocks and in one. On 65 to 160 vertices, and
+on 530 vertices, where a diameter step takes blocks of ceil(n / 8) rows and
+a shorter last one, the diameter must still equal the search. On 65 to 300
+vertices, regular graphs whose first break of a pattern is pushed past the
+first row block by a switch of edges among high-numbered vertices must give
+the Deza and divisible-design outcomes of the loops, and fixed cases put
+the deciding pair in the first row of a later block and inside the last
+one.
 """
 
 from __future__ import annotations
@@ -137,16 +137,15 @@ def _reference_counts(g):
 
 def _counts_from_blocks(g):
     """A A^T put together from the row blocks, each of which holds the
-    pairs u <= v of its rows; checks the block sizes and pair masks."""
+    pairs u <= v of its rows; checks the block bounds and pair masks."""
     counts = np.full((g.n, g.n), -1, dtype=np.int64)
-    step = max(graph_layer._BLOCK_ROWS, g.n // 8)
-    starts = []
+    bounds = []
     for lo, block, upper in _common_neighbor_blocks(g):
-        assert block.shape == (min(step, g.n - lo), g.n - lo)
+        assert block.shape[1] == g.n - lo
         assert np.array_equal(upper, np.triu(np.ones(block.shape, dtype=bool), 1))
         counts[lo:lo + len(block), lo:] = block
-        starts.append(lo)
-    assert starts == list(range(0, g.n, step))
+        bounds.append((lo, lo + len(block)))
+    assert bounds == graph_layer._row_blocks(g.n)
     lower = np.tril_indices(g.n, -1)
     counts[lower] = counts.T[lower]
     return counts
@@ -156,9 +155,9 @@ def _counts_from_blocks(g):
 @given(st.one_of(graphs(), graphs(directed=True)))
 def test_common_neighbor_counts_equal_the_loop(g):
     expected = _reference_counts(g)
+    # eight blocks of ceil(n / 8) rows, the last one shorter, then one block
     assert np.array_equal(_counts_from_blocks(g), expected)
-    # blocks of n // 8 rows: up to 8 blocks and a shorter last one
-    with mock.patch.object(graph_layer, "_BLOCK_ROWS", 1):
+    with mock.patch.object(graph_layer, "_BLOCKS", 1):
         assert np.array_equal(_counts_from_blocks(g), expected)
 
 
@@ -208,10 +207,13 @@ def test_ddg_outcome_equals_the_reference_loop(case):
 @PROPERTY
 @given(partitioned_graphs())
 def test_outcomes_in_blocks_of_an_eighth_equal_the_reference_loops(case):
+    """Eight row blocks, the default, and one block give the same outcomes."""
     g, partition = case
-    with mock.patch.object(graph_layer, "_BLOCK_ROWS", 1):
-        assert _ddg_outcome(ddg_check(g, partition)) == _reference_ddg(g, partition)
-        assert _deza_outcome(deza_parameters(g)) == _reference_deza(g)
+    ddg, deza = _reference_ddg(g, partition), _reference_deza(g)
+    for blocks in (graph_layer._BLOCKS, 1):
+        with mock.patch.object(graph_layer, "_BLOCKS", blocks):
+            assert _ddg_outcome(ddg_check(g, partition)) == ddg
+            assert _deza_outcome(deza_parameters(g)) == deza
 
 
 def _union(parts):

@@ -1,6 +1,7 @@
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from dezawl import (
@@ -20,14 +21,17 @@ from dezawl import (
     graph_from_json,
     graph_to_json,
     grid_graph,
+    integral_spectrum,
     multiply,
     parse_edgelist,
     simple_quantity,
     subgroup_generated,
     to_dot,
     wl1_distinguishes,
+    wl2,
     write_edgelist,
 )
+from dezawl import graphs as graph_layer
 from dezawl.graphs import _common_neighbor_blocks
 
 
@@ -199,6 +203,36 @@ def test_products_refuse_graphs_past_the_float32_bound(product):
     g.n, g.directed = 2**24, False
     with pytest.raises(ValueError, match="too many"):
         product(g)
+
+
+@pytest.mark.parametrize("blocks", [1, 3, 8, 64])
+def test_row_blocks_cover_every_row_once(monkeypatch, blocks):
+    """At most `blocks` nonempty ranges of ceil(n / blocks) rows, the last
+    one shorter, that list 0..n-1 in order."""
+    monkeypatch.setattr(graph_layer, "_BLOCKS", blocks)
+    for n in range(601):
+        bounds = graph_layer._row_blocks(n)
+        assert len(bounds) <= blocks
+        assert all(lo < hi for lo, hi in bounds)
+        assert all(hi - lo == -(-n // blocks) for lo, hi in bounds[:-1])
+        assert [r for lo, hi in bounds for r in range(lo, hi)] == list(range(n))
+
+
+def _blocked_results(g):
+    return wl2(g).coloring.color, integral_spectrum(g), deza_parameters(g), diameter(g)
+
+
+@pytest.mark.parametrize("name", ["gamma5", "grid4x10"])
+def test_row_blocks_do_not_change_any_result(cache, monkeypatch, name):
+    """The 2-WL colours (hashed products), the spectrum, the Deza parameters
+    and the diameter are the same in one block, three, eight and n."""
+    g = cache.graph(5) if name == "gamma5" else grid_graph(4, 10)
+    color, *expected = _blocked_results(g)
+    for blocks in (1, 3, g.n):
+        monkeypatch.setattr(graph_layer, "_BLOCKS", blocks)
+        blocked_color, *blocked = _blocked_results(g)
+        assert np.array_equal(blocked_color, color)
+        assert blocked == expected
 
 
 @pytest.mark.parametrize("k", [3, 4, 11, 12])

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import elementary_abelian
+from dezawl import graphs as graph_layer
 from dezawl import spectrum
 from dezawl import (
     Graph,
@@ -281,11 +282,11 @@ def test_spectrum_past_the_float_bound_goes_to_elimination(cache, monkeypatch):
     assert calls == [32] * 5
 
 
-@pytest.mark.parametrize("width", [1, 5, 16, 64])
-def test_block_width_does_not_change_the_result(cache, monkeypatch, width):
-    """Columns per block are max(width, n // 8): 5, 5, 16 and 40 at n = 40."""
+@pytest.mark.parametrize("blocks", [1, 3, 8, 40])
+def test_block_width_does_not_change_the_result(cache, monkeypatch, blocks):
+    """Columns per block are ceil(n / blocks): 40, 14, 5 and 1 at n = 40."""
     g = cache.graph(5)
-    monkeypatch.setattr(spectrum, "_BLOCK_COLUMNS", width)
+    monkeypatch.setattr(graph_layer, "_BLOCKS", blocks)
     assert _certify(g, [12, 8, 2, -2, -8]) == [1, 1, 17, 19, 2]
     assert integral_spectrum(g) == _reference_spectrum(g)
 
@@ -418,10 +419,10 @@ def _counting(monkeypatch):
 def test_annihilator_runs_one_product_fewer_per_block(cache, monkeypatch):
     g = cache.graph(5)  # n = 40, five candidates
     products = _counting(monkeypatch)
-    monkeypatch.setattr(spectrum, "_BLOCK_COLUMNS", 16)
+    monkeypatch.setattr(graph_layer, "_BLOCKS", 3)
     mults = spectrum._annihilator_multiplicities(g.adj, [12, 8, 2, -2, -8], _max_degree(g))
     assert mults == [1, 1, 17, 19, 2]
-    assert products == [(40, 16)] * 8 + [(40, 8)] * 4  # 3 blocks, 4 products each
+    assert products == [(40, 14)] * 8 + [(40, 12)] * 4  # 3 blocks, 4 products each
     assert spectrum._annihilator_multiplicities(g.adj, [], _max_degree(g)) is None
 
 
