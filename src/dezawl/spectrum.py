@@ -15,16 +15,11 @@ over GF(p) by Berlekamp-Massey (Massey, IEEE Trans. Inf. Theory 1969), and
 nominates the integers lambda in [-D, D], D the maximum degree, at which
 that polynomial vanishes mod p, provided there are exactly as many as its
 degree L. It divides the minimal polynomial of A, and for almost every v, w
-equals it. Two bounds keep the sequence exact. The products A u_j are
-float64, and every entry of u_j is below p, so each row sum is an integer
-below D * p < 2^53 (nomination is refused from D = 2^22 on). And s_j is
+equals it. The products A u_j follow the exactness rule below, and s_j is
 summed in Python integers, never as a float64 dot product. The sequence
 stops once it holds 2L + 2 terms, L the current linear complexity, and is
-abandoned as soon as L exceeds the number of distinct candidates the
-certificate could accept: at most 2D + 1, and fewer when the product
-prod (D + |lambda|) over the smallest factors reaches 2^53. So it takes at
-most twice that number plus two terms, a few dozen matrix-vector products,
-even on non-integral input.
+abandoned as soon as L exceeds 2D + 1, the number of integers in [-D, D].
+So it takes at most 4D + 4 terms, even on non-integral input.
 
 Given a candidate set C, integral_spectrum proves that the product
 P = prod_{lambda in C} (A - lambda*I) is the zero matrix. A is real
@@ -45,21 +40,29 @@ time, with float64 matrix products, so the working set is a few n x n/8
 float64 blocks, not n x n; the partial products p_j(A) on the same blocks
 give the traces. The first factor needs no product: its block is A's own
 columns with lambda_0 subtracted on the diagonal, so a block takes |C| - 1
-products. Every entry of every partial product is an integer bounded by
-prod (D + |lambda|), because each factor has absolute row sums at most
-D + |lambda|. While that bound is below 2^53 every float64 operation,
-whatever order BLAS sums in, acts on integers it represents exactly, so the
-products, the zero test and the traces are exact.
+products.
 
-No n x n float64 copy of A is made on the certificate's path. Every
-product of A, in the nomination and in the annihilator, goes through
-_adjacency_product, which converts the boolean adjacency to float64 in
-eight row blocks; each row of a block product sums the same integer terms
-as the full product would, so both exactness arguments above hold
-unchanged. Only the eigvalsh fallback below builds a float64 A.
+Exactness has one rule, checked as each product runs. Every product of A
+is one call of _adjacency_product(adj, x, D, shift). It converts the
+boolean adjacency to float64 in eight row blocks, so only the eigvalsh
+fallback below builds an n x n float64 A, and it returns (A - shift*I) x
+only if (D + |shift|) * max|x| < 2^53, else None. For an exact integer x
+this is sound: row i of A has at most D ones, so every partial sum of
+(A x)_ij, and that sum less shift * x_ij, is an integer of absolute value
+at most (D + |shift|) * max|x| < 2^53, which float64 holds exactly,
+whatever order BLAS sums in, with or without FMA. Each x is exact: the Krylov
+vector reduced mod p (entries below p < 2^31), an earlier checked product,
+or the annihilator's first block, whose entries a_ij and a_ii - lambda_0
+come from no product. Rounding is monotone and 2^53 is a float, so entries
+that round below 2^53 are exact, and a larger lambda_0 is caught before a
+trace is used: if |C| = 1 by the zero test, exact anyway, and else by the
+rule on the next product, as D + |lambda_1| >= 1. In the one exception,
+D = lambda_1 = 0, A = 0 makes every later block exactly 0, and lambda_1's
+trace equation asks lambda_0 to divide n * fl(lambda_0), which for
+fl(lambda_0) != lambda_0 needs n >= 2^53.
 
-When the nomination fails or the annihilator refuses it (the bound is
-reached, P is not zero, or the solution is not a vector of non-negative
+When the nomination fails or the annihilator refuses it (a product is
+refused, P is not zero, or the solution is not a vector of non-negative
 integers), numpy's eigvalsh nominates instead: its eigenvalues within
 CANDIDATE_TOLERANCE of an integer are the candidates, and the others are
 reported as unmatched. Their multiplicities are computed as exact nullities
@@ -67,10 +70,9 @@ of A - lambda*I over the rationals by integer row elimination
 (cross-multiplication with per-row gcd reduction, which preserves rank),
 and the dimension they leave unexplained is reported. The annihilator is
 not tried again on the float candidates. For an integral graph they are
-its distinct eigenvalues, which the Krylov sequence misses only for an
-unlucky v, w (probability about L/p) or whose factors D + |lambda|
-multiply past the entry bound, in which case the annihilator refuses them
-as well.
+its distinct eigenvalues, which the annihilator has already refused unless
+the Krylov sequence failed: for an unlucky v, w (probability about L/p), or
+when D * max|u_j| reached 2^53.
 """
 
 from __future__ import annotations
@@ -89,11 +91,8 @@ CANDIDATE_TOLERANCE = 1e-6
 # Integers up to 2^53 in absolute value are exact in float64.
 _FLOAT_EXACT = 2**53
 
-# The Krylov nomination works modulo this prime. Its sequence entries are
-# below it, so a float64 product sums at most D of them exactly while
-# D < _KRYLOV_MAX_DEGREE: D * p < 2^22 * 2^31 = 2^53.
+# The Krylov nomination works modulo this prime.
 _KRYLOV_PRIME = 2**31 - 1
-_KRYLOV_MAX_DEGREE = 2**22
 
 
 @dataclass(frozen=True)
@@ -167,11 +166,16 @@ def exact_nullity(matrix: list[list[int]]) -> int:
     return len(matrix) - integer_rank(matrix)
 
 
-def _adjacency_product(adj: np.ndarray, x: np.ndarray, shift: int = 0) -> np.ndarray:
-    """(A - shift*I) x in float64, for the 0/1 matrix A = adj and a float64
-    vector or block x, with adj converted to float64 in eight row blocks.
-    Exact while every partial sum is an integer below 2^53 (module
-    docstring)."""
+def _adjacency_product(
+    adj: np.ndarray, x: np.ndarray, max_degree: int, shift: int = 0
+) -> Optional[np.ndarray]:
+    """(A - shift*I) x in float64, for the 0/1 matrix A = adj of maximum row
+    sum max_degree and an exact integer-valued float64 vector or block x,
+    with adj converted to float64 in eight row blocks. None unless
+    (max_degree + |shift|) * max|x| < 2^53, which makes every partial sum
+    an exact integer (module docstring)."""
+    if (max_degree + abs(shift)) * int(max(x.max(), -x.min())) >= _FLOAT_EXACT:
+        return None
     out = np.empty(x.shape)
     for lo, hi in _row_blocks(adj.shape[0]):
         rows = out[lo:hi]
@@ -187,13 +191,8 @@ def _annihilator_multiplicities(
     """Exact multiplicities of the distinct integers `candidates` as
     eigenvalues of the symmetric 0/1 matrix adj (maximum row sum
     max_degree), or None when the certificate of the module docstring does
-    not go through: the entry bound reaches 2^53, prod (A - lambda*I) is not
-    zero, or the solved multiplicities are not non-negative integers."""
-    bound = 1
-    for lam in candidates:
-        bound *= max_degree + abs(lam)
-        if bound >= _FLOAT_EXACT:
-            return None
+    not go through: a product is refused as inexact, prod (A - lambda*I) is
+    not zero, or the solved multiplicities are not non-negative integers."""
     c = len(candidates)
     if c == 0:
         return None  # the empty product is I, never zero
@@ -208,7 +207,9 @@ def _annihilator_multiplicities(
         block[rows, cols] -= candidates[0]
         for j in range(1, c):
             traces[j] += sum(int(x) for x in block[rows, cols].tolist())
-            block = _adjacency_product(adj, block, candidates[j])
+            block = _adjacency_product(adj, block, max_degree, candidates[j])
+            if block is None:
+                return None
         if block.any():
             return None
     # Equation j: sum_{i >= j} m_i * p_j(lambda_i) = traces[j], since
@@ -233,33 +234,18 @@ def _newton(candidates: list[int], j: int, x: int) -> int:
     return value
 
 
-def _candidate_cap(max_degree: int) -> int:
-    """Most distinct integers in [-D, D], D = max_degree, that one candidate
-    set accepted by _annihilator_multiplicities can hold: the factors
-    D + |lambda| taken smallest first while their product stays below 2^53."""
-    cap, bound = 0, 1
-    for t in range(2 * max_degree + 1):
-        bound *= max_degree + (t + 1) // 2  # |lambda| = 0, 1, 1, 2, 2, ...
-        if bound >= _FLOAT_EXACT:
-            break
-        cap += 1
-    return cap
-
-
 def _krylov_candidates(adj: np.ndarray, max_degree: int) -> Optional[list[int]]:
     """Distinct integers, decreasing, nominated as the eigenvalues of the
     symmetric 0/1 matrix adj (maximum row sum max_degree) by the
     Krylov sequence s_j = w . A^j v mod p and Berlekamp-Massey, or None when
-    the nomination fails (module docstring). Untrusted: only the
-    annihilator certifies."""
-    if max_degree >= _KRYLOV_MAX_DEGREE:
-        return None
+    the nomination fails: L passes 2 max_degree + 1, a product is refused as
+    inexact, or the minimal polynomial lacks L integer roots (module
+    docstring). Untrusted: only the annihilator certifies."""
     p = _KRYLOV_PRIME
     n = adj.shape[0]
     words = (_splitmix64(0, 2 * n) % np.uint64(p - 1) + np.uint64(1)).reshape(2, n)
     w = words[0].tolist()
     u = words[1].astype(np.float64)
-    cap = _candidate_cap(max_degree)
     # Berlekamp-Massey over GF(p): conn is the connection polynomial of
     # linear complexity length, prev the one before the last length change,
     # prev_disc that change's discrepancy and shift the terms since it.
@@ -268,7 +254,9 @@ def _krylov_candidates(adj: np.ndarray, max_degree: int) -> Optional[list[int]]:
     length, shift, prev_disc = 0, 1, 1
     while len(s) < 2 * length + 2:
         if s:
-            u = _adjacency_product(adj, u)
+            u = _adjacency_product(adj, u, max_degree)
+            if u is None:
+                return None
             np.fmod(u, p, out=u)
         s.append(sum(map(int.__mul__, w, u.astype(np.int64).tolist())) % p)
         i = len(s) - 1
@@ -282,7 +270,7 @@ def _krylov_candidates(adj: np.ndarray, max_degree: int) -> Optional[list[int]]:
             new[j + shift] = (new[j + shift] - coef * b) % p
         if 2 * length <= i:
             prev, prev_disc, length, shift = conn, disc, i + 1 - length, 1
-            if length > cap:
+            if length > 2 * max_degree + 1:
                 return None
         else:
             shift += 1
@@ -307,9 +295,9 @@ def integral_spectrum(g: Graph):
     NonIntegralVerdict when the certified multiplicities do not account for
     every dimension. Multiplicities come from the annihilating-polynomial
     certificate (see the module docstring: A symmetric, so diagonalizable;
-    prod over the candidates of (A - lambda*I) = 0, checked exactly in
-    float64 while prod (D + |lambda|) < 2^53; the trace equations solved
-    exactly), or else from exact integer elimination, one nullity per
+    prod over the candidates of (A - lambda*I) = 0, checked in float64
+    products that each prove their own exactness; the trace equations
+    solved exactly), or else from exact integer elimination, one nullity per
     candidate. NonIntegralVerdict only ever comes from elimination.
 
     The candidates are the exact Krylov nomination. eigvalsh runs only when
@@ -328,7 +316,7 @@ def integral_spectrum(g: Graph):
     if nominated is not None:
         mults = _annihilator_multiplicities(g.adj, nominated, max_degree)
         if mults is not None:
-            return _certified(nominated, mults)
+            return IntegralSpectrum(tuple((lam, m) for lam, m in zip(nominated, mults) if m > 0))
 
     floats = np.linalg.eigvalsh(g.adj.astype(np.float64))
     candidates: set[int] = set()
@@ -356,11 +344,6 @@ def integral_spectrum(g: Graph):
     if total != n:
         return NonIntegralVerdict(tuple(pairs), n - total, tuple(unmatched))
     return IntegralSpectrum(tuple(pairs))
-
-
-def _certified(candidates: list[int], mults: list[int]) -> IntegralSpectrum:
-    """The certified pairs, candidates of multiplicity 0 dropped."""
-    return IntegralSpectrum(tuple((lam, m) for lam, m in zip(candidates, mults) if m > 0))
 
 
 def expected_eigenvalues(k: int) -> set[int]:

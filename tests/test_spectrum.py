@@ -255,15 +255,30 @@ def test_annihilator_rejects_a_missing_eigenvalue(cache, missing):
 
 
 def test_annihilator_refuses_past_the_float_bound(cache):
-    # prod (D + |lambda|) over these candidates is at least 2^53
+    assert _certify(cache.graph(3), [8, 4, 2**53, 2, -2, -4]) is None
+    # A first block past 2^53 is refused by the next product's check, and
+    # alone by the zero test.
+    assert _certify(cache.graph(3), [2**53, 8, 4, 2, -2, -4]) is None
+    assert _certify(cache.graph(3), [2**53 + 1]) is None
+
+
+def test_annihilator_certifies_far_candidates_whose_products_stay_exact(cache):
+    """prod (D + |lambda|) over these candidates passes 2^53, but every
+    product the annihilator runs stays below it, and the candidates that
+    are no eigenvalues get multiplicity 0. After the whole spectrum the
+    block is zero, so even a shift of 2^53 leaves the product exact."""
     far = [8, 4, 2, -2, -4] + [2**10 + i for i in range(5)]
-    assert _certify(cache.graph(3), far) is None
-    assert _certify(cache.graph(3), [8, 4, 2, -2, -4, 2**53]) is None
+    assert math.prod(8 + abs(lam) for lam in far) >= 2**53
+    assert _certify(cache.graph(3), far) == [1, 1, 9, 11, 2, 0, 0, 0, 0, 0]
+    assert _certify(cache.graph(3), [8, 4, 2, -2, -4, 2**53]) == [1, 1, 9, 11, 2, 0]
 
 
 def test_spectrum_past_the_float_bound_goes_to_elimination(cache, monkeypatch):
     g = cache.graph(4)
     expected = integral_spectrum(g)
+    bounds = _product_bounds(monkeypatch)
+    integral_spectrum(g)
+    peak = max(bounds)  # as the float bound, it refuses the product that reached it
     calls = []
     original = spectrum.integer_rank
 
@@ -272,12 +287,10 @@ def test_spectrum_past_the_float_bound_goes_to_elimination(cache, monkeypatch):
         return original(matrix)
 
     monkeypatch.setattr(spectrum, "integer_rank", counting)
-    # the bound prod (D + |lambda|) for Gamma_4: D = 10, spectrum {10, 6, 2, -2, -6}
-    bound = 20 * 16 * 12 * 12 * 16
-    monkeypatch.setattr(spectrum, "_FLOAT_EXACT", bound + 1)
+    monkeypatch.setattr(spectrum, "_FLOAT_EXACT", peak + 1)
     assert integral_spectrum(g) == expected
     assert not calls
-    monkeypatch.setattr(spectrum, "_FLOAT_EXACT", bound)
+    monkeypatch.setattr(spectrum, "_FLOAT_EXACT", peak)
     assert integral_spectrum(g) == expected
     assert calls == [32] * 5
 
@@ -375,8 +388,8 @@ def test_a_wrong_nomination_never_changes_the_verdict(cache, monkeypatch, fault,
 
 
 def test_a_refused_nomination_goes_to_elimination(cache, monkeypatch):
-    """With the float bound set so that the annihilator refuses Gamma_4's
-    true spectrum, the annihilator runs once, on the nominated set, and
+    """With every product of a block refused, the annihilator refuses
+    Gamma_4's true spectrum: it runs once, on the nominated set, and
     elimination gives the verdict."""
     g = cache.graph(4)
     expected = integral_spectrum(g)
@@ -396,7 +409,12 @@ def test_a_refused_nomination_goes_to_elimination(cache, monkeypatch):
 
     monkeypatch.setattr(spectrum, "_annihilator_multiplicities", counting)
     monkeypatch.setattr(spectrum, "exact_nullity", counting_nullity)
-    monkeypatch.setattr(spectrum, "_FLOAT_EXACT", 20 * 16 * 12 * 12 * 16)
+    original_product = spectrum._adjacency_product
+
+    def vectors_only(adj, x, max_degree, shift=0):
+        return None if x.ndim == 2 else original_product(adj, x, max_degree, shift)
+
+    monkeypatch.setattr(spectrum, "_adjacency_product", vectors_only)
     assert integral_spectrum(g) == expected
     assert calls == [[10, 6, 2, -2, -6]]
     assert eliminated == [10, 6, 2, -2, -6]
@@ -408,12 +426,41 @@ def _counting(monkeypatch):
     products = []
     original = spectrum._adjacency_product
 
-    def counting(adj, x, shift=0):
+    def counting(adj, x, max_degree, shift=0):
         products.append(x.shape)
-        return original(adj, x, shift)
+        return original(adj, x, max_degree, shift)
 
     monkeypatch.setattr(spectrum, "_adjacency_product", counting)
     return products
+
+
+def _product_bounds(monkeypatch):
+    """(D + |shift|) * max|x| for every product of A, in call order: the
+    value that _adjacency_product checks against 2^53."""
+    bounds = []
+    original = spectrum._adjacency_product
+
+    def recording(adj, x, max_degree, shift=0):
+        bounds.append((max_degree + abs(shift)) * int(np.abs(x).max()))
+        return original(adj, x, max_degree, shift)
+
+    monkeypatch.setattr(spectrum, "_adjacency_product", recording)
+    return bounds
+
+
+@pytest.mark.parametrize("shift_sign", [1, -1])
+@pytest.mark.parametrize("x_sign", [1, -1])
+def test_a_product_is_refused_exactly_at_the_float_bound(shift_sign, x_sign):
+    """(A - shift*I) x is refused when (D + |shift|) * max|x| is 2^53 and
+    exact when it is 2^53 - 1, with max|x| taken by an entry of either
+    sign. A swaps the two entries of x, so D = 1."""
+    adj = np.array([[False, True], [True, False]])
+    shift, top = shift_sign * 1023, x_sign * 2**43  # 1024 * 2^43 = 2^53
+    assert spectrum._adjacency_product(adj, np.array([top, 1.0]), 1, shift) is None
+    shift, top = shift_sign * 6360, x_sign * 1416003655831  # 6361 * top = 2^53 - 1
+    x = [top, -x_sign * (2**40 + 1)]
+    out = spectrum._adjacency_product(adj, np.array(x, dtype=np.float64), 1, shift)
+    assert [int(v) for v in out] == [x[1] - shift * x[0], x[0] - shift * x[1]]
 
 
 def test_annihilator_runs_one_product_fewer_per_block(cache, monkeypatch):
@@ -445,7 +492,7 @@ def _count_products(monkeypatch, g):
 
 @pytest.mark.parametrize("g", [_path(60), _cycle(61)], ids=["p60", "c61"])
 def test_nomination_of_many_eigenvalues_stops_at_its_term_cap(monkeypatch, g):
-    cap = spectrum._candidate_cap(_max_degree(g))
+    cap = 2 * _max_degree(g) + 1
     assert cap == 5  # D = 2: all of -2..2
     nominated, products = _count_products(monkeypatch, g)
     assert nominated is None
@@ -460,18 +507,17 @@ def test_nomination_of_the_family_graph_takes_2L_plus_2_terms(cache, monkeypatch
     assert products == 2 * 5 + 1
 
 
-@pytest.mark.parametrize("d", [0, 1, 2, 10, 98, 514, 2**21])
-def test_candidate_cap_is_the_largest_set_under_the_float_bound(d):
-    cap = spectrum._candidate_cap(d)
-    # The cap + 1 smallest factors all have |lambda| <= cap + 1.
-    m = min(d, cap + 1)
-    factors = sorted(d + abs(lam) for lam in range(-m, m + 1))
-    assert math.prod(factors[:cap]) < 2**53
-    assert cap == 2 * d + 1 or math.prod(factors[:cap + 1]) >= 2**53
-
-
-def test_nomination_refuses_degrees_past_the_float64_bound():
-    assert spectrum._krylov_candidates(np.zeros((1, 1), dtype=bool), 2**22) is None
+def test_nomination_refuses_degrees_past_the_float64_bound(monkeypatch):
+    """On one vertex u_0 is one entry below p, and the first product is
+    refused once D * u_0 reaches 2^53."""
+    bounds = _product_bounds(monkeypatch)
+    one = np.zeros((1, 1), dtype=bool)
+    assert spectrum._krylov_candidates(one, 1) == [0]
+    u0 = bounds[0]  # D = 1
+    assert 0 < u0 < spectrum._KRYLOV_PRIME
+    bounds.clear()
+    assert spectrum._krylov_candidates(one, -(-2**53 // u0)) is None
+    assert len(bounds) == 1
 
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -487,10 +533,26 @@ def test_cayley_graphs_of_c2m_nominate_their_distinct_eigenvalues(m, data):
     g = cayley_graph(group, s)
     expected = _reference_spectrum(g)
     assert isinstance(expected, IntegralSpectrum)
-    distinct = _distinct_eigenvalues(expected)
-    cap = spectrum._candidate_cap(_max_degree(g))
-    assert _nominate(g) == (distinct if len(distinct) <= cap else None)
+    assert _nominate(g) == _distinct_eigenvalues(expected)
     assert integral_spectrum(g) == expected
+
+
+@pytest.mark.parametrize("seed, certified", [(0, True), (1, True), (2, False)])
+def test_c2m_graphs_with_many_eigenvalues_are_all_nominated(seed, certified):
+    """Cay(C2^7, S) for a random S of about 45 elements has 14 to 16
+    distinct eigenvalues, the character sums sum_{s in S} (-1)^|s & t|,
+    each as often as it occurs over t. All are nominated. The annihilator
+    certifies them unless a product passes 2^53, as at seed 2 (16 factors)."""
+    group = elementary_abelian(7)
+    rng = np.random.default_rng(seed)
+    s = {x for x in range(1, group.order) if rng.random() < 0.4}
+    sums = [sum(1 - 2 * (bin(x & t).count("1") % 2) for x in s) for t in range(group.order)]
+    distinct = sorted(set(sums), reverse=True)
+    assert len(distinct) >= 14
+    g = cayley_graph(group, s)
+    assert _nominate(g) == distinct
+    mults = _certify(g, distinct)
+    assert mults == ([sums.count(lam) for lam in distinct] if certified else None)
 
 
 @PROPERTY
