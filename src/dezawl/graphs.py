@@ -74,9 +74,6 @@ class Graph:
     def neighbors(self, u: int) -> list[int]:
         return np.flatnonzero(self.adj[u]).tolist()
 
-    def degree(self, u: int) -> int:
-        return int(np.count_nonzero(self.adj[u]))
-
     def edge_count(self) -> int:
         arcs = int(np.count_nonzero(self.adj))
         return arcs if self.directed else arcs // 2
@@ -86,9 +83,6 @@ class Graph:
         row-major order."""
         arcs = self.adj if self.directed else np.triu(self.adj, 1)
         return [(u, v) for u, v in np.argwhere(arcs).tolist()]
-
-    def common_neighbors(self, u: int, v: int) -> int:
-        return int(np.count_nonzero(self.adj[u] & self.adj[v]))
 
     def is_regular(self) -> Optional[int]:
         """The common degree, or None if degrees differ (or n = 0)."""
@@ -307,8 +301,14 @@ def deza_parameters(g: Graph) -> Union[DezaParameters, NotDezaVerdict]:
     the first pair, in row-major order of pairs u < v, that shows a third
     count. A strongly regular graph is one where the count depends only on
     adjacency; strictly Deza means diameter 2 and not strongly regular.
-    The counts are read one row block at a time (module docstring), and the
-    float32 A they need is freed before diameter builds its own.
+    The counts are read one row block at a time (module docstring).
+
+    The counts settle the diameter whenever the smaller one, alpha, is at
+    least 1: then every pair has a common neighbor, so every distance is at
+    most 2. A graph that is not strongly regular is not complete, since the
+    complete graph's non-adjacent level is vacuous, so some pair is not
+    adjacent and the diameter is exactly 2. Only when alpha = 0 does diameter
+    run; the float32 A of the counts is freed before it builds its own.
     """
     if g.directed:
         raise ValueError("Deza parameters are defined for undirected graphs")
@@ -338,7 +338,7 @@ def deza_parameters(g: Graph) -> Union[DezaParameters, NotDezaVerdict]:
                                       (lo + i, lo + j))
             values.append(int(counts[i, j]))
             fresh &= counts != values[-1]
-    strictly = (not srg) and diameter(g) == 2
+    strictly = not srg and (min(values) > 0 or diameter(g) == 2)
     return DezaParameters(g.n, k, max(values), min(values), strictly=strictly,
                           strongly_regular=srg, degenerate=len(values) == 1)
 

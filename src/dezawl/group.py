@@ -14,7 +14,6 @@ between workers.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -95,10 +94,6 @@ class Group:
             raise ValueError(f"element {a} out of range")
         return self.names[a]
 
-    def conjugate(self, g: int, x: int) -> int:
-        """Return g * x * g^-1."""
-        return int(self.mult[self.mult[g, x], self.inv[g]])
-
     def mask(self, xs: Iterable[int]) -> np.ndarray:
         """Boolean membership mask of the elements xs.
 
@@ -111,26 +106,6 @@ class Group:
         mask = np.zeros(self.order, dtype=bool)
         mask[xs] = True
         return mask
-
-    def check_associativity(self, samples: int = 1000) -> bool:
-        """Verify associativity, exhaustively up to order 64, above on samples
-        drawn with seed 0.
-
-        Returns True on success and raises ValueError on the first violating
-        triple, so a silent False is never produced.
-        """
-        n = self.order
-        if n <= 64:
-            x, y, z = np.indices((n, n, n)).reshape(3, -1)
-        else:
-            rng = random.Random(0)
-            x, y, z = np.array([[rng.randrange(n) for _ in range(3)] for _ in range(samples)],
-                               dtype=np.intp).reshape(-1, 3).T
-        bad = self.mult[self.mult[x, y], z] != self.mult[x, self.mult[y, z]]
-        if bad.any():
-            t = int(np.argmax(bad))
-            raise ValueError(f"associativity fails at ({x[t]}, {y[t]}, {z[t]})")
-        return True
 
     def __repr__(self) -> str:
         return f"Group(order={self.order})"

@@ -93,21 +93,6 @@ def multiply(x: GroupRingElement, y: GroupRingElement) -> GroupRingElement:
     return GroupRingElement(x.group, {g: c for g, c in out.items() if c != 0})
 
 
-def coefficient_fibers(xi: GroupRingElement) -> dict[int, frozenset[int]]:
-    """Group the elements of G by their coefficient in xi.
-
-    The fiber of 0 (the complement of the support) is included whenever it is
-    nonempty, so the fibers always partition the group.
-    """
-    fibers: dict[int, set[int]] = {}
-    for x, c in xi.coeffs.items():
-        fibers.setdefault(c, set()).add(x)
-    rest = set(xi.group.elements()) - set(xi.coeffs)
-    if rest:
-        fibers.setdefault(0, set()).update(rest)
-    return {c: frozenset(s) for c, s in fibers.items()}
-
-
 def connection_set(g: Group, k: int) -> frozenset[int]:
     """The inverse-closed connection set S of size 2(k+1).
 

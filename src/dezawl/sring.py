@@ -96,15 +96,6 @@ class SRingPartition:
         sizes = np.bincount(self.class_of, minlength=self.rank)
         return bool(((met == 0) | (met == sizes)).all())
 
-    def refines(self, other: "SRingPartition") -> bool:
-        """True iff every class of self lies inside a class of other, that
-        is iff there are as many distinct (own id, other id) pairs as
-        classes of self."""
-        if self.group is not other.group:
-            raise ValueError("partitions live over different groups")
-        pairs = self.class_of * other.rank + other.class_of
-        return len(set(pairs.tolist())) == self.rank
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SRingPartition):
             return NotImplemented

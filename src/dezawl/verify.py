@@ -152,10 +152,14 @@ def verify_family(k: int, drop_edge: Optional[tuple[int, int]] = None) -> Verifi
 
     # The translations only shorten the coherence recheck, which verifies
     # that they preserve the coloring and compares every row otherwise.
+    # Each 2-WL coloring (4 n^2 bytes) is dropped once its rank is read:
+    # Gamma's would otherwise sit through the grid's 2-WL, which sets the
+    # peak memory of a large run.
     with _phase(timings, "wl2"):
         conf = wl2(gamma, _right_translations(g, [g.a, g.b, g.c, g.d]))
     rank_graph = conf.rank
     work["wl2_gamma"] = _wl2_work(conf)
+    del conf
 
     with _phase(timings, "wreath"):
         wreaths = detect_wreath(closure)
@@ -196,6 +200,7 @@ def verify_family(k: int, drop_edge: Optional[tuple[int, int]] = None) -> Verifi
     )
     grid_rank = grid_conf.rank
     work["wl2_grid"] = _wl2_work(grid_conf)
+    del grid_conf
     grid_comparison = {
         "same_parameters": same_parameters,
         "grid_wl_rank": grid_rank,

@@ -97,7 +97,6 @@ block and the N keys, and no N x N array.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -121,7 +120,7 @@ class CoherentConfiguration:
     """A stable 2-WL coloring with the work wl2 did to reach it: the rounds
     run, the path ("hashed", "hashed+exact" after a rejected hashed
     coloring, or "exact" past _HASH_MAX_N) and the rows its rechecks
-    compared. Only the coloring and the rank are serialized."""
+    compared."""
 
     coloring: PairColoring
     rank: int
@@ -478,14 +477,6 @@ def verify_coherence(c: PairColoring, perms: Sequence[Sequence[int]] = ()) -> Co
         },
         len(rows),
     )
-
-
-def configuration_to_json(c: CoherentConfiguration) -> str:
-    """Serialize a coherent configuration: n, rank and the color matrix in
-    row-major order."""
-    flat = [int(x) for x in c.coloring.color.ravel()]
-    obj = {"n": c.coloring.n, "rank": c.rank, "colors": flat}
-    return json.dumps(obj, sort_keys=True) + "\n"
 
 
 def wl1(g: Graph) -> list[int]:

@@ -348,3 +348,34 @@ def test_certificate_is_plain_json(k, drop):
 
     certificate = verify_family(k, drop_edge=drop).certificate
     assert json.loads(json.dumps(certificate)) == certificate
+
+
+def test_verify_family_keeps_no_wl2_coloring_past_its_rank(monkeypatch):
+    """Each 2-WL coloring is unreachable once its rank is read: Gamma's by
+    the spectrum phase, which follows its 2-WL, and both by the closure
+    trace, which follows the grid's."""
+    import gc
+    import weakref
+
+    from dezawl import verify
+
+    refs, dead = [], []
+    real_wl2 = verify.wl2
+
+    def wl2(g, perms=()):
+        conf = real_wl2(g, perms)
+        refs.append(weakref.ref(conf.coloring.color))
+        return conf
+
+    def probe(real):
+        def wrapped(*args):
+            gc.collect()
+            dead.append([ref() is None for ref in refs])
+            return real(*args)
+        return wrapped
+
+    monkeypatch.setattr(verify, "wl2", wl2)
+    monkeypatch.setattr(verify, "integral_spectrum", probe(verify.integral_spectrum))
+    monkeypatch.setattr(verify, "closure_trace", probe(verify.closure_trace))
+    assert verify.verify_family(4).verdict == "pass"
+    assert dead == [[True], [True, True]]

@@ -12,7 +12,6 @@ from dezawl import (
     NotDezaVerdict,
     canonical_ddg_partition,
     cayley_graph,
-    coefficient_fibers,
     connection_set,
     ddg_check,
     deza_parameters,
@@ -146,6 +145,31 @@ def test_cycle_six_is_deza_but_not_strictly():
     assert params.as_tuple() == (6, 2, 1, 0)
     assert not params.strictly
     assert diameter(gamma) == 3
+
+
+@pytest.mark.parametrize("k", [3, 4, 16])
+def test_deza_parameters_calls_diameter_only_when_alpha_is_zero(cache, k, monkeypatch):
+    """alpha = 2 on Gamma_k and the 4 x 2k grid: every pair has a common
+    neighbor, so the counts alone give diameter 2. The 6-cycle has alpha = 0
+    and needs the product."""
+    import dezawl.graphs
+
+    calls = []
+
+    def counted(g):
+        calls.append(g.n)
+        return diameter(g)
+
+    monkeypatch.setattr(dezawl.graphs, "diameter", counted)
+    for graph in (cache.graph(k), grid_graph(4, 2 * k)):
+        params = deza_parameters(graph)
+        assert params.as_tuple() == (8 * k, 2 * (k + 1), 2 * (k - 1), 2)
+        assert params.strictly and not params.strongly_regular
+    assert calls == []
+    params = deza_parameters(_cycle(6))
+    assert calls == [6]
+    assert (params.alpha, params.beta, params.strictly, params.strongly_regular) == (
+        0, 1, False, False)
 
 
 def test_complete_graph_is_degenerate_deza():
@@ -284,7 +308,7 @@ def test_ddg_check_random_partition_fails():
     between = set()
     for u in range(24):
         for v in range(u + 1, 24):
-            c = gamma.common_neighbors(u, v)
+            c = np.count_nonzero(gamma.adj[u] & gamma.adj[v])
             (within if class_of[u] == class_of[v] else between).add(c)
     assert len(within) > 1 or len(between) > 1
 
@@ -308,13 +332,11 @@ def test_common_neighbor_counts_match_square_fibers(k):
     s = connection_set(g, k)
     gamma = cayley_graph(g, s)
     s_bar = simple_quantity(g, s)
-    fibers = coefficient_fibers(multiply(s_bar, s_bar))
+    coeffs = multiply(s_bar, s_bar).coeffs
     e = g.identity
-    for coeff, fiber in fibers.items():
-        for x in fiber:
-            if x == e:
-                continue
-            assert gamma.common_neighbors(e, x) == coeff
+    for x in g.elements():
+        if x != e:
+            assert np.count_nonzero(gamma.adj[e] & gamma.adj[x]) == coeffs.get(x, 0)
 
 
 def test_vertex_transitivity_necessary_conditions():
@@ -322,10 +344,10 @@ def test_vertex_transitivity_necessary_conditions():
     gamma = cayley_graph(g, connection_set(g, 4))
     profiles = set()
     for u in range(gamma.n):
-        counts = tuple(
-            sorted(gamma.common_neighbors(u, v) for v in gamma.neighbors(u))
-        )
-        profiles.add((gamma.degree(u), counts))
+        counts = tuple(sorted(
+            int(np.count_nonzero(gamma.adj[u] & gamma.adj[v])) for v in gamma.neighbors(u)
+        ))
+        profiles.add((len(gamma.neighbors(u)), counts))
     assert len(profiles) == 1
 
 
@@ -373,9 +395,10 @@ def test_parse_edgelist_rejects_garbage():
 @pytest.mark.parametrize("check", ["deza", "ddg"])
 def test_common_neighbor_checks_peak_below_one_float64_matrix(cache, check):
     """The counts and masks are held one row block at a time: on Gamma_48
-    (n = 384) each check's traced peak, the float32 A and diameter's step
-    included, stays below 8 n^2 bytes. Forming A A^T and its n x n masks
-    whole peaked at 12.3 n^2 (deza) and 11.1 n^2 (ddg)."""
+    (n = 384) each check's traced peak, the float32 A included, stays below
+    8 n^2 bytes. Gamma_48 has alpha = 2, so deza_parameters runs no diameter
+    step. Forming A A^T and its n x n masks whole peaked at 12.3 n^2 (deza)
+    and 11.1 n^2 (ddg)."""
     gamma = cache.graph(48)
     partition = canonical_ddg_partition(cache.group(48), 48)
     run = {"deza": lambda: deza_parameters(gamma),

@@ -194,7 +194,9 @@ def test_closure_monotone_under_extra_marked_sets():
         extra = base + [rng.sample(range(g.order), 3)]
         coarse = wl_closure(g, base)
         fine = wl_closure(g, extra)
-        assert fine.refines(coarse)
+        # fine refines coarse iff each fine class meets one coarse class
+        pairs = set(zip(fine.class_of.tolist(), coarse.class_of.tolist()))
+        assert len(pairs) == fine.rank
 
 
 def test_closure_idempotent(cache):

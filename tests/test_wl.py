@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -17,6 +18,14 @@ from dezawl import (
     wl_closure,
     wl_rank,
 )
+
+
+def _configuration_to_json(c):
+    """Serialize a coherent configuration: n, rank and the color matrix in
+    row-major order."""
+    flat = [int(x) for x in c.coloring.color.ravel()]
+    obj = {"n": c.coloring.n, "rank": c.rank, "colors": flat}
+    return json.dumps(obj, sort_keys=True) + "\n"
 
 
 def _cycle(n):
@@ -179,12 +188,8 @@ def test_closure_and_wl2_agree_on_cyclic_groups():
 
 
 def test_configuration_serialization(cache):
-    import json
-
-    from dezawl import configuration_to_json
-
     conf = cache.configuration(("family", 3), cache.graph(3))
-    plain = json.loads(configuration_to_json(conf))
+    plain = json.loads(_configuration_to_json(conf))
     assert plain["n"] == 24
     assert plain["rank"] == 24
     assert len(plain["colors"]) == 24 * 24
@@ -209,7 +214,7 @@ def _directed_3_cycle():
     return Graph.from_edges(3, [(0, 1), (1, 2), (2, 0)], directed=True)
 
 
-# sha256 of configuration_to_json(wl2(g)), recorded before 2-WL rounds were
+# sha256 of _configuration_to_json(wl2(g)), recorded before 2-WL rounds were
 # blocked and numbered through a signature dict; the bytes must never move.
 _PINNED_COLORINGS = {
     "gamma5": "171466738738cd91e60c39088f43fdc95c15cf15cd2f912db141c9c13e284597",
@@ -222,8 +227,6 @@ _PINNED_COLORINGS = {
 def test_final_colorings_are_bit_identical_to_pins(cache):
     import hashlib
 
-    from dezawl import configuration_to_json
-
     graphs = {
         "gamma5": cache.graph(5),
         "gamma6": cache.graph(6),
@@ -231,7 +234,7 @@ def test_final_colorings_are_bit_identical_to_pins(cache):
         "directed3cycle": _directed_3_cycle(),
     }
     for name, graph in graphs.items():
-        text = configuration_to_json(wl2(graph))
+        text = _configuration_to_json(wl2(graph))
         assert hashlib.sha256(text.encode()).hexdigest() == _PINNED_COLORINGS[name], name
 
 
@@ -308,9 +311,7 @@ def _pinned_graphs(cache):
 def _sha(conf):
     import hashlib
 
-    from dezawl import configuration_to_json
-
-    return hashlib.sha256(configuration_to_json(conf).encode()).hexdigest()
+    return hashlib.sha256(_configuration_to_json(conf).encode()).hexdigest()
 
 
 def test_hashed_rounds_take_the_hashed_path(cache):
