@@ -243,7 +243,7 @@ def _krylov_candidates(adj: np.ndarray, max_degree: int) -> Optional[list[int]]:
     docstring). Untrusted: only the annihilator certifies."""
     p = _KRYLOV_PRIME
     n = adj.shape[0]
-    words = (_splitmix64(0, 2 * n) % np.uint64(p - 1) + np.uint64(1)).reshape(2, n)
+    words = _splitmix64(0, 2 * n, p).reshape(2, n)
     w = words[0].tolist()
     u = words[1].astype(np.float64)
     # Berlekamp-Massey over GF(p): conn is the connection polynomial of

@@ -46,34 +46,33 @@ prime below 2^18. The new color is the first-occurrence id of the row
    so they reach W.
 3. Orbit reduction is sound. verify_coherence may be given vertex
    permutations. It checks exactly that each is a permutation preserving
-   every pair color; then every element pi of the group they generate does,
-   and the multiset of (color(u, w), color(w, v)) over w equals that of
-   (pi u, pi v), because w -> pi w is a bijection. Every class meets a row
-   whose vertex is the smallest of its orbit, so comparing the multisets of
-   the pairs in those rows, each with the first pair of its class there,
-   decides coherence, with the full comparison's witness: the first pair
-   (u, v) of a class lies in a representative row (were s < u the least of
-   u's orbit, (s, pi v) with pi u = s would come earlier), and every
-   multiset of a class occurs in one, so the least (code, class) that
-   varies is the same. For the family graph and the grid the group is
-   transitive and one row is compared.
+   every pair color; then so does every element pi of the group they
+   generate, and the multiset of (color(u, w), color(w, v)) over w equals
+   that of (pi u, pi v), as w -> pi w is a bijection. So every multiset of a
+   class occurs at some (s, pi v) in the row of s = pi u, the least vertex
+   of u's orbit, and the pairs of those rows give the full comparison's
+   least varying (code, class). For the family graph and the grid the group
+   is transitive and one row is compared.
 
 Pair colors are int32 ids below n^2, exact while n^2 < 2^31, that is
 n <= 46340; initial_pair_coloring, and so wl2, raise ValueError past that
 before allocating anything. A unit below is 8 n^2 bytes, one n x n int64
 array. A hashed round (_hashed_key) holds the current coloring (half a
-unit), the int64 key (one), the float64 operand y_t[color] (one) and one
-of eight row blocks of x_t[color] and of its product: it never holds
+unit), the int64 key (one), the float64 operand y_t[color] (one), the
+weights x_t, y_t of one half (2 rank float64 words, a unit at rank n^2 / 2)
+and one of eight row blocks of x_t[color] and of its product, never all of
 x_t[color] or a full product. The key goes straight into
 _renumber_first_occurrence, which sorts it in place and frees it once the
 run starts are known; then the argsort order (one unit of intp), the int32
 run ids and the int32 new ids (half a unit each) remain. wl2 holds no
 reference to the initial coloring and at most the current and the new
 coloring. So wl2 peaks near three units; under tracemalloc it stays within
-four on Gamma_16 and the 4 x 32 grid, which the tests assert, against 8.2
-with int64 colors and whole-matrix products. The recheck holds the coloring,
-one rank x n int64 table of first-pair multisets (one unit when rank = n)
-and a block of 64 rows of int64 codes.
+four on Gamma_16 and the 4 x 32 grid, against 8.2 with int64 colors and
+whole-matrix products, and within five on Gamma_32 less the edge (0, 2), of
+rank n^2 / 2, as the tests assert. The recheck holds the coloring, its
+O(rank) class counts, the colors and intp sort order of the compared pairs
+(1.5 units for all rows) and a block of 64 pairs of int64 codes: O(n^2) at
+any rank.
 
 wl1 is classical color refinement (Berkholz, Bonsma and Grohe, 2017). A
 round keys each vertex u by its signature (color(u), sorted multiset of
@@ -208,30 +207,36 @@ _HASH_PRIME = 262139
 _HASH_MAX_N = 8192
 
 
-def _splitmix64(start: int, size: int) -> np.ndarray:
+def _splitmix64(start: int, size: int, p: int) -> np.ndarray:
     """Outputs start, ..., start + size - 1 of the splitmix64 generator with
-    seed 0: seeded pseudo-random words without numpy.random, whose import
-    costs several MB of resident memory."""
+    seed 0, each taken mod p - 1 plus 1 into [1, p), computed in place:
+    seeded pseudo-random words without numpy.random, whose import costs
+    several MB of resident memory."""
     z = np.arange(start + 1, start + size + 1, dtype=np.uint64)
     z *= np.uint64(0x9E3779B97F4A7C15)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> np.uint64(31))
+    for shift, mult in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+        z ^= z >> np.uint64(shift)
+        z *= np.uint64(mult)
+    z ^= z >> np.uint64(31)
+    z %= np.uint64(p - 1)
+    z += np.uint64(1)
+    return z
 
 
 def _hashed_key(color: np.ndarray, num_colors: int, seed: int) -> np.ndarray:
     """The flat int64 rows color * p^2 + h_1 * p + h_2 of a hashed round."""
     p = _HASH_PRIME
-    words = _splitmix64(seed << 32, 4 * num_colors) % np.uint64(p - 1) + np.uint64(1)
-    x1, y1, x2, y2 = words.astype(np.float64).reshape(4, num_colors)
     key = color.astype(np.int64)
     key *= p * p
-    for x, y, scale in ((x1, y1, p), (x2, y2, 1)):
+    for t, scale in ((0, p), (1, 1)):
+        # x_t, y_t are words 2 t r, ..., 2 t r + 2 r - 1 of the seed's stream.
+        x, y = _splitmix64((seed << 32) + 2 * t * num_colors, 2 * num_colors,
+                           p).astype(np.float64).reshape(2, -1)
         y_color = y[color]
         # Row blocks, so a round holds no full x_t[color] and no full product.
         for lo, hi in _row_blocks(len(color)):
             key[lo:hi] += (x[color[lo:hi]] @ y_color).astype(np.int64) % p * scale
-        del y_color  # before the second operand is built
+        del x, y, y_color  # before the second operand is built
     return key.ravel()
 
 
@@ -306,18 +311,16 @@ class CoherenceResult:
 
 def _orbit_representatives(
     color: np.ndarray, perms: Sequence[Sequence[int]]
-) -> Optional[list[int]]:
+) -> Sequence[int]:
     """The smallest vertex of each orbit of the group the perms generate, or
-    None unless perms is nonempty and each is a permutation of the vertices
-    that preserves every pair color exactly."""
+    every vertex unless each is a permutation of the vertices that preserves
+    every pair color exactly."""
     n = color.shape[0]
     gens = [np.asarray(p, dtype=np.intp) for p in perms]
-    if not gens:
-        return None
     for p in gens:
         if (p.shape != (n,) or not np.array_equal(np.sort(p), np.arange(n))
                 or not np.array_equal(color[np.ix_(p, p)], color)):
-            return None
+            return range(n)
     images = [p.tolist() for p in gens]
     seen = [False] * n
     reps = []
@@ -346,40 +349,35 @@ def _varying_intersection(
     color: np.ndarray, rank: int, rows: Sequence[int]
 ) -> Optional[tuple[int, int]]:
     """The smallest (code of (i, j), class r) on which p^r_ij varies among the
-    pairs of the given rows, each compared with the first pair of its class
-    among them in row-major order; None if none varies."""
+    pairs of the given rows, each compared with the pair before it in a list
+    of those pairs by class; None if none varies."""
     n = color.shape[0]
-    # first[r] is the position at * n + v of the first pair of class r met so
-    # far; reps[r] is its multiset, filled when that pair is reached, before
-    # any other pair of the class is compared to it.
-    first = np.full(rank, len(rows) * n)
-    reps = np.empty((rank, n), dtype=np.int64)
-    worst = None
-    for at, u in enumerate(rows):
-        row = color[u]
-        here = np.arange(at * n, at * n + n)
-        np.minimum.at(first, row, here)
-        is_first = first[row] == here
-        left = np.multiply(row, rank, dtype=np.int64)
-        for v0 in range(0, n, _SORT_BLOCK_ROWS):
-            v1 = min(n, v0 + _SORT_BLOCK_ROWS)
-            # multisets[v - v0] holds the codes color(u, w) * rank + color(w, v).
-            multisets = left + color.T[v0:v1]
-            multisets.sort(axis=1)
-            cls = row[v0:v1]
-            new = np.flatnonzero(is_first[v0:v1])
-            reps[cls[new]] = multisets[new]
-            expected = reps[cls]
-            differ = multisets != expected
-            bad = np.flatnonzero(differ.any(axis=1))
-            if len(bad):
-                # At the first position where two sorted multisets differ, the
-                # smaller entry is the smallest code whose multiplicities differ.
-                at_pos = differ[bad].argmax(axis=1)
-                codes = np.minimum(multisets[bad, at_pos], expected[bad, at_pos])
-                found = min(zip(codes.tolist(), cls[bad].tolist()))
-                worst = found if worst is None else min(worst, found)
-            del multisets, expected, differ  # before the next block is built
+    rows = np.asarray(rows, dtype=np.intp)
+    flat = color[rows].ravel()
+    # The positions at * n + v of the pairs (rows[at], v), class by class.
+    order = np.argsort(flat)
+    # codes[1 + k] holds the sorted codes color(u, w) * rank + color(w, v) of
+    # pair k of a block, codes[0] those of the pair before it, of class last.
+    codes = np.zeros((_SORT_BLOCK_ROWS + 1, n), dtype=np.int64)
+    last, worst = -1, None
+    for lo in range(0, len(order), _SORT_BLOCK_ROWS):
+        at = order[lo:lo + _SORT_BLOCK_ROWS]
+        cls = flat[at]
+        block = codes[:len(at) + 1]
+        np.multiply(color[rows[at // n]], rank, out=block[1:], dtype=np.int64)
+        block[1:] += color[:, at % n].T
+        block[1:].sort(axis=1)
+        differ = block[1:] != block[:-1]
+        bad = np.flatnonzero((cls == np.append(last, cls[:-1])) & differ.any(axis=1))
+        if len(bad):
+            # At the first position where two sorted multisets differ, the
+            # smaller entry is the smallest code whose multiplicities differ.
+            at_pos = differ[bad].argmax(axis=1)
+            codes_at = np.minimum(block[bad + 1, at_pos], block[bad, at_pos])
+            found = min(zip(codes_at.tolist(), cls[bad].tolist()))
+            worst = found if worst is None else min(worst, found)
+        codes[0] = block[-1]
+        last = cls[-1]
     return worst
 
 
@@ -401,20 +399,21 @@ def verify_coherence(c: PairColoring, perms: Sequence[Sequence[int]] = ()) -> Co
     every class is a class, and that all intersection numbers are well
     defined. The transpose check maps each color to one partner color and
     compares that map with the transposed matrix, O(n^2) in all. The last
-    check is an exact integer count, made one row u at a time and
-    independently of the refinement: the sorted multiset over w of the codes
-    color(u, w) * rank + color(w, v) of every pair (u, v) must equal that of
-    the first pair of its class in row-major order. The codes are built as
-    int64 in blocks of 64 pairs (u, v), so colors may be int32 or int64.
-    This takes O(n^2 log n) time per row and O(n^2 + rank * n) memory, which
-    is O(n^2) when rank <= n, as for every Cayley graph.
+    check is an exact integer count, made independently of the refinement:
+    with the pairs listed class by class, the sorted multiset over w of the
+    codes color(u, w) * rank + color(w, v) of each pair (u, v) must equal
+    that of the pair before it in its class. The least code whose
+    multiplicity differs between two pairs of a class also differs between
+    two consecutive ones, so the witness is the least over all pairs. The
+    codes are int64, built 64 pairs at a time, so colors may be int32 or
+    int64. This takes O(n^2 log n) time per row and O(n^2) memory.
 
     Given vertex permutations perms, it first checks exactly that each is a
     permutation with color[p][:, p] == color, and then compares only the
     rows of the smallest vertex of each orbit of the group they generate.
     That is sound: the generated group preserves the coloring, an element
-    pi maps the multiset of (u, v) to that of (pi u, pi v), and every class
-    meets a representative row, which holds its first pair (see the module
+    pi maps the multiset of (u, v) to that of (pi u, pi v), so every
+    multiset of a class occurs in a representative row (see the module
     docstring). So the reduced comparison alone gives the full one's
     verdict and witness, on rejection too, and neither depends on perms.
     If perms is empty or any check on them fails, every row is compared.
@@ -454,8 +453,7 @@ def verify_coherence(c: PairColoring, perms: Sequence[Sequence[int]] = ()) -> Co
              "partners": [int(x) for x in partners]},
         )
 
-    reps = _orbit_representatives(color, perms)
-    rows = range(n) if reps is None else reps
+    rows = _orbit_representatives(color, perms)
     worst = _varying_intersection(color, rank, rows)
     if worst is None:
         return CoherenceResult(True, rows=len(rows))

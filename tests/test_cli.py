@@ -329,6 +329,12 @@ def test_value_error_exits_2_with_one_error_line(argv, text, tmp_path, capsys, m
         "out": "09b1b5a7db0b35418ac7a2dd50f6848f48d8df034de8d90caf216fd7ab7c9b45",
         "stdout": "09b1b5a7db0b35418ac7a2dd50f6848f48d8df034de8d90caf216fd7ab7c9b45",
     }),
+    # n = 128: the recheck of the graph without (0, 2) compares every row at
+    # rank 8,192.
+    (["verify", "--k", "16", "--drop-edge", "0", "2", "--json", "out"], {
+        "out": "07dc6868d0bccb47f42180944eb3550adb796160d4a137440cbc17cd361010bc",
+        "stdout": "2fbf2b97542228aecb3ca2ceac0ea250f8a3c2b079132a9f323c354795348cb4",
+    }),
 ])
 def test_outputs_match_pinned_bytes(argv, pins, tmp_path, capsys, monkeypatch):
     import hashlib

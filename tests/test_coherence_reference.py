@@ -8,13 +8,21 @@ smallest class r on which p_ij varies.
 
 import random
 from collections import Counter
+from typing import Optional, Sequence
 
 import numpy as np
 import pytest
 
-from dezawl import Graph, initial_pair_coloring, verify_coherence
+from dezawl import Graph, initial_pair_coloring, verify_coherence, wl
 from dezawl.verify import _right_translations
-from dezawl.wl import CoherenceResult, PairColoring, _wl2_round
+from dezawl.wl import (
+    _SORT_BLOCK_ROWS,
+    CoherenceResult,
+    PairColoring,
+    _hashed_round,
+    _varying_intersection,
+    _wl2_round,
+)
 
 
 def _reference_failure(color: list[list[int]], num_colors: int):
@@ -257,3 +265,114 @@ def test_non_preserving_permutations_fall_back_to_the_full_check(cache):
             if n > 1 or len(perm) != n:
                 assert _assert_reduced_agrees(coloring, [perm]).rows == full_rows
         _assert_reduced_agrees(coloring, [rng.sample(range(n), n)])
+
+
+# The comparison of verify_coherence lists the compared pairs class by class
+# and compares each with the one before it. The row path below, which compared
+# each pair with the first pair of its class through a rank x n table, is kept
+# as its reference: both must name the same (code, class).
+
+def _row_path_varying_intersection(
+    color: np.ndarray, rank: int, rows: Sequence[int]
+) -> Optional[tuple[int, int]]:
+    """The smallest (code of (i, j), class r) on which p^r_ij varies among the
+    pairs of the given rows, each compared with the first pair of its class
+    among them in row-major order; None if none varies."""
+    n = color.shape[0]
+    # first[r] is the position at * n + v of the first pair of class r met so
+    # far; reps[r] is its multiset, filled when that pair is reached, before
+    # any other pair of the class is compared to it.
+    first = np.full(rank, len(rows) * n)
+    reps = np.empty((rank, n), dtype=np.int64)
+    worst = None
+    for at, u in enumerate(rows):
+        row = color[u]
+        here = np.arange(at * n, at * n + n)
+        np.minimum.at(first, row, here)
+        is_first = first[row] == here
+        left = np.multiply(row, rank, dtype=np.int64)
+        for v0 in range(0, n, _SORT_BLOCK_ROWS):
+            v1 = min(n, v0 + _SORT_BLOCK_ROWS)
+            # multisets[v - v0] holds the codes color(u, w) * rank + color(w, v).
+            multisets = left + color.T[v0:v1]
+            multisets.sort(axis=1)
+            cls = row[v0:v1]
+            new = np.flatnonzero(is_first[v0:v1])
+            reps[cls[new]] = multisets[new]
+            expected = reps[cls]
+            differ = multisets != expected
+            bad = np.flatnonzero(differ.any(axis=1))
+            if len(bad):
+                # At the first position where two sorted multisets differ, the
+                # smaller entry is the smallest code whose multiplicities differ.
+                at_pos = differ[bad].argmax(axis=1)
+                codes = np.minimum(multisets[bad, at_pos], expected[bad, at_pos])
+                found = min(zip(codes.tolist(), cls[bad].tolist()))
+                worst = found if worst is None else min(worst, found)
+            del multisets, expected, differ  # before the next block is built
+    return worst
+
+
+def _assert_same_witness(color: np.ndarray, rank: int, rng: random.Random) -> list:
+    """Both comparisons on all rows, on row 0 and on a random row subset;
+    returns the full-row witness."""
+    n = color.shape[0]
+    subset = sorted(rng.sample(range(n), rng.randrange(1, n + 1)))
+    witnesses = []
+    for rows in (range(n), [0], subset):
+        witnesses.append(_row_path_varying_intersection(color, rank, rows))
+        assert _varying_intersection(color, rank, rows) == witnesses[-1], rows
+    return witnesses[0]
+
+
+@pytest.mark.parametrize("k", [8, 16, 32])
+@pytest.mark.parametrize("drop", [False, True])
+def test_witness_matches_row_path_on_every_hashed_round(cache, k, drop):
+    graph = cache.graph(k)
+    if drop:
+        graph = graph.without_edge(0, 2)
+    init = initial_pair_coloring(graph)
+    color, num = init.color, init.num_colors
+    rng = random.Random(f"hashed-{k}-{drop}")
+    witnesses = []
+    seed = 0
+    while True:
+        witnesses.append(_assert_same_witness(color, num, rng))
+        color, new_num = _hashed_round(color, num, seed)
+        seed += 1
+        if new_num == num:
+            break
+        num = new_num
+    # every round but the stable one varies, and the stable one is coherent
+    assert witnesses[-1] is None
+    assert None not in witnesses[:-1]
+
+
+def test_witness_matches_row_path_on_the_drop_edge_coloring(cache):
+    conf = cache.configuration(("drop", 32), cache.graph(32).without_edge(0, 2))
+    assert conf.rank == 32768
+    # The stable coloring is coherent; so is every coloring on fewer rows.
+    assert _assert_same_witness(conf.coloring.color, conf.rank, random.Random(32)) is None
+    # A merge of two classes is not, and the classes split at many codes.
+    color = conf.coloring.color.copy()
+    color[color == conf.rank - 1] = conf.rank - 2
+    assert _assert_same_witness(color, conf.rank - 1, random.Random(33)) is not None
+
+
+@pytest.mark.parametrize("block", [3, _SORT_BLOCK_ROWS])
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+def test_witness_matches_row_path_on_random_colorings(monkeypatch, dtype, block):
+    """Blocks of three pairs put a block boundary between many pairs
+    that are compared."""
+    monkeypatch.setattr(wl, "_SORT_BLOCK_ROWS", block)
+    rng = random.Random(f"witness-{np.dtype(dtype).name}")
+    found = Counter()
+    for _ in range(200):
+        n = rng.randrange(1, 25)
+        # Few large classes, or classes of two or three pairs, which block
+        # boundaries often split.
+        few, many = rng.randrange(1, min(n * n, 12) + 1), max(1, n * n // rng.choice([2, 3]))
+        rank = rng.choice([few, many])
+        color = np.array([rng.randrange(rank) for _ in range(n * n)], dtype=dtype)
+        found[_assert_same_witness(color.reshape(n, n), rank, rng) is None] += 1
+    assert found[True] > 0 and found[False] > 0

@@ -124,6 +124,35 @@ def test_wl2_peak_memory_is_at_most_four_int64_matrices(cache, name):
     assert peak <= 4 * 8 * graph.n ** 2, peak / (8 * graph.n ** 2)
 
 
+def _family_without_edge(cache):
+    """Gamma_32 with the edge (0, 2) removed (n = 256) and its stable 2-WL
+    coloring, of rank n^2 / 2."""
+    graph = cache.graph(32).without_edge(0, 2)
+    conf = cache.configuration(("drop", 32), graph)
+    assert conf.rank == graph.n ** 2 // 2
+    return graph, conf
+
+
+def test_wl2_peak_memory_at_rank_half_n_squared(cache):
+    """Without perms, on a coloring of rank n^2 / 2, wl2 draws the hash
+    weights of one half of a round at a time and rechecks every row within
+    5 * 8 n^2 bytes (module docstring)."""
+    graph, _ = _family_without_edge(cache)  # warms every lazy import too
+    peak = _traced_peak(lambda: wl2(graph))
+    assert peak <= 5 * 8 * graph.n ** 2, peak / (8 * graph.n ** 2)
+
+
+def test_full_recheck_peak_memory_at_rank_half_n_squared(cache):
+    """The full-row recheck of a coherent coloring of rank n^2 / 2 holds no
+    table indexed by class: it stays within 6 * 8 n^2 bytes, where one rank x
+    n int64 table alone is 4 n^3 bytes."""
+    graph, conf = _family_without_edge(cache)
+    result = []
+    peak = _traced_peak(lambda: result.append(verify_coherence(conf.coloring)))
+    assert result[0].ok and result[0].rows == graph.n
+    assert peak < 6 * 8 * graph.n ** 2, peak / (8 * graph.n ** 2)
+
+
 def test_exact_round_peak_memory_is_below_four_int64_matrices(cache, monkeypatch):
     """One exact round on the stable coloring of Gamma_33 (n = 264, 264
     colors, so most ids are not cached small ints), one row u per block:
