@@ -69,10 +69,10 @@ reference to the initial coloring and at most the current and the new
 coloring. So wl2 peaks near three units; under tracemalloc it stays within
 four on Gamma_16 and the 4 x 32 grid, against 8.2 with int64 colors and
 whole-matrix products, and within five on Gamma_32 less the edge (0, 2), of
-rank n^2 / 2, as the tests assert. The recheck holds the coloring, its
-O(rank) class counts, the colors and intp sort order of the compared pairs
-(1.5 units for all rows) and a block of 64 pairs of int64 codes: O(n^2) at
-any rank.
+rank n^2 / 2, as the tests assert. The recheck frees its O(rank) class
+counts before the comparison, which holds the coloring, the colors and intp
+sort order of the compared pairs (1.5 units for all rows) and a block of 64
+pairs of int64 codes: O(n^2) at any rank.
 
 wl1 is classical color refinement (Berkholz, Bonsma and Grohe, 2017). A
 round keys each vertex u by its signature (color(u), sorted multiset of
@@ -453,6 +453,7 @@ def verify_coherence(c: PairColoring, perms: Sequence[Sequence[int]] = ()) -> Co
              "partners": [int(x) for x in partners]},
         )
 
+    del counts, on_diagonal, partner, unpaired
     rows = _orbit_representatives(color, perms)
     worst = _varying_intersection(color, rank, rows)
     if worst is None:

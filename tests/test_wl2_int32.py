@@ -111,19 +111,6 @@ def _traced_peak(f):
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("name", ["gamma16", "grid4x32"])
-def test_wl2_peak_memory_is_at_most_four_int64_matrices(cache, name):
-    """The traced peak of wl2, result included, stays within 4 * 8 n^2 bytes
-    (module docstring)."""
-    if name == "gamma16":
-        graph, perms = _family_with_translations(cache, 16)
-    else:
-        graph, perms = grid_graph(4, 32), _grid_shifts(4, 32)
-    wl2(graph, perms)  # warm every lazy import and cache first
-    peak = _traced_peak(lambda: wl2(graph, perms))
-    assert peak <= 4 * 8 * graph.n ** 2, peak / (8 * graph.n ** 2)
-
-
 def _family_without_edge(cache):
     """Gamma_32 with the edge (0, 2) removed (n = 256) and its stable 2-WL
     coloring, of rank n^2 / 2."""
@@ -133,24 +120,36 @@ def _family_without_edge(cache):
     return graph, conf
 
 
-def test_wl2_peak_memory_at_rank_half_n_squared(cache):
-    """Without perms, on a coloring of rank n^2 / 2, wl2 draws the hash
-    weights of one half of a round at a time and rechecks every row within
-    5 * 8 n^2 bytes (module docstring)."""
-    graph, _ = _family_without_edge(cache)  # warms every lazy import too
-    peak = _traced_peak(lambda: wl2(graph))
-    assert peak <= 5 * 8 * graph.n ** 2, peak / (8 * graph.n ** 2)
+@pytest.mark.parametrize(
+    "name, units", [("gamma16", 4), ("grid4x32", 4), ("drop32", 5)],
+    ids=["gamma16", "grid4x32", "drop32"],
+)
+def test_wl2_peak_memory_is_at_most_four_int64_matrices(cache, name, units):
+    """The traced peak of wl2, result included, stays within 4 * 8 n^2 bytes;
+    without perms on Gamma_32 less the edge (0, 2), of rank n^2 / 2, the hash
+    weights of one half of a round add up to a unit, so 5 (module
+    docstring)."""
+    if name == "gamma16":
+        graph, perms = _family_with_translations(cache, 16)
+    elif name == "grid4x32":
+        graph, perms = grid_graph(4, 32), _grid_shifts(4, 32)
+    else:
+        graph, perms = _family_without_edge(cache)[0], ()
+    wl2(graph, perms)  # warm every lazy import and cache first
+    peak = _traced_peak(lambda: wl2(graph, perms))
+    assert peak <= units * 8 * graph.n ** 2, peak / (8 * graph.n ** 2)
 
 
 def test_full_recheck_peak_memory_at_rank_half_n_squared(cache):
     """The full-row recheck of a coherent coloring of rank n^2 / 2 holds no
-    table indexed by class: it stays within 6 * 8 n^2 bytes, where one rank x
-    n int64 table alone is 4 n^3 bytes."""
+    table indexed by class and frees its class counts before the comparison:
+    it stays below 3 * 8 n^2 bytes, where one rank x n int64 table alone is
+    4 n^3 bytes."""
     graph, conf = _family_without_edge(cache)
     result = []
     peak = _traced_peak(lambda: result.append(verify_coherence(conf.coloring)))
     assert result[0].ok and result[0].rows == graph.n
-    assert peak < 6 * 8 * graph.n ** 2, peak / (8 * graph.n ** 2)
+    assert peak < 3 * 8 * graph.n ** 2, peak / (8 * graph.n ** 2)
 
 
 def test_exact_round_peak_memory_is_below_four_int64_matrices(cache, monkeypatch):
