@@ -17,9 +17,13 @@ that polynomial vanishes mod p, provided there are exactly as many as its
 degree L. It divides the minimal polynomial of A, and for almost every v, w
 equals it. The products A u_j follow the exactness rule below, and s_j is
 summed in Python integers, never as a float64 dot product. The sequence
-stops once it holds 2L + 2 terms, L the current linear complexity, and is
-abandoned as soon as L exceeds 2D + 1, the number of integers in [-D, D].
-So it takes at most 4D + 4 terms, even on non-integral input.
+stops once it holds 2L + 2 terms, L the current linear complexity. L never
+exceeds the number of distinct eigenvalues, and those of an integral A are
+distinct integers in [-D, D] whose squares sum to at most tr A^2, the arc
+count. So the sequence is abandoned as soon as L exceeds the smaller of
+2D + 1 and the largest L whose L smallest squares of distinct integers,
+0, 1, 1, 4, 4, ..., sum to at most the arc count: about (12 tr A^2)^(1/3).
+It takes at most twice that cap plus 2 terms, even on non-integral input.
 
 Given a candidate set C, integral_spectrum proves that the product
 P = prod_{lambda in C} (A - lambda*I) is the zero matrix. A is real
@@ -41,6 +45,22 @@ float64 blocks, not n x n; the partial products p_j(A) on the same blocks
 give the traces. The first factor needs no product: its block is A's own
 columns with lambda_0 subtracted on the diagonal, so a block takes |C| - 1
 products.
+
+On a vertex-transitive graph one column decides everything (Godsil and
+Royle, Algebraic Graph Theory, 2001, ch. 3). integral_spectrum may be given
+vertex permutations; it checks exactly that each is a permutation with
+A[p][:, p] = A (wl._orbit_representatives), and if the group they generate
+has one orbit, only the column block (0, 1) is taken:
+- every q(A) commutes with the permutation matrix P_s of each s in that
+  group, so if s(0) = v then P(A) e_v = P(A) P_s e_0 = P_s P(A) e_0, and
+  P(A) = 0 iff P(A) e_0 = 0;
+- likewise p_j(A)_vv = p_j(A)_00 for every v, so tr p_j(A) = n p_j(A)_00,
+  and the trace equations and their solution are unchanged.
+Transitivity is enough; the graph need not be a Cayley graph (the Petersen
+graph is not). This takes |C| - 1 products of one column, O(|C| n^2) work
+against O(|C| n^3), under the same exactness rule. Any other input (no
+perms, a non-permutation, a non-automorphism, more than one orbit) takes
+the eight blocks, with the same result.
 
 Exactness has one rule, checked as each product runs. Every product of A
 is one call of _adjacency_product(adj, x, D, shift). It converts the
@@ -79,12 +99,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .graphs import Graph, _row_blocks
-from .wl import _splitmix64
+from .wl import _orbit_representatives, _splitmix64
 
 CANDIDATE_TOLERANCE = 1e-6
 
@@ -186,27 +206,32 @@ def _adjacency_product(
 
 
 def _annihilator_multiplicities(
-    adj: np.ndarray, candidates: list[int], max_degree: int
+    adj: np.ndarray, candidates: list[int], max_degree: int, transitive: bool = False
 ) -> Optional[list[int]]:
     """Exact multiplicities of the distinct integers `candidates` as
     eigenvalues of the symmetric 0/1 matrix adj (maximum row sum
     max_degree), or None when the certificate of the module docstring does
     not go through: a product is refused as inexact, prod (A - lambda*I) is
-    not zero, or the solved multiplicities are not non-negative integers."""
+    not zero, or the solved multiplicities are not non-negative integers.
+    transitive says that automorphisms of adj, checked by the caller, act
+    transitively on the vertices; then column 0 alone is taken and its
+    diagonal entry stands for all n."""
     c = len(candidates)
     if c == 0:
         return None  # the empty product is I, never zero
+    n = adj.shape[0]
+    blocks, weight = ([(0, 1)], n) if transitive else (_row_blocks(n), 1)
     traces = [0] * c
-    for start, stop in _row_blocks(adj.shape[0]):
+    for start, stop in blocks:
         # p_0(A) = I on these columns has trace len(rows); p_1(A) = A - lambda_0 I
         # is A's own columns, converted to float64, with no product.
         block = adj[:, start:stop].astype(np.float64)
         rows = np.arange(start, stop)
         cols = np.arange(len(rows))
-        traces[0] += len(rows)
+        traces[0] += weight * len(rows)
         block[rows, cols] -= candidates[0]
         for j in range(1, c):
-            traces[j] += sum(int(x) for x in block[rows, cols].tolist())
+            traces[j] += weight * sum(int(x) for x in block[rows, cols].tolist())
             block = _adjacency_product(adj, block, max_degree, candidates[j])
             if block is None:
                 return None
@@ -238,11 +263,19 @@ def _krylov_candidates(adj: np.ndarray, max_degree: int) -> Optional[list[int]]:
     """Distinct integers, decreasing, nominated as the eigenvalues of the
     symmetric 0/1 matrix adj (maximum row sum max_degree) by the
     Krylov sequence s_j = w . A^j v mod p and Berlekamp-Massey, or None when
-    the nomination fails: L passes 2 max_degree + 1, a product is refused as
-    inexact, or the minimal polynomial lacks L integer roots (module
-    docstring). Untrusted: only the annihilator certifies."""
+    the nomination fails: L passes the most distinct eigenvalues an integral
+    A can have, a product is refused as inexact, or the minimal polynomial
+    lacks L integer roots (module docstring). Untrusted: only the
+    annihilator certifies."""
     p = _KRYLOV_PRIME
     n = adj.shape[0]
+    # cap: the most distinct eigenvalues an integral A can have (module
+    # docstring), from the squares 0, 1, 1, 4, 4, ... of distinct integers.
+    arcs = int(np.count_nonzero(adj))
+    cap = squares = 0
+    while cap < 2 * max_degree + 1 and squares + ((cap + 1) // 2) ** 2 <= arcs:
+        squares += ((cap + 1) // 2) ** 2
+        cap += 1
     words = _splitmix64(0, 2 * n, p).reshape(2, n)
     w = words[0].tolist()
     u = words[1].astype(np.float64)
@@ -270,7 +303,7 @@ def _krylov_candidates(adj: np.ndarray, max_degree: int) -> Optional[list[int]]:
             new[j + shift] = (new[j + shift] - coef * b) % p
         if 2 * length <= i:
             prev, prev_disc, length, shift = conn, disc, i + 1 - length, 1
-            if length > 2 * max_degree + 1:
+            if length > cap:
                 return None
         else:
             shift += 1
@@ -288,7 +321,7 @@ def _krylov_candidates(adj: np.ndarray, max_degree: int) -> Optional[list[int]]:
     return roots if len(roots) == length else None
 
 
-def integral_spectrum(g: Graph):
+def integral_spectrum(g: Graph, perms: Sequence[Sequence[int]] = ()):
     """Certify that all adjacency eigenvalues of g are integers.
 
     Returns an IntegralSpectrum with exact multiplicities, or a
@@ -299,6 +332,12 @@ def integral_spectrum(g: Graph):
     products that each prove their own exactness; the trace equations
     solved exactly), or else from exact integer elimination, one nullity per
     candidate. NonIntegralVerdict only ever comes from elimination.
+
+    perms, vertex permutations as for wl2, only shorten the certificate.
+    Each is checked exactly to be an automorphism of g; if all are and the
+    group they generate is transitive, the annihilator takes column 0 alone
+    (module docstring). Otherwise, or with no perms, it takes all eight
+    column blocks; the result is the same either way.
 
     The candidates are the exact Krylov nomination. eigvalsh runs only when
     that nomination fails or the annihilator refuses it; its
@@ -312,9 +351,13 @@ def integral_spectrum(g: Graph):
         return IntegralSpectrum(())
 
     max_degree = int(g.adj.sum(axis=1).max())
+    transitive = len(perms) > 0 and len(_orbit_representatives(g.adj, perms)) == 1
     nominated = _krylov_candidates(g.adj, max_degree)
     if nominated is not None:
-        mults = _annihilator_multiplicities(g.adj, nominated, max_degree)
+        if transitive:
+            mults = _annihilator_multiplicities(g.adj, nominated, max_degree, transitive=True)
+        else:
+            mults = _annihilator_multiplicities(g.adj, nominated, max_degree)
         if mults is not None:
             return IntegralSpectrum(tuple((lam, m) for lam, m in zip(nominated, mults) if m > 0))
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from conftest import elementary_abelian
 from dezawl import graphs as graph_layer
 from dezawl import spectrum
+from dezawl.verify import _grid_shifts, _right_translations
 from dezawl import (
     Graph,
     IntegralSpectrum,
@@ -535,6 +536,13 @@ def test_cayley_graphs_of_c2m_nominate_their_distinct_eigenvalues(m, data):
     assert isinstance(expected, IntegralSpectrum)
     assert _nominate(g) == _distinct_eigenvalues(expected)
     assert integral_spectrum(g) == expected
+    # The unit translations are automorphisms and transitive even when S
+    # does not generate C2^m, so the one-column path applies.
+    units = _right_translations(group, [1 << i for i in range(m)])
+    assert integral_spectrum(g, units) == integral_spectrum(g)
+    candidates, d = _distinct_eigenvalues(expected), _max_degree(g)
+    assert (spectrum._annihilator_multiplicities(g.adj, candidates, d, transitive=True)
+            == spectrum._annihilator_multiplicities(g.adj, candidates, d))
 
 
 @pytest.mark.parametrize("seed, certified", [(0, True), (1, True), (2, False)])
@@ -560,3 +568,122 @@ def test_c2m_graphs_with_many_eigenvalues_are_all_nominated(seed, certified):
 def test_gnp_verdicts_equal_the_reference(n, p, seed):
     g = _gnp(n, p, seed)
     assert integral_spectrum(g) == _reference_spectrum(g)
+
+
+def test_nomination_of_a_dense_random_graph_stops_at_its_square_cap(monkeypatch):
+    """G(200, 0.5) has 19,752 arcs. At most 61 distinct integers have
+    squares summing to that, against 2D + 1 = 241 integers in [-D, D], so
+    the nomination gives up once L reaches 62: after 2 * 61 products, not
+    the 401 it ran with the 2D + 1 cap alone."""
+    g = _gnp(200, 0.5, 0)
+    arcs = int(g.adj.sum())
+    squares = sorted(x * x for x in range(-200, 201))
+    assert sum(squares[:61]) <= arcs < sum(squares[:62])
+    assert 2 * _max_degree(g) + 1 == 241
+    nominated, products = _count_products(monkeypatch, g)
+    assert nominated is None
+    assert products == 2 * 61
+    assert integral_spectrum(g) == _reference_spectrum(g)
+
+
+# ------------------------------------ one column on transitive automorphisms
+
+def _translations(cache, k):
+    g = cache.group(k)
+    return _right_translations(g, [g.a, g.b, g.c, g.d])
+
+
+def _unit_translations(d):
+    return [[u ^ (1 << i) for u in range(1 << d)] for i in range(d)]
+
+
+# Petersen's rotation of both 5-cycles, and i -> 5 + 2i, 5 + i -> 2i (mod 5),
+# which swaps the outer and inner cycles.
+_PETERSEN_ROTATION = [(i + 1) % 5 for i in range(5)] + [5 + (i + 1) % 5 for i in range(5)]
+_PETERSEN_SWAP = [5 + 2 * i % 5 for i in range(5)] + [2 * i % 5 for i in range(5)]
+
+
+def _annihilator_widths(products):
+    """The column counts of the annihilator's products, which are the 2-D
+    ones; the nomination's are vectors."""
+    return {shape[1] for shape in products if len(shape) == 2}
+
+
+TRANSITIVE_CASES = {
+    **{f"gamma{k}": (lambda cache, k=k: (cache.graph(k), _translations(cache, k)))
+       for k in [*range(3, 17), 48]},
+    **{f"grid4x{m}": (lambda cache, m=m: (grid_graph(4, m), _grid_shifts(4, m)))
+       for m in [3, 6, 9]},
+    "q4": lambda cache: (_hypercube(4), _unit_translations(4)),
+    "petersen": lambda cache: (_petersen(), [_PETERSEN_ROTATION, _PETERSEN_SWAP]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRANSITIVE_CASES))
+def test_one_column_gives_the_blocked_pairs(cache, monkeypatch, name):
+    g, perms = TRANSITIVE_CASES[name](cache)
+    blocked = integral_spectrum(g)
+    assert isinstance(blocked, IntegralSpectrum)
+    products = _counting(monkeypatch)
+    monkeypatch.setattr(spectrum, "np", _NoLinalg())
+    assert integral_spectrum(g, perms) == blocked
+    assert _annihilator_widths(products) == {1}
+
+
+def test_one_column_products_on_gamma_5(cache, monkeypatch):
+    """2L + 1 = 11 products of vectors for the nomination, then |C| - 1 = 4
+    products of column 0 alone."""
+    products = _counting(monkeypatch)
+    monkeypatch.setattr(spectrum, "np", _NoLinalg())
+    spec = integral_spectrum(cache.graph(5), _translations(cache, 5))
+    assert spec.pairs == ((12, 1), (8, 1), (2, 17), (-2, 19), (-8, 2))
+    assert products == [(40,)] * 11 + [(40, 1)] * 4
+
+
+def _repeated_entry(cache):
+    perms = np.array(_translations(cache, 5))
+    perms[0, 1] = perms[0, 0]
+    return perms
+
+
+FALLBACK_PERMS = {
+    "repeated_entry": _repeated_entry,
+    "wrong_length": lambda cache: np.array(_translations(cache, 5))[:, :-1],
+    "a_alone": lambda cache: _right_translations(cache.group(5), [cache.group(5).a]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FALLBACK_PERMS))
+def test_unusable_perms_take_the_eight_blocks(cache, monkeypatch, name):
+    """Gamma_5 (n = 40) with perms that are no permutations or generate more
+    than one orbit: the blocked path's 8 x 4 products of 5 columns."""
+    g = cache.graph(5)
+    expected = integral_spectrum(g)
+    products = _counting(monkeypatch)
+    assert integral_spectrum(g, FALLBACK_PERMS[name](cache)) == expected
+    assert products == [(40,)] * 11 + [(40, 5)] * 32
+
+
+def test_petersen_rotation_alone_takes_the_eight_blocks(monkeypatch):
+    """The rotation is an automorphism with two orbits, the 5-cycles; the
+    blocks of n = 10 are ceil(10 / 8) = 2 columns wide."""
+    g = _petersen()
+    expected = integral_spectrum(g)
+    products = _counting(monkeypatch)
+    assert integral_spectrum(g, [_PETERSEN_ROTATION]) == expected
+    assert _annihilator_widths(products) == {2}
+
+
+@pytest.mark.parametrize("k", [5, 8])
+def test_translations_of_gamma_are_no_automorphisms_without_an_edge(cache, monkeypatch, k):
+    """On Gamma_k - (0, 2) the translations fail the automorphism check. With
+    Gamma_k's own eigenvalues nominated, the blocked annihilator runs on the
+    first block of n / 8 columns and refuses it, and elimination gives the
+    no-perms verdict."""
+    g = cache.graph(k).without_edge(0, 2)
+    expected = _reference_spectrum(g)
+    assert isinstance(expected, NonIntegralVerdict)
+    _patched_nominator(monkeypatch, lambda c: sorted(expected_eigenvalues(k), reverse=True))
+    products = _counting(monkeypatch)
+    assert integral_spectrum(g, _translations(cache, k)) == expected
+    assert [shape for shape in products if len(shape) == 2] == [(8 * k, k)] * 4
