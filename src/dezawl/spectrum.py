@@ -354,10 +354,7 @@ def integral_spectrum(g: Graph, perms: Sequence[Sequence[int]] = ()):
     transitive = len(perms) > 0 and len(_orbit_representatives(g.adj, perms)) == 1
     nominated = _krylov_candidates(g.adj, max_degree)
     if nominated is not None:
-        if transitive:
-            mults = _annihilator_multiplicities(g.adj, nominated, max_degree, transitive=True)
-        else:
-            mults = _annihilator_multiplicities(g.adj, nominated, max_degree)
+        mults = _annihilator_multiplicities(g.adj, nominated, max_degree, transitive=transitive)
         if mults is not None:
             return IntegralSpectrum(tuple((lam, m) for lam, m in zip(nominated, mults) if m > 0))
 

@@ -8,16 +8,16 @@ classes, so at most n^2 rounds occur. Each round numbers the distinct
 signatures 0, 1, ... in order of first occurrence in row-major pair order.
 The ids therefore depend only on which signatures are equal, never on byte
 order or on how signatures sort, so they are the same on every platform.
-The signature tensor is built a block of rows u at a time, so a round holds
-O(max(2^20, n^2)) tensor entries and one bytes key per pair of the block,
-the int32 array of the n^2 new ids, written one block at a time, and the
-n + 1 entries of each distinct signature: O(n^2 + rank * n) memory, which
-is O(n^2) when the new rank is at most n. The codes are formed from the
-int32 coloring block by block, with no int64 copy of it. The stable
-coloring W is the smallest coherent configuration in which the arc set is
-a union of classes: the initial (diagonal, arc, non-arc) classes are unions
-of classes of any such configuration, and each round preserves that
-property because intersection numbers are well defined there.
+The signatures are built one pair row u at a time, so a round holds the
+n (n + 1) int64 entries and n bytes keys of one row, the int32 array of the
+n^2 new ids, written one row at a time, and the n + 1 entries of each
+distinct signature: O(n^2 + rank * n) memory at every n, which is O(n^2)
+when the new rank is at most n. The codes are formed from the int32
+coloring row by row, with no int64 copy of it. The stable coloring W is the
+smallest coherent configuration in which the arc set is a union of classes:
+the initial (diagonal, arc, non-arc) classes are unions of classes of any
+such configuration, and each round preserves that property because
+intersection numbers are well defined there.
 
 wl2 first refines with hashed rounds (_hashed_round), which compress each
 signature, following Shervashidze et al. (JMLR 2011), to two numbers
@@ -67,12 +67,11 @@ run starts are known; then the argsort order (one unit of intp), the int32
 run ids and the int32 new ids (half a unit each) remain. wl2 holds no
 reference to the initial coloring and at most the current and the new
 coloring. So wl2 peaks near three units; under tracemalloc it stays within
-four on Gamma_16 and the 4 x 32 grid, against 8.2 with int64 colors and
-whole-matrix products, and within five on Gamma_32 less the edge (0, 2), of
-rank n^2 / 2, as the tests assert. The recheck frees its O(rank) class
-counts before the comparison, which holds the coloring, the colors and intp
-sort order of the compared pairs (1.5 units for all rows) and a block of 64
-pairs of int64 codes: O(n^2) at any rank.
+four on Gamma_16 and the 4 x 32 grid, and within five on Gamma_32 less the
+edge (0, 2), of rank n^2 / 2, as the tests assert. The recheck frees its
+O(rank) class counts before the comparison, which holds the coloring, the
+colors and intp sort order of the compared pairs (1.5 units for all rows)
+and a block of 64 pairs of int64 codes: O(n^2) at any rank.
 
 wl1 is classical color refinement (Berkholz, Bonsma and Grohe, 2017). A
 round keys each vertex u by its signature (color(u), sorted multiset of
@@ -172,32 +171,25 @@ def initial_pair_coloring(g: Graph) -> PairColoring:
     return PairColoring(g.n, flat.reshape(g.n, g.n), num)
 
 
-# Caps the rows u of a 2-WL signature block at 2^20 // n^2, about 8 MB of int64
-# while n <= 1024; a block always holds at least one row, n * (n + 1) entries.
-_BLOCK_ENTRIES = 1 << 20
-
-
 def _wl2_round(color: np.ndarray, num_colors: int) -> tuple[np.ndarray, int]:
     n = color.shape[0]
-    rows = max(1, _BLOCK_ENTRIES // (n * n))
     row_type = np.dtype((np.void, (n + 1) * 8))
     ids: dict[bytes, int] = {}
-    new = np.empty(n * n, dtype=np.int32)
-    for u0 in range(0, n, rows):
-        u1 = min(n, u0 + rows)
-        # sig[u, v] = (color(u, v), sorted over w of the code of the pair
+    new = np.empty((n, n), dtype=np.int32)
+    for u in range(n):
+        # sig[v] = (color(u, v), sorted over w of the code of the pair
         # (color(u, w), color(w, v))), one contiguous row per pair.
-        sig = np.empty((u1 - u0, n, n + 1), dtype=np.int64)
-        sig[:, :, 0] = color[u0:u1]
-        np.multiply(color[u0:u1, None, :], num_colors, out=sig[:, :, 1:], dtype=np.int64)
-        sig[:, :, 1:] += color.T[None, :, :]
-        sig[:, :, 1:].sort(axis=2)
+        sig = np.empty((n, n + 1), dtype=np.int64)
+        sig[:, 0] = color[u]
+        np.multiply(color[u, None, :], num_colors, out=sig[:, 1:], dtype=np.int64)
+        sig[:, 1:] += color.T
+        sig[:, 1:].sort(axis=1)
         keys = sig.reshape(-1).view(row_type).tolist()
         del sig  # before the keys are numbered
-        new[u0 * n:u1 * n] = np.fromiter(
-            (ids.setdefault(key, len(ids)) for key in keys), dtype=np.int32, count=len(keys))
-        del keys  # before the next block is built
-    return new.reshape(n, n), len(ids)
+        new[u] = np.fromiter((ids.setdefault(key, len(ids)) for key in keys),
+                             dtype=np.int32, count=n)
+        del keys  # before the next row is built
+    return new, len(ids)
 
 
 # Hashed rounds reduce modulo a prime p below 2^18 and run while n <= 8192, so
@@ -314,8 +306,7 @@ def _orbit_representatives(
 ) -> Sequence[int]:
     """The smallest vertex of each orbit of the group the perms generate, or
     every vertex unless each is a permutation of the vertices that preserves
-    every pair color exactly. The check gathers rows then columns with take,
-    about four times faster than one np.ix_ gather."""
+    every pair color exactly. The check gathers rows then columns with take."""
     n = color.shape[0]
     gens = [np.asarray(p, dtype=np.intp) for p in perms]
     for p in gens:

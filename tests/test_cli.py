@@ -314,6 +314,28 @@ def test_value_error_exits_2_with_one_error_line(argv, text, tmp_path, capsys, m
     assert captured.out == ""
 
 
+# Unwritable outputs and malformed edge lists: one error line with exit 2,
+# after nothing on stdout.
+@pytest.mark.parametrize("argv,text,message", [
+    (["verify", "--k", "3", "--json", "/nonexistent/dir/r.json"], None,
+     "error: cannot write /nonexistent/dir/r.json"),
+    (["sweep", "--from", "3", "--to", "3", "--csv", "/nonexistent/dir/s.csv"], None,
+     "error: cannot write /nonexistent/dir/s.csv"),
+    (["wl-rank", "--in", "g.txt"], "", "error: cannot read graph: empty edge-list input"),
+    (["wl-rank", "--in", "g.txt"], "3 1\n0 1 2\n",
+     "error: cannot read graph: bad edge line '0 1 2'"),
+], ids=["verify-json", "sweep-csv", "empty-edgelist", "bad-edge-line"])
+def test_bad_paths_and_edge_lists_exit_2(argv, text, message, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    if text is not None:
+        (tmp_path / "g.txt").write_text(text)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines()[-1].startswith(message)
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 # sha256 of the bytes each command writes, pinned where no other test pins
 # them: the stdout summary, and the report's failure branches (not_deza,
 # failure, certified/residual_dimension) from a graph with one edge dropped.

@@ -397,9 +397,9 @@ def test_a_refused_nomination_goes_to_elimination(cache, monkeypatch):
     calls = []
     original = spectrum._annihilator_multiplicities
 
-    def counting(adj, candidates, max_degree):
+    def counting(adj, candidates, max_degree, transitive=False):
         calls.append(list(candidates))
-        return original(adj, candidates, max_degree)
+        return original(adj, candidates, max_degree, transitive)
 
     eliminated = []
     original_nullity = spectrum.exact_nullity

@@ -2,8 +2,10 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import cyclic_group
+from conftest import cyclic_group, elementary_abelian
 from dezawl import (
     Graph,
     cayley_graph,
@@ -11,6 +13,7 @@ from dezawl import (
     family_group,
     grid_graph,
     initial_pair_coloring,
+    is_sring,
     verify_coherence,
     wl1,
     wl1_distinguishes,
@@ -251,22 +254,18 @@ def _exact_fixed_point(graph):
         color, num = new_color, new_num
 
 
-def test_one_row_blocks_give_the_single_block_coloring(cache, monkeypatch):
+def test_exact_rounds_alone_reach_the_wl2_coloring(cache):
     import numpy as np
-
-    from dezawl import wl
 
     digraph = Graph.from_edges(
         7, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5), (5, 3), (6, 0)],
         directed=True,
     )
     graphs = (cache.graph(4), cache.graph(5), digraph)
-    single = [wl2(graph) for graph in graphs]
-    assert all(wl._BLOCK_ENTRIES >= graph.n ** 2 for graph in graphs)
-    monkeypatch.setattr(wl, "_BLOCK_ENTRIES", 1)
     # wl2 reaches these colorings by hashed rounds, so drive the exact rounds
     # to their fixed point directly.
-    for graph, expected in zip(graphs, single):
+    for graph in graphs:
+        expected = wl2(graph)
         color, num = _exact_fixed_point(graph)
         assert num == expected.rank
         assert np.array_equal(color, expected.coloring.color)
@@ -388,3 +387,52 @@ def test_hashed_and_exact_rounds_agree(seed):
     conf = wl2(graph)
     assert conf.path == "hashed"
     assert np.array_equal(conf.coloring.color, color)
+
+
+_CAYLEY_GROUPS = (family_group(3), elementary_abelian(4), cyclic_group(16))
+
+
+@st.composite
+def _inverse_closed_sets(draw):
+    """One of _CAYLEY_GROUPS and an inverse-closed S in G - {e}, as a union
+    of drawn pairs {x, x^-1}."""
+    g = draw(st.sampled_from(_CAYLEY_GROUPS))
+    pairs = sorted({tuple(sorted((x, int(g.inv[x])))) for x in range(g.order)
+                    if x != g.identity})
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True))
+    return g, sorted({x for pair in chosen for x in pair})
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_inverse_closed_sets())
+def test_wl2_and_sring_closure_agree_on_cayley_graphs(group_and_set):
+    """On Cayley graphs of three groups, 2-WL and the S-ring closure, which
+    share no code, give one rank; every hashed round gives the exact round's
+    coloring, ids included; and the recheck reduced by all right
+    translations gives the full recheck's verdict and witness."""
+    import numpy as np
+
+    from dezawl.verify import _right_translations
+    from dezawl.wl import PairColoring, _hashed_round, _wl2_round
+
+    g, s = group_and_set
+    graph = cayley_graph(g, s)
+    closure = wl_closure(g, [s])
+    assert wl2(graph).rank == closure.rank
+    assert is_sring(closure).ok
+    translations = _right_translations(g, list(range(g.order)))
+    init = initial_pair_coloring(graph)
+    color, num = init.color, init.num_colors
+    for t in range(graph.n ** 2):
+        coloring = PairColoring(graph.n, color, num)
+        full = verify_coherence(coloring)
+        reduced = verify_coherence(coloring, translations)
+        assert (reduced.ok, reduced.witness, reduced.rows) == (full.ok, full.witness, 1)
+        exact_color, exact_num = _wl2_round(color, num)
+        hashed_color, hashed_num = _hashed_round(color, num, t)
+        assert hashed_num == exact_num
+        assert np.array_equal(hashed_color, exact_color)
+        if exact_num == num:
+            break
+        color, num = exact_color, exact_num
+    assert num == closure.rank

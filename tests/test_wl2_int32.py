@@ -152,17 +152,17 @@ def test_full_recheck_peak_memory_at_rank_half_n_squared(cache):
     assert peak < 3 * 8 * graph.n ** 2, peak / (8 * graph.n ** 2)
 
 
-def test_exact_round_peak_memory_is_below_four_int64_matrices(cache, monkeypatch):
-    """One exact round on the stable coloring of Gamma_33 (n = 264, 264
-    colors, so most ids are not cached small ints), one row u per block:
-    the ids go into a preallocated int32 array, not a Python list, and the
-    codes are built from the int32 coloring block by block. The round keeps
-    the coloring, ids included."""
-    graph, perms = _family_with_translations(cache, 33)
+@pytest.mark.parametrize("k, rank", [(33, 264), (64, 260)], ids=["gamma33", "gamma64"])
+def test_exact_round_peak_memory_is_below_four_int64_matrices(cache, k, rank):
+    """One exact round on the stable coloring of Gamma_k (n = 8k; rank 264 at
+    k = 33 and 260 at k = 64, so most ids are not cached small ints) builds
+    one pair row u at a time: the ids go into a preallocated int32 array,
+    not a Python list, and the codes are built from the int32 coloring row
+    by row. The round keeps the coloring, ids included."""
+    graph, perms = _family_with_translations(cache, k)
     conf = wl2(graph, perms)
-    color, rank = conf.coloring.color, conf.rank
-    assert rank == graph.n == 264
-    monkeypatch.setattr(wl, "_BLOCK_ENTRIES", 1)
+    color = conf.coloring.color
+    assert conf.rank == rank
     wl._wl2_round(color, rank)  # warm every lazy import and cache first
     result = []
     peak = _traced_peak(lambda: result.append(wl._wl2_round(color, rank)))

@@ -5,9 +5,10 @@ recorded as one row of BENCH_ladder.json at the root of the repository.
     python3 tools/ladder.py --label parent --src PARENT_CHECKOUT
 
 The ladder is `verify --k K` for K = 128, 129, 256, 257 and 512, and the
-negative control `verify --k 64 --drop-edge 0 2`. Each rung runs
-`python -m dezawl` from the src/ directory of the checkout given by --src
-(this one by default), on one BLAS thread, in an empty working directory.
+negative controls `verify --k K --drop-edge 0 2` for K = 64 and 128, which
+exit 1. Each rung runs `python -m dezawl` from the src/ directory of the
+checkout given by --src (this one by default), on one BLAS thread, in an
+empty working directory.
 A row holds the label, the arguments after `python -m dezawl`, the exit
 code, the wall time from spawn to exit, the peak RSS (ru_maxrss from
 os.wait4), the phase times of the `timing` lines and the counters of the
@@ -38,7 +39,7 @@ import numpy
 ROOT = Path(__file__).resolve().parent.parent
 
 LADDER = [["verify", "--k", str(k)] for k in (128, 129, 256, 257, 512)] + [
-    ["verify", "--k", "64", "--drop-edge", "0", "2"]
+    ["verify", "--k", str(k), "--drop-edge", "0", "2"] for k in (64, 128)
 ]
 
 # One BLAS thread, so each rung is one single-threaded process.
