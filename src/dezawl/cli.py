@@ -32,6 +32,15 @@ def _fail(message: str) -> int:
     return EXIT_USAGE
 
 
+def _missing_directory(path: Path) -> Optional[str]:
+    """The error for a path whose parent is not a directory, which no write
+    can create, else None. Commands check it before they compute, so a
+    mistyped path costs no run; other write errors surface at the write."""
+    if path.parent.is_dir():
+        return None
+    return f"cannot write {path}: {path.parent} is not a directory"
+
+
 def _print_summary(d: dict) -> None:
     """The human-readable summary of a certificate."""
     print(f"k={d['k']}  n={d['group_order']}")
@@ -99,8 +108,11 @@ def cmd_construct(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     drop = tuple(args.drop_edge) if args.drop_edge else None
-    report = verify_family(args.k, drop_edge=drop)
     json_path = Path(args.json) if args.json else Path(f"verification_k{args.k}.json")
+    missing = _missing_directory(json_path)
+    if missing:
+        return _fail(missing)
+    report = verify_family(args.k, drop_edge=drop)
     try:
         json_path.write_text(
             json.dumps(report.certificate, indent=2, sort_keys=True) + "\n", encoding="utf-8"
@@ -177,6 +189,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         return _fail("sweep range must start at k >= 3")
     if args.end < args.start:
         return _fail("empty sweep range")
+    missing = _missing_directory(Path(args.csv)) if args.csv else None
+    if missing:
+        return _fail(missing)
     rows = []
     for k in range(args.start, args.end + 1):
         t0 = time.perf_counter()

@@ -10,8 +10,16 @@ decides its verdict block by block, in row-major order of pairs. The
 products are exact: every term is 0 or 1, so every partial sum is an
 integer in [0, n], and float32 holds every integer below 2^24 exactly,
 whatever order, blocking or fused multiply-add the BLAS uses.
-Graphs with n >= 2^24 vertices are refused with ValueError. Graphs are
+Graphs with n >= 2^24 vertices are refused with ValueError, and Graph
+itself refuses n^2 >= 2^31 before it allocates the adjacency. Graphs are
 treated as immutable once built; derived graphs are produced by copy.
+
+cayley_graph and grid_graph record automorphisms that they know by
+construction: the right translations of a generating set and the two
+cyclic shifts. The group these generate is transitive on the vertices, so
+wl2's coherence recheck and integral_spectrum's certificate, which take
+them by default and check them exactly before use, compare one row and
+take one column.
 """
 
 from __future__ import annotations
@@ -22,12 +30,21 @@ from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .group import FamilyGroup, Group, cosets, subgroup_generated
+from .group import FamilyGroup, Group, _generated, cosets, subgroup_generated
 
 
 class Graph:
     """Loopless graph or digraph on vertices 0..n-1; adj[u, v] is true iff
-    (u, v) is an arc, and an undirected graph stores both arcs."""
+    (u, v) is an arc, and an undirected graph stores both arcs.
+
+    automorphisms holds vertex permutations of the graph, one read-only
+    intp row each, as recorded by the constructor that built it
+    (cayley_graph, grid_graph), and () for every other graph, derived ones
+    included. wl2 and integral_spectrum use them when given no perms; they
+    only shorten work, and each is checked exactly before it is used.
+    Raises ValueError for n < 0 and, before allocating adj, for
+    n^2 >= 2^31, past the int32 pair colors of 2-WL.
+    """
 
     def __init__(
         self,
@@ -37,12 +54,15 @@ class Graph:
     ) -> None:
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
+        if n * n >= 2**31:
+            raise ValueError(f"{n} vertices too many: n^2 must be below 2^31")
+        if labels is not None and len(labels) != n:
+            raise ValueError("labels length does not match vertex count")
         self.n = n
         self.directed = directed
         self.adj = np.zeros((n, n), dtype=bool)
-        if labels is not None and len(labels) != n:
-            raise ValueError("labels length does not match vertex count")
         self.labels = list(labels) if labels is not None else None
+        self.automorphisms: Sequence[Sequence[int]] = ()
 
     @classmethod
     def from_edges(
@@ -166,25 +186,51 @@ class DDGFailure:
     witness: Optional[tuple[int, int]] = None
 
 
+def _read_only_rows(rows: np.ndarray) -> np.ndarray:
+    """rows as a new read-only C-contiguous intp array."""
+    out = np.array(rows, dtype=np.intp)
+    out.setflags(write=False)
+    return out
+
+
+def _greedy_generators(g: Group) -> list[int]:
+    """The elements, in index order, that the ones before them do not
+    generate: a generating set of at most log2 n elements, since each one
+    at least doubles the subgroup generated so far."""
+    gens: list[int] = []
+    h = g.mask([g.identity])
+    while not h.all():
+        gens.append(int(np.argmin(h)))
+        h = _generated(g, g.mask(gens))
+    return gens
+
+
 def cayley_graph(g: Group, s: Iterable[int]) -> Graph:
     """Cayley (di)graph with vertex set g and arcs (x, sx) for s in S.
 
     Undirected iff S is inverse-closed. Raises ValueError if e is in S or
-    an element of S is outside 0..order-1.
+    an element of S is outside 0..order-1. The graph's automorphisms are
+    the right translations x -> xt for t in a greedy generating set of g
+    (_greedy_generators), each of which maps an arc (x, sx) to (xt, sxt):
+    together they act transitively, whatever S is.
     """
     in_s = g.mask(s)
     if in_s[g.identity]:
         raise ValueError("connection set must not contain the identity")
     symmetric = np.array_equal(in_s[g.inv], in_s)
     graph = Graph(g.order, directed=not symmetric, labels=[g.name(x) for x in g.elements()])
-    # Row t of the table is x -> tx, so this sets adj[x, tx] for t in S.
+    # Row t of the table is x -> tx, so this sets adj[x, tx] for t in S;
+    # column t is x -> xt.
     graph.adj[np.arange(g.order), g.mult[in_s]] = True
+    graph.automorphisms = _read_only_rows(g.mult[:, _greedy_generators(g)].T)
     return graph
 
 
 def grid_graph(l: int, m: int) -> Graph:
-    """The (l x m)-grid: vertices (i, j), adjacent iff exactly one
-    coordinate agrees (the line graph of the complete bipartite graph)."""
+    """The (l x m)-grid: vertices (i, j), numbered i * m + j, adjacent iff
+    exactly one coordinate agrees (the line graph of the complete bipartite
+    graph). Its automorphisms are the cyclic shifts i -> i + 1 mod l and
+    j -> j + 1 mod m, which together act transitively."""
     if l < 1 or m < 1:
         raise ValueError("grid dimensions must be at least 1")
     labels = [f"({i},{j})" for i in range(l) for j in range(m)]
@@ -192,6 +238,7 @@ def grid_graph(l: int, m: int) -> Graph:
     row, col = np.divmod(np.arange(l * m), m)
     np.equal(row[:, None], row, out=g.adj)
     g.adj ^= col[:, None] == col
+    g.automorphisms = _read_only_rows([(row + 1) % l * m + col, row * m + (col + 1) % m])
     return g
 
 

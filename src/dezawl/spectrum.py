@@ -48,9 +48,11 @@ products.
 
 On a vertex-transitive graph one column decides everything (Godsil and
 Royle, Algebraic Graph Theory, 2001, ch. 3). integral_spectrum may be given
-vertex permutations; it checks exactly that each is a permutation with
-A[p][:, p] = A (wl._orbit_representatives), and if the group they generate
-has one orbit, only the column block (0, 1) is taken:
+vertex permutations, and takes the graph's own (Graph.automorphisms)
+otherwise, so every graph built by cayley_graph or grid_graph qualifies; it
+checks exactly that each is a permutation with A[p][:, p] = A
+(wl._orbit_representatives), and if the group they generate has one orbit,
+only the column block (0, 1) is taken:
 - every q(A) commutes with the permutation matrix P_s of each s in that
   group, so if s(0) = v then P(A) e_v = P(A) P_s e_0 = P_s P(A) e_0, and
   P(A) = 0 iff P(A) e_0 = 0;
@@ -59,8 +61,9 @@ has one orbit, only the column block (0, 1) is taken:
 Transitivity is enough; the graph need not be a Cayley graph (the Petersen
 graph is not). This takes |C| - 1 products of one column, O(|C| n^2) work
 against O(|C| n^3), under the same exactness rule. Any other input (no
-perms, a non-permutation, a non-automorphism, more than one orbit) takes
-the eight blocks, with the same result.
+perms, as perms=() or on a graph that carries none, a non-permutation, a
+non-automorphism, more than one orbit) takes the eight blocks, with the
+same result.
 
 Exactness has one rule, checked as each product runs. Every product of A
 is one call of _adjacency_product(adj, x, D, shift). It converts the
@@ -321,7 +324,7 @@ def _krylov_candidates(adj: np.ndarray, max_degree: int) -> Optional[list[int]]:
     return roots if len(roots) == length else None
 
 
-def integral_spectrum(g: Graph, perms: Sequence[Sequence[int]] = ()):
+def integral_spectrum(g: Graph, perms: Optional[Sequence[Sequence[int]]] = None):
     """Certify that all adjacency eigenvalues of g are integers.
 
     Returns an IntegralSpectrum with exact multiplicities, or a
@@ -333,11 +336,12 @@ def integral_spectrum(g: Graph, perms: Sequence[Sequence[int]] = ()):
     solved exactly), or else from exact integer elimination, one nullity per
     candidate. NonIntegralVerdict only ever comes from elimination.
 
-    perms, vertex permutations as for wl2, only shorten the certificate.
-    Each is checked exactly to be an automorphism of g; if all are and the
-    group they generate is transitive, the annihilator takes column 0 alone
-    (module docstring). Otherwise, or with no perms, it takes all eight
-    column blocks; the result is the same either way.
+    perms, vertex permutations as for wl2, default to g.automorphisms and
+    only shorten the certificate. Each is checked exactly to be an
+    automorphism of g; if all are and the group they generate is
+    transitive, the annihilator takes column 0 alone (module docstring), as
+    it does on every Cayley graph and grid. Otherwise, or with perms=(), it
+    takes all eight column blocks; the result is the same either way.
 
     The candidates are the exact Krylov nomination. eigvalsh runs only when
     that nomination fails or the annihilator refuses it; its
@@ -351,6 +355,8 @@ def integral_spectrum(g: Graph, perms: Sequence[Sequence[int]] = ()):
         return IntegralSpectrum(())
 
     max_degree = int(g.adj.sum(axis=1).max())
+    if perms is None:
+        perms = g.automorphisms
     transitive = len(perms) > 0 and len(_orbit_representatives(g.adj, perms)) == 1
     nominated = _krylov_candidates(g.adj, max_degree)
     if nominated is not None:

@@ -10,8 +10,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from .graphs import (
     DDGFailure,
     DDGParameters,
@@ -23,7 +21,7 @@ from .graphs import (
     deza_parameters,
     grid_graph,
 )
-from .group import Group, family_group
+from .group import family_group
 from .groupring import connection_set, verify_square_identity
 from .spectrum import (
     IntegralSpectrum,
@@ -95,21 +93,6 @@ def _spectrum_entry(spectrum: IntegralSpectrum | NonIntegralVerdict) -> dict:
     }
 
 
-def _right_translations(g: Group, gens: list[int]) -> np.ndarray:
-    """The permutations x -> x * t of the elements of g, one row per t in
-    gens. They are automorphisms of every Cayley graph of g with arcs
-    x -> s * x. verify_family builds them once for wl2 and
-    integral_spectrum, which each check them."""
-    return g.mult[:, gens].T
-
-
-def _grid_shifts(l: int, m: int) -> list[list[int]]:
-    """The cyclic row and column shifts of the (l x m)-grid, whose vertex
-    (i, j) is i * m + j."""
-    return [[((i + 1) % l) * m + j for i in range(l) for j in range(m)],
-            [i * m + (j + 1) % m for i in range(l) for j in range(m)]]
-
-
 def _wl2_work(conf: CoherentConfiguration) -> dict:
     return {"path": conf.path, "rounds": conf.rounds, "recheck_rows": conf.recheck_rows}
 
@@ -151,15 +134,15 @@ def verify_family(k: int, drop_edge: Optional[tuple[int, int]] = None) -> Verifi
     with _phase(timings, "sring_axioms"):
         sring_ok = bool(is_sring(closure))
 
-    # The translations only shorten the coherence recheck and the spectrum
-    # certificate, which each verify that they are automorphisms and take
-    # every row or column otherwise, as under drop_edge.
+    # Gamma and the grid carry their translations and shifts, which shorten
+    # the coherence recheck and the spectrum certificate to one row and one
+    # column; under drop_edge Gamma carries none, and every row and column
+    # is taken.
     # Each 2-WL coloring (4 n^2 bytes) is dropped once its rank is read:
     # Gamma's would otherwise sit through the grid's 2-WL, which sets the
     # peak memory of a large run.
-    translations = _right_translations(g, [g.a, g.b, g.c, g.d])
     with _phase(timings, "wl2"):
-        conf = wl2(gamma, translations)
+        conf = wl2(gamma)
     rank_graph = conf.rank
     work["wl2_gamma"] = _wl2_work(conf)
     del conf
@@ -180,7 +163,7 @@ def verify_family(k: int, drop_edge: Optional[tuple[int, int]] = None) -> Verifi
     expected_ddg = (8 * k, 2 * (k + 1), 2 * (k - 1), 2, 4, 2 * k)
 
     with _phase(timings, "spectrum"):
-        spectrum = integral_spectrum(gamma, translations)
+        spectrum = integral_spectrum(gamma)
     spectrum_ok = False
     if isinstance(spectrum, IntegralSpectrum):
         trace_sum = sum(lam * m for lam, m in spectrum.pairs)
@@ -194,7 +177,7 @@ def verify_family(k: int, drop_edge: Optional[tuple[int, int]] = None) -> Verifi
     with _phase(timings, "grid"):
         grid = grid_graph(4, 2 * k)
         grid_deza = deza_parameters(grid)
-        grid_conf = wl2(grid, _grid_shifts(4, 2 * k))
+        grid_conf = wl2(grid)
         indistinguishable_1wl = not wl1_distinguishes(gamma, grid)
     same_parameters = (
         isinstance(deza, DezaParameters)

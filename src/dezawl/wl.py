@@ -45,14 +45,15 @@ prime below 2^18. The new color is the first-occurrence id of the row
    rounds continue from H, which lies between the initial coloring and W,
    so they reach W.
 3. Orbit reduction is sound. verify_coherence may be given vertex
-   permutations. It checks exactly that each is a permutation preserving
+   permutations, and wl2 passes the graph's own (Graph.automorphisms)
+   unless given others. It checks exactly that each is a permutation preserving
    every pair color; then so does every element pi of the group they
    generate, and the multiset of (color(u, w), color(w, v)) over w equals
    that of (pi u, pi v), as w -> pi w is a bijection. So every multiset of a
    class occurs at some (s, pi v) in the row of s = pi u, the least vertex
    of u's orbit, and the pairs of those rows give the full comparison's
-   least varying (code, class). For the family graph and the grid the group
-   is transitive and one row is compared.
+   least varying (code, class). On every graph built by cayley_graph or
+   grid_graph the group is transitive and one row is compared.
 
 Pair colors are int32 ids below n^2, exact while n^2 < 2^31, that is
 n <= 46340; initial_pair_coloring, and so wl2, raise ValueError past that
@@ -239,7 +240,9 @@ def _hashed_round(color: np.ndarray, num_colors: int, seed: int) -> tuple[np.nda
     return new.reshape(color.shape), num
 
 
-def wl2(g: Graph, perms: Sequence[Sequence[int]] = ()) -> CoherentConfiguration:
+def wl2(
+    g: Graph, perms: Optional[Sequence[Sequence[int]]] = None
+) -> CoherentConfiguration:
     """Stable 2-WL pair coloring of g, verified coherent before returning.
 
     While g.n <= _HASH_MAX_N, hashed rounds refine until the color count
@@ -249,9 +252,11 @@ def wl2(g: Graph, perms: Sequence[Sequence[int]] = ()) -> CoherentConfiguration:
     products are exact below the bound, a recheck that passes proves the
     hashed coloring equal to the exact one, ids included, and an
     orbit-reduced recheck decides as the full one does. perms, vertex
-    permutations believed to be automorphisms of g, only shorten the
-    recheck; verify_coherence checks that they preserve the coloring and
-    ignores them otherwise.
+    permutations believed to be automorphisms of g, default to
+    g.automorphisms (one row compared on a Cayley graph or a grid), and
+    () compares every row. They only shorten the recheck;
+    verify_coherence checks that they preserve the coloring and ignores
+    them otherwise.
 
     Colors are int32, so g.n must be at most 46340 (ValueError otherwise).
     wl2 holds at most the current and the new coloring; the module
@@ -263,6 +268,8 @@ def wl2(g: Graph, perms: Sequence[Sequence[int]] = ()) -> CoherentConfiguration:
     init = initial_pair_coloring(g)
     color, num = init.color, init.num_colors
     del init
+    if perms is None:
+        perms = g.automorphisms
     rounds = recheck_rows = 0
     path = []
     steps = [("hashed", _hashed_round)] if g.n <= _HASH_MAX_N else []

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import jsonschema
@@ -275,9 +276,10 @@ def test_wl_rank_rejects_duplicate_edges(text, tmp_path, capsys):
 
 # Each size asks for one array larger than a 48-bit address space (256 TiB),
 # so the allocation fails at once whatever the kernel's overcommit policy:
-# a 2e7 x 2e7 boolean adjacency matrix (364 TiB), and the 8e6 x 8e6 int64
-# multiplication table of the family group at k = 1e6 (466 TiB), built
-# after four vectors of 64 MB.
+# the 8e6 x 8e6 int64 multiplication table of the family group at k = 1e6
+# (466 TiB), built after four vectors of 64 MB. The 2e7 x 2e7 boolean
+# adjacency matrix (364 TiB) of the wl-rank inputs is refused before it is
+# allocated, since Graph bounds n^2 below 2^31: they exit 2 with that error.
 @pytest.mark.parametrize("argv,text", [
     (["wl-rank"], "20000000 0\n"),
     (["wl-rank"], '{"n": 20000000, "directed": false, "edges": []}'),
@@ -291,7 +293,9 @@ def test_failed_allocation_exits_2(argv, text, tmp_path, capsys, monkeypatch):
         argv = argv + ["--in", "big.txt"]
     assert main(argv) == 2
     captured = capsys.readouterr()
-    assert captured.err.startswith("error: not enough memory: ")
+    assert captured.err.startswith(
+        "error: cannot read graph: 20000000 vertices too many" if text
+        else "error: not enough memory: ")
     assert captured.out == ""
     assert list(tmp_path.iterdir()) == ([tmp_path / "big.txt"] if text else [])
 
@@ -299,6 +303,8 @@ def test_failed_allocation_exits_2(argv, text, tmp_path, capsys, monkeypatch):
 # Inputs past a size bound raise ValueError deep in the pipeline; the CLI
 # reports it as one error line with exit 2, never a traceback: 46341 vertices
 # need pair colors past int32, and k = 10^18 an array past numpy's limit.
+# Either is refused before anything large is allocated: the run traces less
+# than 1 MB (the adjacency of 46341 vertices alone is 2 GiB).
 @pytest.mark.parametrize("argv,text", [
     (["wl-rank", "--in", "g.json"], '{"n": 46341, "directed": false, "edges": []}'),
     (["sweep", "--from", str(10**18), "--to", str(10**18)], None),
@@ -307,7 +313,13 @@ def test_value_error_exits_2_with_one_error_line(argv, text, tmp_path, capsys, m
     monkeypatch.chdir(tmp_path)
     if text is not None:
         (tmp_path / "g.json").write_text(text)
-    assert main(argv) == 2
+    tracemalloc.start()
+    try:
+        assert main(argv) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ")
     assert captured.err.count("\n") == 1
@@ -315,7 +327,9 @@ def test_value_error_exits_2_with_one_error_line(argv, text, tmp_path, capsys, m
 
 
 # Unwritable outputs and malformed edge lists: one error line with exit 2,
-# after nothing on stdout.
+# after nothing on stdout. A missing output directory is refused before the
+# certificate runs: verify_family is never called and no timing line comes
+# first.
 @pytest.mark.parametrize("argv,text,message", [
     (["verify", "--k", "3", "--json", "/nonexistent/dir/r.json"], None,
      "error: cannot write /nonexistent/dir/r.json"),
@@ -326,13 +340,17 @@ def test_value_error_exits_2_with_one_error_line(argv, text, tmp_path, capsys, m
      "error: cannot read graph: bad edge line '0 1 2'"),
 ], ids=["verify-json", "sweep-csv", "empty-edgelist", "bad-edge-line"])
 def test_bad_paths_and_edge_lists_exit_2(argv, text, message, tmp_path, capsys, monkeypatch):
+    from dezawl import cli
+
     monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "verify_family", lambda *args, **kwargs: pytest.fail("ran"))
     if text is not None:
         (tmp_path / "g.txt").write_text(text)
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.err.splitlines()[-1].startswith(message)
     assert "Traceback" not in captured.err
+    assert "timing" not in captured.err
     assert captured.out == ""
 
 

@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from dezawl import Graph, initial_pair_coloring, verify_coherence, wl
-from dezawl.verify import _right_translations
 from dezawl.wl import (
     _SORT_BLOCK_ROWS,
     CoherenceResult,
@@ -172,8 +171,7 @@ def _relabel(coloring: PairColoring, perms, sigma):
 
 @pytest.mark.parametrize("k", [3, 4, 5, 6])
 def test_orbit_reduced_recheck_on_every_round(cache, k):
-    g = cache.group(k)
-    perms = _right_translations(g, [g.a, g.b, g.c, g.d])
+    perms = cache.graph(k).automorphisms
     init = initial_pair_coloring(cache.graph(k))
     rng = random.Random(k)
     color, num = init.color, init.num_colors
@@ -236,9 +234,8 @@ def _orbit(pi, u):
 
 def test_non_preserving_permutations_fall_back_to_the_full_check(cache):
     gamma = cache.graph(3)
-    g = cache.group(3)
     conf = cache.configuration(("family", 3), gamma)
-    perms = _right_translations(g, [g.a, g.b, g.c, g.d])
+    perms = gamma.automorphisms
     assert verify_coherence(conf.coloring, perms).rows == 1
     # right translations are not automorphisms of the graph with an edge
     # removed, so its colorings are checked in full, with the same witness

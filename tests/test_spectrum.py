@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from conftest import elementary_abelian
 from dezawl import graphs as graph_layer
 from dezawl import spectrum
-from dezawl.verify import _grid_shifts, _right_translations
 from dezawl import (
     Graph,
     IntegralSpectrum,
@@ -476,11 +475,11 @@ def test_annihilator_runs_one_product_fewer_per_block(cache, monkeypatch):
 
 def test_past_512_vertices_blocks_are_an_eighth_wide(cache, monkeypatch):
     """At n = 8k = 576 the nomination takes 2L + 1 products of vectors, and
-    the annihilator 8 blocks of n // 8 = 72 columns, |C| - 1 = 4 products
-    each."""
+    the annihilator, kept off the translations Gamma_72 carries by
+    perms=(), 8 blocks of n // 8 = 72 columns, |C| - 1 = 4 products each."""
     g = cache.graph(72)
     products = _counting(monkeypatch)
-    spec = integral_spectrum(g)
+    spec = integral_spectrum(g, ())
     assert spec.pairs == ((146, 1), (142, 1), (2, 285), (-2, 287), (-142, 2))
     assert products == [(576,)] * (2 * 5 + 1) + [(576, 72)] * (8 * 4)
 
@@ -535,11 +534,12 @@ def test_cayley_graphs_of_c2m_nominate_their_distinct_eigenvalues(m, data):
     expected = _reference_spectrum(g)
     assert isinstance(expected, IntegralSpectrum)
     assert _nominate(g) == _distinct_eigenvalues(expected)
+    # The graph carries the unit translations, which are automorphisms and
+    # transitive even when S does not generate C2^m, so the one-column path
+    # applies; perms=() takes the eight blocks.
+    assert np.array_equal(g.automorphisms, _unit_translations(m))
     assert integral_spectrum(g) == expected
-    # The unit translations are automorphisms and transitive even when S
-    # does not generate C2^m, so the one-column path applies.
-    units = _right_translations(group, [1 << i for i in range(m)])
-    assert integral_spectrum(g, units) == integral_spectrum(g)
+    assert integral_spectrum(g, ()) == expected
     candidates, d = _distinct_eigenvalues(expected), _max_degree(g)
     assert (spectrum._annihilator_multiplicities(g.adj, candidates, d, transitive=True)
             == spectrum._annihilator_multiplicities(g.adj, candidates, d))
@@ -588,11 +588,6 @@ def test_nomination_of_a_dense_random_graph_stops_at_its_square_cap(monkeypatch)
 
 # ------------------------------------ one column on transitive automorphisms
 
-def _translations(cache, k):
-    g = cache.group(k)
-    return _right_translations(g, [g.a, g.b, g.c, g.d])
-
-
 def _unit_translations(d):
     return [[u ^ (1 << i) for u in range(1 << d)] for i in range(d)]
 
@@ -609,10 +604,14 @@ def _annihilator_widths(products):
     return {shape[1] for shape in products if len(shape) == 2}
 
 
+def _carried(g):
+    return g, g.automorphisms
+
+
 TRANSITIVE_CASES = {
-    **{f"gamma{k}": (lambda cache, k=k: (cache.graph(k), _translations(cache, k)))
+    **{f"gamma{k}": (lambda cache, k=k: _carried(cache.graph(k)))
        for k in [*range(3, 17), 48]},
-    **{f"grid4x{m}": (lambda cache, m=m: (grid_graph(4, m), _grid_shifts(4, m)))
+    **{f"grid4x{m}": (lambda cache, m=m: _carried(grid_graph(4, m)))
        for m in [3, 6, 9]},
     "q4": lambda cache: (_hypercube(4), _unit_translations(4)),
     "petersen": lambda cache: (_petersen(), [_PETERSEN_ROTATION, _PETERSEN_SWAP]),
@@ -622,7 +621,7 @@ TRANSITIVE_CASES = {
 @pytest.mark.parametrize("name", sorted(TRANSITIVE_CASES))
 def test_one_column_gives_the_blocked_pairs(cache, monkeypatch, name):
     g, perms = TRANSITIVE_CASES[name](cache)
-    blocked = integral_spectrum(g)
+    blocked = integral_spectrum(g, ())
     assert isinstance(blocked, IntegralSpectrum)
     products = _counting(monkeypatch)
     monkeypatch.setattr(spectrum, "np", _NoLinalg())
@@ -631,25 +630,25 @@ def test_one_column_gives_the_blocked_pairs(cache, monkeypatch, name):
 
 
 def test_one_column_products_on_gamma_5(cache, monkeypatch):
-    """2L + 1 = 11 products of vectors for the nomination, then |C| - 1 = 4
-    products of column 0 alone."""
+    """On the translations Gamma_5 carries: 2L + 1 = 11 products of vectors
+    for the nomination, then |C| - 1 = 4 products of column 0 alone."""
     products = _counting(monkeypatch)
     monkeypatch.setattr(spectrum, "np", _NoLinalg())
-    spec = integral_spectrum(cache.graph(5), _translations(cache, 5))
+    spec = integral_spectrum(cache.graph(5))
     assert spec.pairs == ((12, 1), (8, 1), (2, 17), (-2, 19), (-8, 2))
     assert products == [(40,)] * 11 + [(40, 1)] * 4
 
 
 def _repeated_entry(cache):
-    perms = np.array(_translations(cache, 5))
+    perms = np.array(cache.graph(5).automorphisms)
     perms[0, 1] = perms[0, 0]
     return perms
 
 
 FALLBACK_PERMS = {
     "repeated_entry": _repeated_entry,
-    "wrong_length": lambda cache: np.array(_translations(cache, 5))[:, :-1],
-    "a_alone": lambda cache: _right_translations(cache.group(5), [cache.group(5).a]),
+    "wrong_length": lambda cache: cache.graph(5).automorphisms[:, :-1],
+    "a_alone": lambda cache: cache.group(5).mult[:, [cache.group(5).a]].T,
 }
 
 
@@ -685,5 +684,5 @@ def test_translations_of_gamma_are_no_automorphisms_without_an_edge(cache, monke
     assert isinstance(expected, NonIntegralVerdict)
     _patched_nominator(monkeypatch, lambda c: sorted(expected_eigenvalues(k), reverse=True))
     products = _counting(monkeypatch)
-    assert integral_spectrum(g, _translations(cache, k)) == expected
+    assert integral_spectrum(g, cache.graph(k).automorphisms) == expected
     assert [shape for shape in products if len(shape) == 2] == [(8 * k, k)] * 4

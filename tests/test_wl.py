@@ -314,11 +314,19 @@ def _sha(conf):
 
 
 def test_hashed_rounds_take_the_hashed_path(cache):
+    """With perms=() the recheck compares every row; by default it compares
+    one on the Cayley graphs and the grid, which carry their translations,
+    and every row on the 3-cycle digraph, built from its edges."""
+    import numpy as np
+
     for name, graph in _pinned_graphs(cache).items():
-        conf = wl2(graph)
+        conf = wl2(graph, ())
         assert conf.path == "hashed", name
         assert conf.recheck_rows == graph.n, name
         assert conf.rounds >= 1
+        carried = wl2(graph)
+        assert np.array_equal(carried.coloring.color, conf.coloring.color), name
+        assert carried.recheck_rows == (graph.n if name == "directed3cycle" else 1), name
 
 
 @pytest.mark.parametrize("prime", [2, 3])
@@ -408,19 +416,31 @@ def _inverse_closed_sets(draw):
 def test_wl2_and_sring_closure_agree_on_cayley_graphs(group_and_set):
     """On Cayley graphs of three groups, 2-WL and the S-ring closure, which
     share no code, give one rank; every hashed round gives the exact round's
-    coloring, ids included; and the recheck reduced by all right
-    translations gives the full recheck's verdict and witness."""
+    coloring, ids included; the right translations the graph carries pass
+    the exact automorphism check with one orbit, so wl2 and
+    integral_spectrum give with them what they give with perms=(), and the
+    recheck reduced by them gives the full recheck's verdict and witness
+    from one row. Graphs derived from it carry none."""
     import numpy as np
 
-    from dezawl.verify import _right_translations
-    from dezawl.wl import PairColoring, _hashed_round, _wl2_round
+    from dezawl import graph_to_json, integral_spectrum, load_graph
+    from dezawl.wl import PairColoring, _hashed_round, _orbit_representatives, _wl2_round
 
     g, s = group_and_set
     graph = cayley_graph(g, s)
     closure = wl_closure(g, [s])
-    assert wl2(graph).rank == closure.rank
+    translations = graph.automorphisms
+    assert _orbit_representatives(graph.adj, translations) == [0]
+    carried, every_row = wl2(graph), wl2(graph, ())
+    assert np.array_equal(carried.coloring.color, every_row.coloring.color)
+    assert (carried.recheck_rows, every_row.recheck_rows) == (1, graph.n)
+    assert carried.rank == closure.rank
+    assert integral_spectrum(graph) == integral_spectrum(graph, ())
     assert is_sring(closure).ok
-    translations = _right_translations(g, list(range(g.order)))
+    derived = [load_graph(graph_to_json(graph))]
+    if s:
+        derived.append(graph.without_edge(*graph.edges()[0]))
+    assert [d.automorphisms for d in derived] == [()] * len(derived)
     init = initial_pair_coloring(graph)
     color, num = init.color, init.num_colors
     for t in range(graph.n ** 2):

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from dezawl import grid_graph, initial_pair_coloring, verify_coherence, wl2
 from dezawl import wl
-from dezawl.verify import _grid_shifts, _right_translations
 
 PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 KEYS = st.integers(0, 2**62 - 1)
@@ -57,28 +56,23 @@ def test_renumbering_of_repeated_pools(pool, size, rnd):
     _check_renumbering([rnd.choice(pool) for _ in range(size * len(pool))])
 
 
-def _family_with_translations(cache, k):
-    g = cache.group(k)
-    return cache.graph(k), _right_translations(g, [g.a, g.b, g.c, g.d])
-
-
 def test_colors_are_int32_on_every_path(cache, monkeypatch):
-    gamma, perms = _family_with_translations(cache, 5)
+    gamma = cache.graph(5)
     assert initial_pair_coloring(gamma).color.dtype == np.int32
-    hashed = wl2(gamma, perms)
+    hashed = wl2(gamma)
     assert hashed.path == "hashed"
     assert hashed.coloring.color.dtype == np.int32
     monkeypatch.setattr(wl, "_HASH_MAX_N", 0)
-    exact = wl2(gamma, perms)
+    exact = wl2(gamma)
     assert exact.path == "exact"
     assert exact.coloring.color.dtype == np.int32
     assert np.array_equal(exact.coloring.color, hashed.coloring.color)
 
 
 def test_recheck_accepts_int32_and_int64_alike(cache):
-    gamma, perms = _family_with_translations(cache, 4)
+    gamma = cache.graph(4)
     init = initial_pair_coloring(gamma)
-    conf = wl2(gamma, perms)
+    conf = wl2(gamma)
     for coloring in (init, conf.coloring):
         wide = wl.PairColoring(coloring.n, coloring.color.astype(np.int64),
                                coloring.num_colors)
@@ -126,17 +120,17 @@ def _family_without_edge(cache):
 )
 def test_wl2_peak_memory_is_at_most_four_int64_matrices(cache, name, units):
     """The traced peak of wl2, result included, stays within 4 * 8 n^2 bytes;
-    without perms on Gamma_32 less the edge (0, 2), of rank n^2 / 2, the hash
-    weights of one half of a round add up to a unit, so 5 (module
-    docstring)."""
+    on Gamma_32 less the edge (0, 2), which carries no automorphisms and has
+    rank n^2 / 2, the hash weights of one half of a round add up to a unit,
+    so 5 (module docstring)."""
     if name == "gamma16":
-        graph, perms = _family_with_translations(cache, 16)
+        graph = cache.graph(16)
     elif name == "grid4x32":
-        graph, perms = grid_graph(4, 32), _grid_shifts(4, 32)
+        graph = grid_graph(4, 32)
     else:
-        graph, perms = _family_without_edge(cache)[0], ()
-    wl2(graph, perms)  # warm every lazy import and cache first
-    peak = _traced_peak(lambda: wl2(graph, perms))
+        graph = _family_without_edge(cache)[0]
+    wl2(graph)  # warm every lazy import and cache first
+    peak = _traced_peak(lambda: wl2(graph))
     assert peak <= units * 8 * graph.n ** 2, peak / (8 * graph.n ** 2)
 
 
@@ -159,8 +153,8 @@ def test_exact_round_peak_memory_is_below_four_int64_matrices(cache, k, rank):
     one pair row u at a time: the ids go into a preallocated int32 array,
     not a Python list, and the codes are built from the int32 coloring row
     by row. The round keeps the coloring, ids included."""
-    graph, perms = _family_with_translations(cache, k)
-    conf = wl2(graph, perms)
+    graph = cache.graph(k)
+    conf = wl2(graph)
     color = conf.coloring.color
     assert conf.rank == rank
     wl._wl2_round(color, rank)  # warm every lazy import and cache first
