@@ -9,10 +9,9 @@ together cost about the flops of one symmetric product A A^T; each check
 decides its verdict block by block, in row-major order of pairs. The
 products are exact: every term is 0 or 1, so every partial sum is an
 integer in [0, n], and float32 holds every integer below 2^24 exactly,
-whatever order, blocking or fused multiply-add the BLAS uses.
-Graphs with n >= 2^24 vertices are refused with ValueError, and Graph
-itself refuses n^2 >= 2^31 before it allocates the adjacency. Graphs are
-treated as immutable once built; derived graphs are produced by copy.
+whatever order, blocking or fused multiply-add the BLAS uses; Graph
+refuses n^2 >= 2^31 before it allocates the adjacency, so n < 2^24. Graphs
+are treated as immutable once built; derived graphs are produced by copy.
 
 cayley_graph and grid_graph record automorphisms that they know by
 construction: the right translations of a generating set and the two
@@ -242,18 +241,6 @@ def grid_graph(l: int, m: int) -> Graph:
     return g
 
 
-def _exact_float32_adjacency(g: Graph) -> np.ndarray:
-    """adj as a float32 0/1 matrix, for BLAS products that stay exact.
-
-    A product of two 0/1 matrices sums at most n ones per entry, so it is
-    exact in float32 while n < 2^24. Larger graphs raise ValueError before
-    adj is read.
-    """
-    if g.n >= 2**24:
-        raise ValueError(f"{g.n} vertices too many for exact float32 counts")
-    return g.adj.astype(np.float32)
-
-
 # Row blocks of each BLAS pass over n rows, here, in spectrum and in wl's
 # hashed rounds: a call amortizes its packing of the right operand over n / 8.
 _BLOCKS = 8
@@ -282,7 +269,7 @@ def diameter(g: Graph) -> Union[int, float]:
     diameter: a long path is slower than a breadth-first search from every
     vertex.
     """
-    a = _exact_float32_adjacency(g)
+    a = g.adj.astype(np.float32)
     reach = np.eye(g.n, dtype=bool)
     d = 0
     while not reach.all():
@@ -306,10 +293,9 @@ def _common_neighbor_blocks(g: Graph):
     (see the module docstring) that callers compare with ints directly;
     upper marks the pairs v > u and is a new array per block, which callers
     may overwrite. The float32 A lives in the generator alone and is freed
-    when it is exhausted or closed. Raises ValueError for n >= 2^24 on the
-    first next(), before adj is read.
+    when it is exhausted or closed.
     """
-    a = _exact_float32_adjacency(g)
+    a = g.adj.astype(np.float32)
     for lo, hi in _row_blocks(g.n):
         upper = np.arange(lo, g.n) > np.arange(lo, hi)[:, None]
         yield lo, a[lo:hi] @ a[lo:].T, upper

@@ -20,30 +20,32 @@ such configuration, and each round preserves that property because
 intersection numbers are well defined there.
 
 wl2 first refines with hashed rounds (_hashed_round), which compress each
-signature, following Shervashidze et al. (JMLR 2011), to two numbers
+signature, following Shervashidze et al. (JMLR 2011), to one number
 h_t(u, v) = sum over w of x_t[color(u, w)] * y_t[color(w, v)] mod p, one
-float64 matrix product each, with x_t, y_t drawn from [1, p)^rank and p a
-prime below 2^18. The new color is the first-occurrence id of the row
-(old color, h_1, h_2). Three arguments make the result exact:
+float64 matrix product, with x_t, y_t drawn from [1, p)^rank and p a prime
+below 2^20, and number the keys color * p + h_t by first occurrence. Two
+distinct signatures of one class collide with probability at most 2/p
+(Schwartz, JACM 1980), which only delays a split or makes the recheck
+reject. Three arguments make the result exact:
 
-1. Exact arithmetic. Every product is below p^2 < 2^36 and a sum has n
+1. Exact arithmetic. Every product is at most (p - 1)^2 and a sum has n
    nonnegative integer terms, so every partial sum, in any order and with or
-   without fused multiply-adds, is an integer below n * p^2 < 2^49 while
-   n <= 8192 (_HASH_MAX_N), and float64 holds it exactly. The row packs
-   into one int64, color * p^2 + h_1 * p + h_2 < n^2 * p^2 < 2^62, because
-   a color is below n^2. Past the bound only exact rounds run. A product
-   formed in row blocks sums the same terms, so it is exact too.
-2. A recheck that passes proves H = W. The new color of a hashed round is a
-   function of the old color and the exact signature, so by induction the
-   hashed partition H_t after t rounds is never finer than the exact W_t,
-   hence never finer than W, and it refines the initial coloring. If the
-   exact, independent verify_coherence accepts the stable H, then H is a
-   coherent configuration refining the initial coloring, so it is at least
-   as fine as W, the coarsest one. So H = W as partitions, and since both
-   are numbered by first occurrence in row-major order, the color matrices
-   are identical. If the recheck rejects H (two signatures collided), exact
-   rounds continue from H, which lies between the initial coloring and W,
-   so they reach W.
+   without fused multiply-adds, is an integer at most n (p - 1)^2 < 2^53
+   while n <= 8192 (_HASH_MAX_N), and float64 holds it exactly; row blocks
+   sum the same terms. The key is below n^2 p < 2^46, as a color is below
+   n^2. Past the bound only exact rounds run.
+2. A recheck that passes proves H = W, so the recheck, not a stable count,
+   stops wl2. A hashed key is a function of the old color and the exact
+   signature, so by induction the hashed partition H_t after t rounds is
+   never finer than the exact W_t, hence never finer than W, and it refines
+   the initial coloring. If the exact, independent verify_coherence accepts
+   H, then H is a coherent configuration refining the initial coloring, so
+   it is at least as fine as W, the coarsest one. So H = W as partitions,
+   and since both are numbered by first occurrence in row-major order, the
+   color matrices are identical. If the recheck rejects H (a collision),
+   hashed rounds continue from H, which lies between the initial coloring
+   and W, under fresh seeds. Rounds only refine, so a second stop at H's
+   count stops on H itself; exact rounds then continue from it to W.
 3. Orbit reduction is sound. verify_coherence may be given vertex
    permutations, and wl2 passes the graph's own (Graph.automorphisms)
    unless given others. It checks exactly that each is a permutation preserving
@@ -53,26 +55,29 @@ prime below 2^18. The new color is the first-occurrence id of the row
    class occurs at some (s, pi v) in the row of s = pi u, the least vertex
    of u's orbit, and the pairs of those rows give the full comparison's
    least varying (code, class). On every graph built by cayley_graph or
-   grid_graph the group is transitive and one row is compared.
+   grid_graph the group is transitive and one row is compared. This gives
+   wl2 its trigger: perms that preserve the initial coloring preserve every
+   round's, and if they act transitively a round splits a class iff row 0
+   of its key, read from the first row block, does.
 
 Pair colors are int32 ids below n^2, exact while n^2 < 2^31, that is
 n <= 46340; initial_pair_coloring, and so wl2, raise ValueError past that
 before allocating anything. A unit below is 8 n^2 bytes, one n x n int64
 array. A hashed round (_hashed_key) holds the current coloring (half a
 unit), the int64 key (one), the float64 operand y_t[color] (one), the
-weights x_t, y_t of one half (2 rank float64 words, a unit at rank n^2 / 2)
-and one of eight row blocks of x_t[color] and of its product, never all of
-x_t[color] or a full product. The key goes straight into
-_renumber_first_occurrence, which sorts it in place and frees it once the
-run starts are known; then the argsort order (one unit of intp), the int32
-run ids and the int32 new ids (half a unit each) remain. wl2 holds no
-reference to the initial coloring and at most the current and the new
-coloring. So wl2 peaks near three units; under tracemalloc it stays within
-four on Gamma_16 and the 4 x 32 grid, and within five on Gamma_32 less the
-edge (0, 2), of rank n^2 / 2, as the tests assert. The recheck frees its
-O(rank) class counts before the comparison, which holds the coloring, the
-colors and intp sort order of the compared pairs (1.5 units for all rows)
-and a block of 64 pairs of int64 codes: O(n^2) at any rank.
+weights x_t, y_t (2 rank float64 words, a unit at rank n^2 / 2) and one of
+eight row blocks of x_t[color] and of its product, never all of x_t[color]
+or a full product. The key goes straight into _renumber_first_occurrence,
+which sorts it in place and frees it once the run starts are known; then
+the argsort order (one unit of intp), the int32 run ids and the int32 new
+ids (half a unit each) remain. wl2 holds no reference to the initial
+coloring and at most the current and the new coloring. So wl2 peaks near
+three units; under tracemalloc it stays within four on Gamma_16 and the
+4 x 32 grid, and within five on Gamma_32 less the edge (0, 2), of rank
+n^2 / 2, as the tests assert. The recheck frees its O(rank) class counts
+before the comparison, which holds the coloring, the colors and intp sort
+order of the compared pairs (1.5 units for all rows) and a block of 64
+pairs of int64 codes: O(n^2) at any rank.
 
 wl1 is classical color refinement (Berkholz, Bonsma and Grohe, 2017). A
 round keys each vertex u by its signature (color(u), sorted multiset of
@@ -116,8 +121,8 @@ class PairColoring:
 
 @dataclass
 class CoherentConfiguration:
-    """A stable 2-WL coloring with the work wl2 did to reach it: the rounds
-    run, the path ("hashed", "hashed+exact" after a rejected hashed
+    """A stable 2-WL coloring with the work wl2 did to reach it: the full
+    rounds run, the path ("hashed", "hashed+exact" after a rejected hashed
     coloring, or "exact" past _HASH_MAX_N) and the rows its rechecks
     compared."""
 
@@ -193,10 +198,9 @@ def _wl2_round(color: np.ndarray, num_colors: int) -> tuple[np.ndarray, int]:
     return new, len(ids)
 
 
-# Hashed rounds reduce modulo a prime p below 2^18 and run while n <= 8192, so
-# that float64 sums of products and packed int64 rows are exact (module
-# docstring, argument 1).
-_HASH_PRIME = 262139
+# p is the largest prime with 8192 (p - 1)^2 < 2^53, so float64 sums of
+# products are exact while n <= 8192 (module docstring, argument 1).
+_HASH_PRIME = 1048573
 _HASH_MAX_N = 8192
 
 
@@ -216,28 +220,28 @@ def _splitmix64(start: int, size: int, p: int) -> np.ndarray:
     return z
 
 
-def _hashed_key(color: np.ndarray, num_colors: int, seed: int) -> np.ndarray:
-    """The flat int64 rows color * p^2 + h_1 * p + h_2 of a hashed round."""
+def _hashed_key(color: np.ndarray, num_colors: int, seed: int, trigger: bool) -> np.ndarray:
+    """The flat int64 key color * p + h of a hashed round; empty when trigger
+    is set and row 0 of the key splits no class of row 0."""
     p = _HASH_PRIME
+    x, y = _splitmix64(seed << 32, 2 * num_colors, p).astype(np.float64).reshape(2, -1)
+    y_color = y[color]
     key = color.astype(np.int64)
-    key *= p * p
-    for t, scale in ((0, p), (1, 1)):
-        # x_t, y_t are words 2 t r, ..., 2 t r + 2 r - 1 of the seed's stream.
-        x, y = _splitmix64((seed << 32) + 2 * t * num_colors, 2 * num_colors,
-                           p).astype(np.float64).reshape(2, -1)
-        y_color = y[color]
-        # Row blocks, so a round holds no full x_t[color] and no full product.
-        for lo, hi in _row_blocks(len(color)):
-            key[lo:hi] += (x[color[lo:hi]] @ y_color).astype(np.int64) % p * scale
-        del x, y, y_color  # before the second operand is built
+    key *= p
+    # Row blocks, so a round holds no full x[color] and no full product.
+    for lo, hi in _row_blocks(len(color)):
+        key[lo:hi] += np.matmul(x[color[lo:hi]], y_color).astype(np.int64) % p
+        if trigger and lo == 0 and len(set(key[0].tolist())) == len(set(color[0].tolist())):
+            return np.empty(0, dtype=np.int64)
     return key.ravel()
 
 
-def _hashed_round(color: np.ndarray, num_colors: int, seed: int) -> tuple[np.ndarray, int]:
-    """One 2-WL round on hashed signatures (old color, h_1, h_2), numbered by
-    first occurrence in row-major pair order; see the module docstring."""
-    new, num = _renumber_first_occurrence(_hashed_key(color, num_colors, seed))
-    return new.reshape(color.shape), num
+def _hashed_round(color: np.ndarray, num_colors: int, seed: int,
+                  trigger: bool = False) -> Optional[tuple[np.ndarray, int]]:
+    """One 2-WL round on hashed keys, numbered by first occurrence in
+    row-major pair order; None if trigger is set and row 0 splits no class."""
+    new, num = _renumber_first_occurrence(_hashed_key(color, num_colors, seed, trigger))
+    return (new.reshape(color.shape), num) if num else None
 
 
 def wl2(
@@ -245,24 +249,20 @@ def wl2(
 ) -> CoherentConfiguration:
     """Stable 2-WL pair coloring of g, verified coherent before returning.
 
-    While g.n <= _HASH_MAX_N, hashed rounds refine until the color count
-    stops changing, and verify_coherence rechecks the result; exact
-    _wl2_round rounds continue from it only if the recheck rejects it. The
-    module docstring argues the three points this rests on: the float64
-    products are exact below the bound, a recheck that passes proves the
-    hashed coloring equal to the exact one, ids included, and an
-    orbit-reduced recheck decides as the full one does. perms, vertex
-    permutations believed to be automorphisms of g, default to
-    g.automorphisms (one row compared on a Cayley graph or a grid), and
-    () compares every row. They only shorten the recheck;
-    verify_coherence checks that they preserve the coloring and ignores
-    them otherwise.
+    While g.n <= _HASH_MAX_N, hashed rounds of one float64 product each
+    refine until a trigger fires: row 0 of a round splits no class of row 0
+    if perms pass the exact automorphism check on the initial coloring and
+    act transitively, else a round keeps the color count. wl2 returns once
+    verify_coherence accepts; a rejected coloring is refined on under fresh
+    seeds, and a second stop at its count, or g.n > _HASH_MAX_N, runs exact
+    _wl2_round rounds (module docstring). perms, vertex permutations
+    believed to be automorphisms of g, default to g.automorphisms, and ()
+    compares every row; they only trigger and shorten the recheck.
 
-    Colors are int32, so g.n must be at most 46340 (ValueError otherwise).
-    wl2 holds at most the current and the new coloring; the module
-    docstring lists the arrays of a round and bounds the peak memory.
+    Colors are int32, so g.n must be at most 46340 (ValueError otherwise);
+    the module docstring lists the arrays of a round and bounds its memory.
 
-    Raises RuntimeError if the stabilized coloring fails the independent
+    Raises RuntimeError if the stable exact coloring fails the independent
     coherence recheck (an implementation fault, not a property of g).
     """
     init = initial_pair_coloring(g)
@@ -270,26 +270,30 @@ def wl2(
     del init
     if perms is None:
         perms = g.automorphisms
-    rounds = recheck_rows = 0
-    path = []
-    steps = [("hashed", _hashed_round)] if g.n <= _HASH_MAX_N else []
-    steps.append(("exact", lambda c, r, seed: _wl2_round(c, r)))
-    for name, step in steps:
-        path.append(name)
-        while g.n > 0:
-            # A round refines; one that keeps the count keeps the partition,
-            # and so, numbered by first occurrence, the very matrix.
-            color, new_num = step(color, num, rounds)
-            rounds += 1
-            if new_num == num:
-                break
-            num = new_num
-        coloring = PairColoring(g.n, color, num)
-        check = verify_coherence(coloring, perms)
+    trigger = len(_orbit_representatives(color, perms)) == 1
+    path = "hashed" if g.n <= _HASH_MAX_N else "exact"
+    rounds = seed = recheck_rows = 0
+    rejected = None
+    while g.n > 0:
+        step = (_hashed_round(color, num, seed, trigger) if path == "hashed"
+                else _wl2_round(color, num))
+        seed += 1
+        rounds += step is not None
+        if step is not None and step[1] != num:
+            color, num = step
+            continue
+        del step  # a repeated coloring, freed before the recheck
+        if num == rejected and path == "hashed":  # the rejected coloring itself
+            path = "hashed+exact"
+            continue
+        check = verify_coherence(PairColoring(g.n, color, num), perms)
         recheck_rows += check.rows
         if check.ok:
-            return CoherentConfiguration(coloring, num, rounds, "+".join(path), recheck_rows)
-    raise RuntimeError(f"2-WL produced an incoherent coloring: {check.witness}")
+            break
+        if path != "hashed":
+            raise RuntimeError(f"2-WL produced an incoherent coloring: {check.witness}")
+        rejected = num
+    return CoherentConfiguration(PairColoring(g.n, color, num), num, rounds, path, recheck_rows)
 
 
 def wl_rank(g: Graph) -> int:
@@ -382,12 +386,8 @@ def _varying_intersection(
 
 def _intersection_counts(color: np.ndarray, i: int, j: int) -> np.ndarray:
     """p_ij(u, v) for every pair (u, v), as the float32 BLAS product of the
-    0/1 matrices of classes i and j. A count is at most n, so every partial
-    sum is an exact integer while n < 2^24; larger colorings raise
-    ValueError before any product."""
-    n = color.shape[0]
-    if n >= 2**24:
-        raise ValueError(f"{n} vertices too many for exact float32 counts")
+    0/1 matrices of classes i and j, exact as every partial sum is at most
+    n <= 46340 < 2^24."""
     return (color == i).astype(np.float32) @ (color == j).astype(np.float32)
 
 
@@ -422,7 +422,7 @@ def verify_coherence(c: PairColoring, perms: Sequence[Sequence[int]] = ()) -> Co
     numbers, the lexicographically smallest color pair (i, j) and then the
     smallest class on which p_ij varies, with a pair of that class where
     p_ij is smallest and one where it is largest, counted by an exact
-    float32 product (ValueError from n = 2^24).
+    float32 product.
     """
     n = c.n
     color = c.color

@@ -31,7 +31,6 @@ from dezawl import (
     write_edgelist,
 )
 from dezawl import graphs as graph_layer
-from dezawl.graphs import _common_neighbor_blocks
 
 
 def _cycle(n):
@@ -212,21 +211,6 @@ def test_diameter_examples():
     assert diameter(_complete(5)) == 1
     empty = Graph(3)
     assert diameter(empty) == float("inf")
-
-
-def _first_count_block(g):
-    return next(_common_neighbor_blocks(g))
-
-
-@pytest.mark.parametrize("product", [_first_count_block, diameter])
-def test_products_refuse_graphs_past_the_float32_bound(product):
-    """Counts up to n are exact in float32 only below 2^24. The stand-in has
-    no adjacency matrix, so reading adj would raise AttributeError: the
-    bound is checked before anything n x n is allocated."""
-    g = Graph.__new__(Graph)
-    g.n, g.directed = 2**24, False
-    with pytest.raises(ValueError, match="too many"):
-        product(g)
 
 
 @pytest.mark.parametrize("blocks", [1, 3, 8, 64])

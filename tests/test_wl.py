@@ -292,7 +292,7 @@ def test_round_ids_do_not_depend_on_color_values(cache):
 def test_wl2_raises_when_refinement_stops_early(cache, monkeypatch):
     from dezawl import wl
 
-    monkeypatch.setattr(wl, "_hashed_round", lambda color, num, seed: (color, num))
+    monkeypatch.setattr(wl, "_hashed_round", lambda color, num, seed, trigger: (color, num))
     monkeypatch.setattr(wl, "_wl2_round", lambda color, num: (color, num))
     with pytest.raises(RuntimeError, match="incoherent"):
         wl2(cache.graph(3))
@@ -331,9 +331,12 @@ def test_hashed_rounds_take_the_hashed_path(cache):
 
 @pytest.mark.parametrize("prime", [2, 3])
 def test_hash_collisions_fall_back_to_exact_rounds(cache, monkeypatch, prime):
-    """With p = 2 every projection is 1, so the hashed rounds stop at once on
-    the initial coloring; with p = 3 hashed signatures collide at random.
-    Either way the exact rounds finish the job and the bytes stay pinned."""
+    """With p = 2 every weight is 1, so no hashed round splits a class: the
+    first trigger fires on the initial coloring, the recheck rejects it, a
+    second stop at its count goes to exact rounds, and each recheck compares
+    one row on Gamma_5. With p = 3 hashed signatures collide at random.
+    Either way retries or exact rounds finish the job and the bytes stay
+    pinned."""
     from dezawl import wl
 
     monkeypatch.setattr(wl, "_HASH_PRIME", prime)
@@ -344,14 +347,91 @@ def test_hash_collisions_fall_back_to_exact_rounds(cache, monkeypatch, prime):
         paths.add(conf.path)
     assert paths <= {"hashed", "hashed+exact"}
     if prime == 2:
-        assert wl2(cache.graph(5)).path == "hashed+exact"
+        conf = wl2(cache.graph(5))
+        assert (conf.path, conf.recheck_rows) == ("hashed+exact", 2)
+
+
+def test_a_false_stop_is_retried_under_the_next_seed(cache, monkeypatch):
+    """A trigger forced to fire on the first round (seed 0) stops on the
+    initial coloring; the recheck rejects it where it is not coherent, and
+    hashed rounds from it under the next seeds reach the pinned bytes
+    without exact rounds."""
+    from dezawl import wl
+
+    real = wl._hashed_round
+
+    def false_stop(color, num, seed, trigger):
+        if seed == 0:
+            return None if trigger else (color, num)
+        return real(color, num, seed, trigger)
+
+    monkeypatch.setattr(wl, "_hashed_round", false_stop)
+    for name, graph in _pinned_graphs(cache).items():
+        conf = wl2(graph)
+        assert _sha(conf) == _PINNED_COLORINGS[name], name
+        assert conf.path == "hashed", name
+    assert wl2(cache.graph(5)).recheck_rows == 2
+
+
+def test_perms_that_are_not_transitive_automorphisms_trigger_nothing(cache):
+    """The identity alone has n orbits, and a shift of the vertex labels is
+    transitive but moves edges of these graphs: with either, wl2 stops on
+    a round that keeps the count and rechecks every row, on the pinned
+    bytes."""
+    for name, graph in _pinned_graphs(cache).items():
+        n = graph.n
+        perms = [[list(range(n))]]
+        if name != "directed3cycle":  # whose shifts are its rotations
+            perms.append([[(v + 1) % n for v in range(n)]])
+        for p in perms:
+            conf = wl2(graph, p)
+            assert _sha(conf) == _PINNED_COLORINGS[name], name
+            assert conf.recheck_rows == n, name
+
+
+def test_a_hashed_round_is_one_product_in_row_blocks(cache, monkeypatch):
+    """Each full hashed round forms one product, in _BLOCKS row blocks. On
+    Gamma_5, whose translations act transitively, the round that finds row 0
+    stable stops after its first block. Gamma_5 less the edge (0, 2) carries
+    no automorphisms, so a full round that keeps the count stops it, on the
+    coloring exact rounds alone reach."""
+    from types import SimpleNamespace
+
+    import numpy as np
+
+    from dezawl import wl
+    from dezawl.graphs import _BLOCKS, _row_blocks
+
+    products = []
+
+    def matmul(a, b):
+        products.append(a.shape)
+        return np.matmul(a, b)
+
+    monkeypatch.setattr(wl, "np", SimpleNamespace(**{**vars(np), "matmul": matmul}))
+    gamma = cache.graph(5)
+    dropped = gamma.without_edge(0, 2)
+    assert dropped.automorphisms == ()
+    confs = []
+    for graph, trigger_blocks, rows in ((gamma, 1, 1), (dropped, 0, gamma.n)):
+        assert len(_row_blocks(graph.n)) == _BLOCKS
+        products.clear()
+        conf = wl2(graph)
+        assert len(products) == conf.rounds * _BLOCKS + trigger_blocks
+        assert (conf.path, conf.recheck_rows) == ("hashed", rows)
+        confs.append(conf)
+    assert _sha(confs[0]) == _PINNED_COLORINGS["gamma5"]
+    monkeypatch.setattr(wl, "_HASH_MAX_N", 0)
+    exact = wl2(dropped)
+    assert (exact.path, exact.rank) == ("exact", confs[1].rank)
+    assert np.array_equal(exact.coloring.color, confs[1].coloring.color)
 
 
 def test_exact_rounds_run_past_the_size_bound(cache, monkeypatch):
     from dezawl import wl
 
     assert wl._HASH_MAX_N * (wl._HASH_PRIME - 1) ** 2 < 2 ** 53
-    assert (wl._HASH_MAX_N * wl._HASH_PRIME) ** 2 <= 2 ** 63
+    assert wl._HASH_MAX_N ** 2 * wl._HASH_PRIME < 2 ** 63
     graphs = _pinned_graphs(cache)
     monkeypatch.setattr(wl, "_HASH_MAX_N", 23)
     monkeypatch.setattr(wl, "_hashed_round", None)  # must not be called

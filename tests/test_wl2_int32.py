@@ -1,6 +1,6 @@
 """2-WL on int32 colors: the first-occurrence renumbering against a dict
-reference, the color dtype on every path, the int32 and float32 size
-bounds, and the traced peak memory of wl2."""
+reference, the color dtype on every path, the int32 size bound, and the
+traced peak memory of wl2."""
 
 from __future__ import annotations
 
@@ -89,13 +89,6 @@ def test_pair_count_bound_raises_before_reading_the_graph():
     assert 46340 ** 2 < 2**31 <= 46341 ** 2
 
 
-def test_witness_counts_refuse_float32_inexact_sizes():
-    # A zero-stride view of shape (2^24, 2^24) costs no memory.
-    huge = np.broadcast_to(np.int32(0), (2**24, 2**24))
-    with pytest.raises(ValueError, match="float32"):
-        wl._intersection_counts(huge, 0, 0)
-
-
 def _traced_peak(f):
     tracemalloc.start()
     try:
@@ -121,7 +114,7 @@ def _family_without_edge(cache):
 def test_wl2_peak_memory_is_at_most_four_int64_matrices(cache, name, units):
     """The traced peak of wl2, result included, stays within 4 * 8 n^2 bytes;
     on Gamma_32 less the edge (0, 2), which carries no automorphisms and has
-    rank n^2 / 2, the hash weights of one half of a round add up to a unit,
+    rank n^2 / 2, the hash weights of a round add up to a unit,
     so 5 (module docstring)."""
     if name == "gamma16":
         graph = cache.graph(16)

@@ -1,8 +1,8 @@
 """The k ladder of `dezawl verify`: one fresh process per rung, each run
 recorded as one row of BENCH_ladder.json at the root of the repository.
 
-    python3 tools/ladder.py --label change
-    python3 tools/ladder.py --label parent --src PARENT_CHECKOUT
+    python3 tools/ladder.py --label parent --src PARENT_CHECKOUT --session S
+    python3 tools/ladder.py --label change --session S
 
 The ladder is `verify --k K` for K = 128, 129, 256, 257 and 512, and the
 negative controls `verify --k K --drop-edge 0 2` for K = 64 and 128, which
@@ -12,12 +12,16 @@ empty working directory.
 A row holds the label, the arguments after `python -m dezawl`, the exit
 code, the wall time from spawn to exit, the peak RSS (ru_maxrss from
 os.wait4), the phase times of the `timing` lines and the counters of the
-`work` lines on stderr, and the sha256 of the JSON report.
+`work` lines on stderr, and the sha256 of the JSON report. It names the
+tree it ran: the sha256 of its src/ files, computed as perfbench/run.py
+computes it, the git commit when src/ is a clean git checkout (else null),
+and the session, by default the UTC time at which the run started.
 
 Rows are appended to the file given by --out, so the rows of a parent and
-of a change measured in one session sit side by side. A machine's speed
-drifts between sessions, so compare rows of one session only. --k replaces
-the ladder by plain `verify --k K` runs, e.g. `--k 3` for a smoke run.
+of a change measured in one session sit side by side; pass both runs the
+same --session. A machine's speed drifts between sessions, so compare rows
+of one session only. --k replaces the ladder by plain `verify --k K` runs,
+e.g. `--k 3` for a smoke run.
 """
 
 from __future__ import annotations
@@ -67,6 +71,32 @@ def parse_stderr(text: str) -> tuple[dict[str, float], dict[str, dict]]:
     return timings, work
 
 
+def source_sha256(src: Path) -> str:
+    """Digest of the checkout's src/ files, as perfbench/run.py forms it."""
+    digest = hashlib.sha256()
+    for path in sorted((src / "src").rglob("*")):
+        if path.is_file() and "__pycache__" not in path.parts:
+            digest.update(str(path.relative_to(src)).encode() + b"\0" + path.read_bytes())
+    return digest.hexdigest()
+
+
+def git_sha(src: Path) -> str | None:
+    """The checkout's HEAD commit, or None unless src/ is a clean git tree."""
+    if not (src / ".git").exists():
+        return None
+    git = ["git", "-C", str(src)]
+    try:
+        head = subprocess.run(git + ["rev-parse", "HEAD"], capture_output=True, text=True,
+                              timeout=10)
+        dirty = subprocess.run(git + ["status", "--porcelain", "--", "src"],
+                               capture_output=True, text=True, timeout=10)
+    except (OSError, subprocess.TimeoutExpired):
+        return None
+    if head.returncode or dirty.returncode or dirty.stdout:
+        return None
+    return head.stdout.strip()
+
+
 def run_rung(argv: list[str], src: Path, label: str) -> dict:
     """Run `python -m dezawl *argv` once and return its row."""
     with tempfile.TemporaryDirectory(prefix="dezawl-ladder-") as tmp:
@@ -114,6 +144,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--out", type=Path, default=ROOT / "BENCH_ladder.json")
     parser.add_argument("--k", type=int, action="append",
                         help="run plain `verify --k K` instead of the ladder (repeatable)")
+    parser.add_argument("--session", default=time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+                        help="stamp shared by the rows of one session (default: now, UTC)")
     args = parser.parse_args(argv)
 
     if not (args.src / "src" / "dezawl").is_dir():
@@ -122,8 +154,10 @@ def main(argv: list[str] | None = None) -> int:
     rungs = [["verify", "--k", str(k)] for k in args.k] if args.k else LADDER
     data = json.loads(args.out.read_text()) if args.out.exists() else {"rows": []}
     data["environment"] = environment()
+    src = args.src.resolve()
+    tree = {"src_sha256": source_sha256(src), "git_sha": git_sha(src), "session": args.session}
     for rung in rungs:
-        row = run_rung(rung, args.src.resolve(), args.label)
+        row = run_rung(rung, src, args.label) | tree
         print(f"{args.label} {' '.join(rung)}: exit {row['exit_code']}, {row['wall_s']} s,"
               f" {row['max_rss_mb']} MB", flush=True)
         data["rows"].append(row)
