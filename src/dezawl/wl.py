@@ -2,105 +2,79 @@
 refinement (2-WL) producing the coherent configuration of a graph.
 
 The exact 2-WL round (_wl2_round) replaces the color of each pair (u, v) by
-its old color together with the sorted multiset over w of the color pairs
-(color(u, w), color(w, v)). Rounds are synchronous; refinement only splits
-classes, so at most n^2 rounds occur. Each round numbers the distinct
-signatures 0, 1, ... in order of first occurrence in row-major pair order.
-The ids therefore depend only on which signatures are equal, never on byte
-order or on how signatures sort, so they are the same on every platform.
-The signatures are built one pair row u at a time, so a round holds the
-n (n + 1) int64 entries and n bytes keys of one row, the int32 array of the
-n^2 new ids, written one row at a time, and the n + 1 entries of each
-distinct signature: O(n^2 + rank * n) memory at every n, which is O(n^2)
-when the new rank is at most n. The codes are formed from the int32
-coloring row by row, with no int64 copy of it. The stable coloring W is the
-smallest coherent configuration in which the arc set is a union of classes:
-the initial (diagonal, arc, non-arc) classes are unions of classes of any
-such configuration, and each round preserves that property because
-intersection numbers are well defined there.
+its old color and the sorted multiset over w of (color(u, w), color(w, v)),
+built one pair row at a time, and numbers these signatures by first
+occurrence in row-major pair order, the same on every platform. Rounds only
+split classes. The stable coloring W is the smallest coherent configuration
+in which the arc set is a union of classes: the initial (diagonal, arc,
+non-arc) classes are unions of classes of any such configuration, and each
+round keeps that property because intersection numbers are well defined.
 
-wl2 first refines with hashed rounds (_hashed_round), which compress each
-signature, following Shervashidze et al. (JMLR 2011), to one number
-h_t(u, v) = sum over w of x_t[color(u, w)] * y_t[color(w, v)] mod p, one
-float64 matrix product, with x_t, y_t drawn from [1, p)^rank and p a prime
-below 2^20, and number the keys color * p + h_t by first occurrence. Two
-distinct signatures of one class collide with probability at most 2/p
-(Schwartz, JACM 1980), which only delays a split or makes the recheck
-reject. Three arguments make the result exact:
+wl2 refines a uint64 key of each pair by hashed rounds (_hashed_round),
+after Shervashidze et al. (JMLR 2011), numbering no key until it stops. The
+first key is splitmix64 of _initial_key. A round hashes each key to seeded
+weights x(key), y(key) in [1, p), forms h(u, v) = sum over w of
+x(key(u, w)) y(key(w, v)) mod p, one float64 product in row blocks, and
+sets each key to splitmix64(key * p + h) in uint64. p is the largest prime
+with n (p - 1)^2 < 2^53. Two signatures of one class get one h with
+probability at most 2 / (p - 1) (Schwartz, JACM 1980), which only delays a
+split or makes a check reject. Three arguments make the result exact:
 
-1. Exact arithmetic. Every product is at most (p - 1)^2 and a sum has n
-   nonnegative integer terms, so every partial sum, in any order and with or
-   without fused multiply-adds, is an integer at most n (p - 1)^2 < 2^53
-   while n <= 8192 (_HASH_MAX_N), and float64 holds it exactly; row blocks
-   sum the same terms. The key is below n^2 p < 2^46, as a color is below
-   n^2. Past the bound only exact rounds run.
-2. A recheck that passes proves H = W, so the recheck, not a stable count,
-   stops wl2. A hashed key is a function of the old color and the exact
-   signature, so by induction the hashed partition H_t after t rounds is
-   never finer than the exact W_t, hence never finer than W, and it refines
-   the initial coloring. If the exact, independent verify_coherence accepts
-   H, then H is a coherent configuration refining the initial coloring, so
-   it is at least as fine as W, the coarsest one. So H = W as partitions,
-   and since both are numbered by first occurrence in row-major order, the
-   color matrices are identical. If the recheck rejects H (a collision),
-   hashed rounds continue from H, which lies between the initial coloring
-   and W, under fresh seeds. Rounds only refine, so a second stop at H's
-   count stops on H itself; exact rounds then continue from it to W.
-3. Orbit reduction is sound. verify_coherence may be given vertex
-   permutations, and wl2 passes the graph's own (Graph.automorphisms)
-   unless given others. It checks exactly that each is a permutation preserving
-   every pair color; then so does every element pi of the group they
-   generate, and the multiset of (color(u, w), color(w, v)) over w equals
-   that of (pi u, pi v), as w -> pi w is a bijection. So every multiset of a
-   class occurs at some (s, pi v) in the row of s = pi u, the least vertex
-   of u's orbit, and the pairs of those rows give the full comparison's
-   least varying (code, class). On every graph built by cayley_graph or
-   grid_graph the group is transitive and one row is compared. This gives
-   wl2 its trigger: perms that preserve the initial coloring preserve every
-   round's, and if they act transitively a round splits a class iff row 0
-   of its key, read from the first row block, does.
+1. Exact arithmetic. The n terms of h are integers at most (p - 1)^2, so
+   every partial sum, in any order, blocking or fused multiply-add, is an
+   integer below 2^53, exact in float64, up to Graph's bound n <= 46340.
+2. Accepting checks prove H = W. By induction every key is a function of
+   the exact color W_t, as h is one of the multiset of (W_t(u, w),
+   W_t(w, v)), which with W_t(u, v) makes W_{t+1}(u, v); so the partition H
+   of the keys where wl2 stops is never finer than W. A mixed key need not
+   carry the old one, so wl2 numbers H by first occurrence and checks in
+   O(n^2) that it refines the initial coloring. If so and the exact,
+   independent verify_coherence accepts H, H is coherent and refines the
+   initial coloring, so it is at least as fine as W, the coarsest such:
+   H = W, with identical matrices, both numbered by first occurrence. Else
+   hashed rounds go on under fresh seeds from the meet of H and the initial
+   coloring, again between the initial coloring and W. Classes share a
+   mixed key only by a 64-bit coincidence, so rounds refine and a second
+   stop at H's count stops on H; exact rounds go on from it, and the same
+   checks accept their stable coloring or raise.
+3. Orbit reduction is sound. verify_coherence checks exactly that given
+   vertex permutations (Graph.automorphisms by default) preserve every pair
+   color. Then every pi in the group they generate maps the multiset of
+   (u, v) to that of (pi u, pi v), so the rows of the least vertex of each
+   orbit, one row on graphs from cayley_graph and grid_graph, give the full
+   comparison's least varying (code, class). Perms that preserve g.adj
+   preserve every W_t and key; if they act transitively, every class meets
+   row 0, and a round splits a class iff row 0 of its new key, which it
+   forms first and alone, does: wl2's trigger.
 
-Pair colors are int32 ids below n^2, exact while n^2 < 2^31, that is
-n <= 46340; initial_pair_coloring, and so wl2, raise ValueError past that
-before allocating anything. A unit below is 8 n^2 bytes, one n x n int64
-array. A hashed round (_hashed_key) holds the current coloring (half a
-unit), the int64 key (one), the float64 operand y_t[color] (one), the
-weights x_t, y_t (2 rank float64 words, a unit at rank n^2 / 2) and one of
-eight row blocks of x_t[color] and of its product, never all of x_t[color]
-or a full product. The key goes straight into _renumber_first_occurrence,
-which sorts it in place and frees it once the run starts are known; then
-the argsort order (one unit of intp), the int32 run ids and the int32 new
-ids (half a unit each) remain. wl2 holds no reference to the initial
-coloring and at most the current and the new coloring. So wl2 peaks near
-three units; under tracemalloc it stays within four on Gamma_16 and the
-4 x 32 grid, and within five on Gamma_32 less the edge (0, 2), of rank
-n^2 / 2, as the tests assert. The recheck frees its O(rank) class counts
-before the comparison, which holds the coloring, the colors and intp sort
-order of the compared pairs (1.5 units for all rows) and a block of 64
-pairs of int64 codes: O(n^2) at any rank.
+Colors are int32 ids, exact while n <= 46340; wl2 and initial_pair_coloring
+raise ValueError past that before allocating. In units of 8 n^2 bytes, a
+round holds the key, y(key) made in place, an eighth per row block, and the
+shifted words of its splitmix64 pass once y is freed; the count rule sorts
+a copy of the key. The renumbering frees the key it is handed, then holds
+the argsort order and int32 ids (two units). wl2 peaks near 2.5; the tests
+bound it by 3 on Gamma_16 and the 4 x 32 grid and by 4 on Gamma_32 less
+the edge (0, 2), of rank n^2 / 2, where the recheck peaks with the coloring
+and the compared pairs' colors and order (1.5 units for all rows).
 
-wl1 is classical color refinement (Berkholz, Bonsma and Grohe, 2017). A
-round keys each vertex u by its signature (color(u), sorted multiset of
-out-neighbor colors, sorted multiset of in-neighbor colors) and numbers the
-distinct keys 0, 1, ... in sorted order; rounds stop when the count stops
-changing. The rounds read a padded out-neighbor index matrix built once
-from adj: row u lists the out-neighbors of u, padded to the maximum degree
-D with a sentinel slot N, the vertex count. A digraph adds the same matrix
-for in-neighbors. An undirected graph does not, because its two multisets
-are equal and a key (c, X, X) sorts as (c, X) does. A round gathers the
-int32 codes color + 1 of 64 rows at a time, with N + 1 for the sentinel,
-sorts each row, so that the sentinels come last, and overwrites them with
-0. Every real code is at least 1, so a row that is a prefix of another
-sorts first, as a Python tuple does, and the bytes of (code, out row,
-in row) as big-endian int32 compare as the signature tuples do. The ids
-are therefore those of the tuple refinement the tests keep as a reference.
-Codes are at most N + 1, which fits int32 for any graph whose adjacency
-matrix fits in memory. A round holds the O(N D) index matrices, one 64-row
-block and the N keys, and no N x N array.
+wl1 is classical color refinement (Berkholz, Bonsma and Grohe, 2017): a
+round keys each vertex by (color, sorted out-neighbor colors, sorted
+in-neighbor colors), numbers the distinct keys in sorted order, and rounds
+stop when the count does. The rounds read a padded out-neighbor index
+matrix built once, row u the out-neighbors of u padded to the maximum
+degree D with the sentinel N, the vertex count; a digraph adds one for
+in-neighbors (an undirected graph's two multisets are equal, and (c, X, X)
+sorts as (c, X) does). A round gathers the int32 codes color + 1 (N + 1 for the
+sentinel) of 64 rows at a time, sorts each row and overwrites the trailing
+sentinels with 0, so the bytes of (code, out row, in row) as big-endian
+int32 compare as the tuples do, a prefix first: the ids are those of the
+tuple refinement the tests keep as a reference. A round holds the O(N D)
+index matrices, one 64-row block and the N keys.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -122,9 +96,8 @@ class PairColoring:
 @dataclass
 class CoherentConfiguration:
     """A stable 2-WL coloring with the work wl2 did to reach it: the full
-    rounds run, the path ("hashed", "hashed+exact" after a rejected hashed
-    coloring, or "exact" past _HASH_MAX_N) and the rows its rechecks
-    compared."""
+    rounds run, the path ("hashed", or "hashed+exact" after a rejected
+    hashed coloring recurs) and the rows its rechecks compared."""
 
     coloring: PairColoring
     rank: int
@@ -135,12 +108,9 @@ class CoherentConfiguration:
 
 def _renumber_first_occurrence(key: np.ndarray) -> tuple[np.ndarray, int]:
     """Relabel the values of a 1-D integer array 0..r-1 in order of first
-    occurrence, as int32 ids (r < 2^31). Sorts key in place.
-
-    The caller hands key over: the function drops its reference once the run
-    starts are known, so a key passed straight from the helper that built it
-    is freed before the ids are.
-    """
+    occurrence, as int32 ids (r < 2^31). Sorts key in place, and drops its
+    reference once the run starts are known, so a key the caller hands over
+    is freed before the ids are built."""
     order = np.argsort(key)
     key.sort()
     starts = np.ones(len(key), dtype=bool)
@@ -159,10 +129,10 @@ def _renumber_first_occurrence(key: np.ndarray) -> tuple[np.ndarray, int]:
     return relabel[ids], len(first)
 
 
-def _initial_key(g: Graph) -> np.ndarray:
-    """adj + 2 adj^T off the diagonal and 4 on it, as one flat int64 key."""
-    key = np.empty((g.n, g.n), dtype=np.int64)
-    np.multiply(g.adj.T, 2, out=key)
+def _initial_key(g: Graph, dtype: type = np.int64) -> np.ndarray:
+    """adj + 2 adj^T off the diagonal and 4 on it, as one flat key."""
+    key = np.empty((g.n, g.n), dtype=dtype)
+    np.multiply(g.adj.T, key.dtype.type(2), out=key)
     key += g.adj
     np.fill_diagonal(key, 4)
     return key.ravel()
@@ -198,102 +168,148 @@ def _wl2_round(color: np.ndarray, num_colors: int) -> tuple[np.ndarray, int]:
     return new, len(ids)
 
 
-# p is the largest prime with 8192 (p - 1)^2 < 2^53, so float64 sums of
-# products are exact while n <= 8192 (module docstring, argument 1).
-_HASH_PRIME = 1048573
-_HASH_MAX_N = 8192
+def _is_prime(m: int) -> bool:
+    """Miller-Rabin to the bases 2, 3, 5 and 7, exact for odd m from 11 to
+    3,215,031,751 (Jaeschke, Math. Comp. 1993)."""
+    d = (m - 1) // ((m - 1) & (1 - m))  # the odd part of m - 1
+    for a in (2, 3, 5, 7):
+        e, x = d, pow(a, d, m)
+        while e != m - 1 and x not in (1, m - 1):
+            e, x = 2 * e, x * x % m
+        if x != m - 1 and e % 2 == 0:
+            return False
+    return True
 
 
-def _splitmix64(start: int, size: int, p: int) -> np.ndarray:
-    """Outputs start, ..., start + size - 1 of the splitmix64 generator with
-    seed 0, each taken mod p - 1 plus 1 into [1, p), computed in place:
-    seeded pseudo-random words without numpy.random, whose import costs
-    several MB of resident memory."""
-    z = np.arange(start + 1, start + size + 1, dtype=np.uint64)
-    z *= np.uint64(0x9E3779B97F4A7C15)
+def _hash_prime(n: int) -> int:
+    """The largest prime p with n (p - 1)^2 < 2^53, at least 440,863 for
+    any n <= 46340: odd candidates down from the bound."""
+    p = math.isqrt((2**53 - 1) // max(n, 1)) | 1
+    while not _is_prime(p):
+        p -= 2
+    return p
+
+
+def _finalize(z: np.ndarray) -> np.ndarray:
+    """The splitmix64 output function, a bijection of uint64, on z in place."""
     for shift, mult in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
         z ^= z >> np.uint64(shift)
         z *= np.uint64(mult)
     z ^= z >> np.uint64(31)
-    z %= np.uint64(p - 1)
-    z += np.uint64(1)
     return z
 
 
-def _hashed_key(color: np.ndarray, num_colors: int, seed: int, trigger: bool) -> np.ndarray:
-    """The flat int64 key color * p + h of a hashed round; empty when trigger
-    is set and row 0 of the key splits no class of row 0."""
-    p = _HASH_PRIME
-    x, y = _splitmix64(seed << 32, 2 * num_colors, p).astype(np.float64).reshape(2, -1)
-    y_color = y[color]
-    key = color.astype(np.int64)
-    key *= p
-    # Row blocks, so a round holds no full x[color] and no full product.
-    for lo, hi in _row_blocks(len(color)):
-        key[lo:hi] += np.matmul(x[color[lo:hi]], y_color).astype(np.int64) % p
-        if trigger and lo == 0 and len(set(key[0].tolist())) == len(set(color[0].tolist())):
-            return np.empty(0, dtype=np.int64)
-    return key.ravel()
+def _splitmix64(start: int, size: int, p: int) -> np.ndarray:
+    """Outputs start, ... start + size - 1 of splitmix64 from seed 0, mod
+    p - 1 plus 1: seeded words without numpy.random's MBs of import."""
+    z = np.arange(start + 1, start + size + 1, dtype=np.uint64)
+    z = _finalize(z * np.uint64(0x9E3779B97F4A7C15))
+    return z % np.uint64(p - 1) + np.uint64(1)
 
 
-def _hashed_round(color: np.ndarray, num_colors: int, seed: int,
-                  trigger: bool = False) -> Optional[tuple[np.ndarray, int]]:
-    """One 2-WL round on hashed keys, numbered by first occurrence in
-    row-major pair order; None if trigger is set and row 0 splits no class."""
-    new, num = _renumber_first_occurrence(_hashed_key(color, num_colors, seed, trigger))
-    return (new.reshape(color.shape), num) if num else None
+def _weights(key: np.ndarray, mult: np.uint64, p: int) -> np.ndarray:
+    """floor(u (p - 1) / 2^52) + 1 in [1, p), u the top 52 bits of
+    key * mult mod 2^64: a multiply-shift hash, made in place as float64."""
+    w = np.empty(key.shape)
+    bits = w.view(np.uint64)
+    np.multiply(key, mult, out=bits)
+    bits >>= np.uint64(12)
+    bits |= np.uint64(0x4330000000000000)  # the float64 2^52 + u
+    w -= 2.0**52
+    w *= (p - 1) / 2**52
+    np.floor(w, out=w)
+    w += 1
+    return w
+
+
+def _hashed_round(key: np.ndarray, p: int, seed: int, trigger: bool = False) -> bool:
+    """One hashed round on the n x n uint64 key, in place; False, the key
+    unchanged, if trigger is set and row 0 splits no class of row 0."""
+    mult_x, mult_y = _splitmix64(2 * seed, 2, 2**64) | np.uint64(1)  # odd
+    y = _weights(key, mult_y, p)
+    blocks = _row_blocks(len(key))
+    if trigger:  # row 0 first and alone: a round that splits nothing forms one row
+        blocks[:1] = [(0, 1), (1, blocks[0][1])]
+    for lo, hi in blocks:
+        rows = key[lo:hi]
+        h = np.matmul(_weights(rows, mult_x, p), y).astype(np.int64) % p
+        new = h.view(np.uint64)
+        new += rows * np.uint64(p)
+        if trigger and lo == 0 and len(set(new[0].tolist())) == len(set(rows[0].tolist())):
+            return False
+        rows[...] = new
+    del y
+    _finalize(key)
+    return True
+
+
+def _count(key: np.ndarray) -> int:
+    """The number of distinct values of key, from a sorted copy."""
+    s = np.sort(key, axis=None)
+    return int(np.count_nonzero(s[1:] != s[:-1])) + min(s.size, 1)
+
+
+def _mixed_key(g: Graph, color: Optional[np.ndarray] = None) -> np.ndarray:
+    """splitmix64 of 5 color + the initial key, or of the initial key alone:
+    a key of the meet of color and the initial coloring."""
+    init = _initial_key(g, np.uint8).reshape(g.n, g.n)
+    if color is None:
+        return _finalize(np.arange(5, dtype=np.uint64))[init]
+    return _finalize(color.astype(np.uint64) * np.uint64(5) + init)
 
 
 def wl2(
     g: Graph, perms: Optional[Sequence[Sequence[int]]] = None
 ) -> CoherentConfiguration:
-    """Stable 2-WL pair coloring of g, verified coherent before returning.
+    """Stable 2-WL pair coloring of g, verified coherent (module docstring).
 
-    While g.n <= _HASH_MAX_N, hashed rounds of one float64 product each
-    refine until a trigger fires: row 0 of a round splits no class of row 0
-    if perms pass the exact automorphism check on the initial coloring and
-    act transitively, else a round keeps the color count. wl2 returns once
-    verify_coherence accepts; a rejected coloring is refined on under fresh
-    seeds, and a second stop at its count, or g.n > _HASH_MAX_N, runs exact
-    _wl2_round rounds (module docstring). perms, vertex permutations
-    believed to be automorphisms of g, default to g.automorphisms, and ()
-    compares every row; they only trigger and shorten the recheck.
-
-    Colors are int32, so g.n must be at most 46340 (ValueError otherwise);
-    the module docstring lists the arrays of a round and bounds its memory.
-
-    Raises RuntimeError if the stable exact coloring fails the independent
-    coherence recheck (an implementation fault, not a property of g).
+    Hashed rounds stop when row 0 splits no class, if perms (by default
+    g.automorphisms; () compares every row) pass the exact automorphism
+    check on g.adj and act transitively, else when a round keeps the count
+    of distinct keys. g.n must be at most 46340 (ValueError otherwise).
+    Raises RuntimeError if the stable exact coloring fails a check.
     """
-    init = initial_pair_coloring(g)
-    color, num = init.color, init.num_colors
-    del init
+    n = g.n
+    if n * n >= 2**31:
+        raise ValueError(f"{n} vertices too many for int32 pair colors")
     if perms is None:
         perms = g.automorphisms
-    trigger = len(_orbit_representatives(color, perms)) == 1
-    path = "hashed" if g.n <= _HASH_MAX_N else "exact"
-    rounds = seed = recheck_rows = 0
-    rejected = None
-    while g.n > 0:
-        step = (_hashed_round(color, num, seed, trigger) if path == "hashed"
-                else _wl2_round(color, num))
-        seed += 1
-        rounds += step is not None
-        if step is not None and step[1] != num:
-            color, num = step
-            continue
-        del step  # a repeated coloring, freed before the recheck
-        if num == rejected and path == "hashed":  # the rejected coloring itself
-            path = "hashed+exact"
-            continue
-        check = verify_coherence(PairColoring(g.n, color, num), perms)
+    trigger = len(_orbit_representatives(g.adj, perms)) == 1
+    p = _hash_prime(n)
+    keys = [_mixed_key(g)]  # handed over to the renumbering, which frees it
+    num = None if trigger else _count(keys[0])
+    path, rounds, seed, recheck_rows, rejected = "hashed", 0, 0, 0, None
+    while True:
+        if path == "hashed":
+            split = _hashed_round(keys[0], p, seed, trigger)
+            seed, rounds = seed + 1, rounds + split
+            if not trigger:  # the count rule: compare the old count with the new
+                split = num != (num := _count(keys[0]))
+            if split:
+                continue
+            color, num = _renumber_first_occurrence(keys.pop().reshape(-1))
+            color = color.reshape(n, n)
+            path = "hashed+exact" if num == rejected else path  # it recurs
+        if path != "hashed":
+            step = _wl2_round(color, num)
+            rounds += 1
+            if step[1] != num:
+                color, num = step
+                continue
+            del step
+        init = _initial_key(g, np.uint8)  # does each class lie in one initial class?
+        first = np.empty(num, dtype=np.uint8)
+        first[color.ravel()] = init
+        check = (verify_coherence(PairColoring(n, color, num), perms)
+                 if np.array_equal(first[color.ravel()], init) else CoherenceResult(False))
         recheck_rows += check.rows
         if check.ok:
             break
         if path != "hashed":
             raise RuntimeError(f"2-WL produced an incoherent coloring: {check.witness}")
         rejected = num
-    return CoherentConfiguration(PairColoring(g.n, color, num), num, rounds, path, recheck_rows)
+        keys.append(_mixed_key(g, color))
+    return CoherentConfiguration(PairColoring(n, color, num), num, rounds, path, recheck_rows)
 
 
 def wl_rank(g: Graph) -> int:
@@ -395,34 +411,23 @@ def verify_coherence(c: PairColoring, perms: Sequence[Sequence[int]] = ()) -> Co
     """Independent recheck that a pair coloring is a coherent configuration.
 
     Checks that the diagonal is a union of classes, that the transpose of
-    every class is a class, and that all intersection numbers are well
-    defined. The transpose check maps each color to one partner color and
-    compares that map with the transposed matrix, O(n^2) in all. The last
-    check is an exact integer count, made independently of the refinement:
-    with the pairs listed class by class, the sorted multiset over w of the
-    codes color(u, w) * rank + color(w, v) of each pair (u, v) must equal
-    that of the pair before it in its class. The least code whose
-    multiplicity differs between two pairs of a class also differs between
-    two consecutive ones, so the witness is the least over all pairs. The
-    codes are int64, built 64 pairs at a time, so colors may be int32 or
-    int64. This takes O(n^2 log n) time per row and O(n^2) memory.
+    every class is a class, and, by an exact count independent of the
+    refinement, that all intersection numbers are well defined: with the
+    pairs listed class by class, the sorted multiset over w of the int64
+    codes color(u, w) * rank + color(w, v) of each pair (u, v), built 64
+    pairs at a time, must equal that of the pair before it in its class.
+    The least code whose multiplicity differs between two pairs of a class
+    differs between two consecutive ones, so the witness is the least over
+    all pairs. Colors may be int32 or int64; O(n^2 log n) time per row and
+    O(n^2) memory. Given perms, it checks exactly that each is a
+    permutation with color[p][:, p] == color and then compares the row of
+    the least vertex of each orbit alone, with the same verdict and witness
+    (module docstring, argument 3); else every row. It counts the rows.
 
-    Given vertex permutations perms, it first checks exactly that each is a
-    permutation with color[p][:, p] == color, and then compares only the
-    rows of the smallest vertex of each orbit of the group they generate.
-    That is sound: the generated group preserves the coloring, an element
-    pi maps the multiset of (u, v) to that of (pi u, pi v), so every
-    multiset of a class occurs in a representative row (see the module
-    docstring). So the reduced comparison alone gives the full one's
-    verdict and witness, on rejection too, and neither depends on perms.
-    If perms is empty or any check on them fails, every row is compared.
-    The result counts the rows compared.
-
-    Returns a witness describing the first failure: for intersection
-    numbers, the lexicographically smallest color pair (i, j) and then the
-    smallest class on which p_ij varies, with a pair of that class where
-    p_ij is smallest and one where it is largest, counted by an exact
-    float32 product.
+    The witness of a failure names, for intersection numbers, the least
+    color pair (i, j), then the least class on which p_ij varies, with a
+    pair of that class where p_ij is smallest and one where it is largest,
+    counted by an exact float32 product.
     """
     n = c.n
     color = c.color
@@ -478,13 +483,8 @@ def verify_coherence(c: PairColoring, perms: Sequence[Sequence[int]] = ()) -> Co
 
 
 def wl1(g: Graph) -> list[int]:
-    """Stable vertex coloring under color refinement, canonically numbered.
-
-    Each round replaces a vertex color by (old color, sorted multiset of
-    out-neighbor colors, sorted multiset of in-neighbor colors); for
-    undirected graphs the two multisets coincide. See the module docstring
-    for the array form of the rounds.
-    """
+    """Stable vertex coloring under color refinement, canonically numbered
+    (module docstring)."""
     return _refine_vertex_colors([g.adj], g.directed).tolist()
 
 

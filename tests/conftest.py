@@ -3,6 +3,7 @@ expensive objects are built once per session."""
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from dezawl import (
@@ -11,6 +12,7 @@ from dezawl import (
     connection_set,
     family_group,
     wl_closure,
+    wl,
     wl2,
 )
 
@@ -25,6 +27,16 @@ def elementary_abelian(m: int) -> Group:
     """C2^m with the elements as bit vectors and xor as the product."""
     n = 1 << m
     return Group([[a ^ b for b in range(n)] for a in range(n)], list(range(n)), 0)
+
+
+def hashed_round(color: np.ndarray, seed: int) -> tuple[np.ndarray, int]:
+    """One hashed 2-WL round from the pair coloring color, on its mixed key
+    under the given seed, with the new keys numbered by first occurrence as
+    exact rounds number their signatures."""
+    key = wl._finalize(color.astype(np.uint64))
+    assert wl._hashed_round(key, wl._hash_prime(len(color)), seed)
+    ids, num = wl._renumber_first_occurrence(key.reshape(-1))
+    return ids.reshape(color.shape), num
 
 
 class _Cache:

@@ -280,8 +280,8 @@ def test_wl_rank_rejects_duplicate_edges(text, tmp_path, capsys):
 # (466 TiB), built after four vectors of 64 MB. The 2e7 x 2e7 boolean
 # adjacency matrix (364 TiB) of the wl-rank inputs is refused before it is
 # allocated, since Graph bounds n^2 below 2^31: they exit 2 with that error.
-# The 4-vertex wl-rank input reaches 2-WL, whose hashed key here fails as an
-# allocation past memory would.
+# The 4-vertex wl-rank input reaches 2-WL, whose hashed round here fails as
+# an allocation past memory would.
 @pytest.mark.parametrize("argv,text", [
     (["wl-rank"], "20000000 0\n"),
     (["wl-rank"], '{"n": 20000000, "directed": false, "edges": []}'),
@@ -295,7 +295,7 @@ def test_failed_allocation_exits_2(argv, text, tmp_path, capsys, monkeypatch):
     def out_of_memory(*args):
         raise MemoryError("Unable to allocate the hashed key")
 
-    monkeypatch.setattr(wl, "_hashed_key", out_of_memory)
+    monkeypatch.setattr(wl, "_hashed_round", out_of_memory)
     monkeypatch.chdir(tmp_path)
     if text is not None:
         (tmp_path / "big.txt").write_text(text)

@@ -12,13 +12,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 import pytest
+from conftest import hashed_round
 
 from dezawl import Graph, initial_pair_coloring, verify_coherence, wl
 from dezawl.wl import (
     _SORT_BLOCK_ROWS,
     CoherenceResult,
     PairColoring,
-    _hashed_round,
     _varying_intersection,
     _wl2_round,
 )
@@ -335,7 +335,7 @@ def test_witness_matches_row_path_on_every_hashed_round(cache, k, drop):
     seed = 0
     while True:
         witnesses.append(_assert_same_witness(color, num, rng))
-        color, new_num = _hashed_round(color, num, seed)
+        color, new_num = hashed_round(color, seed)
         seed += 1
         if new_num == num:
             break

@@ -1,11 +1,12 @@
 import json
 import random
+from datetime import timedelta
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import cyclic_group, elementary_abelian
+from conftest import cyclic_group, elementary_abelian, hashed_round
 from dezawl import (
     Graph,
     cayley_graph,
@@ -292,7 +293,7 @@ def test_round_ids_do_not_depend_on_color_values(cache):
 def test_wl2_raises_when_refinement_stops_early(cache, monkeypatch):
     from dezawl import wl
 
-    monkeypatch.setattr(wl, "_hashed_round", lambda color, num, seed, trigger: (color, num))
+    monkeypatch.setattr(wl, "_hashed_round", lambda key, p, seed, trigger: False)
     monkeypatch.setattr(wl, "_wl2_round", lambda color, num: (color, num))
     with pytest.raises(RuntimeError, match="incoherent"):
         wl2(cache.graph(3))
@@ -331,20 +332,23 @@ def test_hashed_rounds_take_the_hashed_path(cache):
 
 @pytest.mark.parametrize("prime", [2, 3])
 def test_hash_collisions_fall_back_to_exact_rounds(cache, monkeypatch, prime):
-    """With p = 2 every weight is 1, so no hashed round splits a class: the
-    first trigger fires on the initial coloring, the recheck rejects it, a
-    second stop at its count goes to exact rounds, and each recheck compares
-    one row on Gamma_5. With p = 3 hashed signatures collide at random.
-    Either way retries or exact rounds finish the job and the bytes stay
-    pinned."""
+    """The prime taken from n is replaced by 2 or 3. With p = 2 every weight
+    is 1, so no hashed round splits a class: the first trigger fires on the
+    initial coloring, the recheck rejects it, a second stop at its count
+    goes to exact rounds, which alone refine every pinned graph whose
+    initial coloring is not coherent, and each recheck compares one row on
+    Gamma_5. With p = 3 hashed signatures collide at random. Either way
+    retries or exact rounds finish the job and the bytes stay pinned."""
     from dezawl import wl
 
-    monkeypatch.setattr(wl, "_HASH_PRIME", prime)
+    monkeypatch.setattr(wl, "_hash_prime", lambda n: prime)
     paths = set()
     for name, graph in _pinned_graphs(cache).items():
         conf = wl2(graph)
         assert _sha(conf) == _PINNED_COLORINGS[name], name
         paths.add(conf.path)
+        if prime == 2 and not verify_coherence(initial_pair_coloring(graph)):
+            assert conf.path == "hashed+exact", name
     assert paths <= {"hashed", "hashed+exact"}
     if prime == 2:
         conf = wl2(cache.graph(5))
@@ -360,10 +364,10 @@ def test_a_false_stop_is_retried_under_the_next_seed(cache, monkeypatch):
 
     real = wl._hashed_round
 
-    def false_stop(color, num, seed, trigger):
+    def false_stop(key, p, seed, trigger):
         if seed == 0:
-            return None if trigger else (color, num)
-        return real(color, num, seed, trigger)
+            return not trigger  # the key unchanged, so a count rule stops too
+        return real(key, p, seed, trigger)
 
     monkeypatch.setattr(wl, "_hashed_round", false_stop)
     for name, graph in _pinned_graphs(cache).items():
@@ -371,6 +375,39 @@ def test_a_false_stop_is_retried_under_the_next_seed(cache, monkeypatch):
         assert _sha(conf) == _PINNED_COLORINGS[name], name
         assert conf.path == "hashed", name
     assert wl2(cache.graph(5)).recheck_rows == 2
+
+
+def test_a_mixer_that_merges_classes_cannot_stop_on_a_coarser_coloring(cache, monkeypatch):
+    """The mixer of the first round maps the arc and non-arc keys (and
+    reverse arcs) to one key. The coloring {diagonal, off-diagonal} that the
+    rounds then stop on is coherent, so the recheck accepts it; only the
+    check that the coloring refines the initial one rejects it, and the
+    rounds from the meet of the two reach the pinned bytes and rank."""
+    import numpy as np
+
+    from dezawl import wl
+    from dezawl.wl import PairColoring
+
+    real = wl._finalize
+    merged = []
+
+    def merging(z):
+        if z.ndim == 2 and not merged:  # the first round's keys
+            merged.append(True)
+            z[...] = np.eye(len(z), dtype=z.dtype)
+        return real(z)
+
+    monkeypatch.setattr(wl, "_finalize", merging)
+    for name, graph in _pinned_graphs(cache).items():
+        n = graph.n
+        coarse = PairColoring(n, 1 - np.eye(n, dtype=np.int32), 2)
+        assert verify_coherence(coarse)
+        merged.clear()
+        conf = wl2(graph)
+        assert merged, name
+        assert _sha(conf) == _PINNED_COLORINGS[name], name
+        assert conf.rank == _exact_fixed_point(graph)[1] > 2, name
+        assert conf.path == "hashed", name
 
 
 def test_perms_that_are_not_transitive_automorphisms_trigger_nothing(cache):
@@ -391,10 +428,10 @@ def test_perms_that_are_not_transitive_automorphisms_trigger_nothing(cache):
 
 def test_a_hashed_round_is_one_product_in_row_blocks(cache, monkeypatch):
     """Each full hashed round forms one product, in _BLOCKS row blocks. On
-    Gamma_5, whose translations act transitively, the round that finds row 0
-    stable stops after its first block. Gamma_5 less the edge (0, 2) carries
-    no automorphisms, so a full round that keeps the count stops it, on the
-    coloring exact rounds alone reach."""
+    Gamma_5, whose translations act transitively, row 0 comes first on its
+    own, and the round that finds row 0 stable stops after it. Gamma_5 less
+    the edge (0, 2) carries no automorphisms, so a full round that keeps the
+    count stops it, on the coloring exact rounds alone reach."""
     from types import SimpleNamespace
 
     import numpy as np
@@ -413,34 +450,36 @@ def test_a_hashed_round_is_one_product_in_row_blocks(cache, monkeypatch):
     dropped = gamma.without_edge(0, 2)
     assert dropped.automorphisms == ()
     confs = []
-    for graph, trigger_blocks, rows in ((gamma, 1, 1), (dropped, 0, gamma.n)):
+    for graph, row_0, rows in ((gamma, 1, 1), (dropped, 0, gamma.n)):
         assert len(_row_blocks(graph.n)) == _BLOCKS
         products.clear()
         conf = wl2(graph)
-        assert len(products) == conf.rounds * _BLOCKS + trigger_blocks
+        assert len(products) == conf.rounds * (_BLOCKS + row_0) + row_0
+        assert products[0] == ((1, graph.n) if row_0 else (graph.n // _BLOCKS, graph.n))
         assert (conf.path, conf.recheck_rows) == ("hashed", rows)
         confs.append(conf)
+    assert products[-1] == (graph.n // _BLOCKS, graph.n)
     assert _sha(confs[0]) == _PINNED_COLORINGS["gamma5"]
-    monkeypatch.setattr(wl, "_HASH_MAX_N", 0)
-    exact = wl2(dropped)
-    assert (exact.path, exact.rank) == ("exact", confs[1].rank)
-    assert np.array_equal(exact.coloring.color, confs[1].coloring.color)
+    exact_color, exact_num = _exact_fixed_point(dropped)
+    assert exact_num == confs[1].rank
+    assert np.array_equal(exact_color, confs[1].coloring.color)
 
 
-def test_exact_rounds_run_past_the_size_bound(cache, monkeypatch):
+@pytest.mark.parametrize("n", [1, 2, 120, 8192, 8200, 46340])
+def test_the_hash_prime_is_the_largest_exact_one(n):
+    """p is prime, n (p - 1)^2 < 2^53, so every sum of a hashed product is
+    exact, and the next prime breaks that bound; 8192 keeps the prime that
+    was fixed while hashed rounds stopped there."""
+    import sympy
+
     from dezawl import wl
 
-    assert wl._HASH_MAX_N * (wl._HASH_PRIME - 1) ** 2 < 2 ** 53
-    assert wl._HASH_MAX_N ** 2 * wl._HASH_PRIME < 2 ** 63
-    graphs = _pinned_graphs(cache)
-    monkeypatch.setattr(wl, "_HASH_MAX_N", 23)
-    monkeypatch.setattr(wl, "_hashed_round", None)  # must not be called
-    for name, graph in graphs.items():
-        if graph.n <= 23:
-            continue
-        conf = wl2(graph)
-        assert conf.path == "exact", name
-        assert _sha(conf) == _PINNED_COLORINGS[name], name
+    p = wl._hash_prime(n)
+    assert sympy.isprime(p)
+    assert n * (p - 1) ** 2 < 2 ** 53 <= n * (sympy.nextprime(p) - 1) ** 2
+    assert (n != 8192) or p == 1048573
+    odd = range(p - 200, p + 1, 2)  # the candidates wl._is_prime is given
+    assert [wl._is_prime(m) for m in odd] == [sympy.isprime(m) for m in odd]
 
 
 def _random_graph(seed: int) -> Graph:
@@ -459,14 +498,14 @@ def test_hashed_and_exact_rounds_agree(seed):
     random graphs and digraphs, which are rarely Cayley graphs."""
     import numpy as np
 
-    from dezawl.wl import _hashed_round, _wl2_round
+    from dezawl.wl import _wl2_round
 
     graph = _random_graph(seed)
     init = initial_pair_coloring(graph)
     color, num = init.color, init.num_colors
     for t in range(graph.n ** 2):
         exact_color, exact_num = _wl2_round(color, num)
-        hashed_color, hashed_num = _hashed_round(color, num, t)
+        hashed_color, hashed_num = hashed_round(color, t)
         assert hashed_num == exact_num
         assert np.array_equal(hashed_color, exact_color)
         if exact_num == num:
@@ -478,13 +517,17 @@ def test_hashed_and_exact_rounds_agree(seed):
 
 
 _CAYLEY_GROUPS = (family_group(3), elementary_abelian(4), cyclic_group(16))
+# Orders 64 to 128: the dihedral-based family group at k = 8 and 16, C2^6,
+# C2^7 and C128.
+_LARGER_GROUPS = (family_group(8), elementary_abelian(6), family_group(16),
+                  elementary_abelian(7), cyclic_group(128))
 
 
 @st.composite
-def _inverse_closed_sets(draw):
-    """One of _CAYLEY_GROUPS and an inverse-closed S in G - {e}, as a union
-    of drawn pairs {x, x^-1}."""
-    g = draw(st.sampled_from(_CAYLEY_GROUPS))
+def _inverse_closed_sets(draw, groups=_CAYLEY_GROUPS):
+    """One of the groups and an inverse-closed S in G - {e}, as a union of
+    drawn pairs {x, x^-1}."""
+    g = draw(st.sampled_from(groups))
     pairs = sorted({tuple(sorted((x, int(g.inv[x])))) for x in range(g.order)
                     if x != g.identity})
     chosen = draw(st.lists(st.sampled_from(pairs), unique=True))
@@ -496,17 +539,32 @@ def _inverse_closed_sets(draw):
 def test_wl2_and_sring_closure_agree_on_cayley_graphs(group_and_set):
     """On Cayley graphs of three groups, 2-WL and the S-ring closure, which
     share no code, give one rank; every hashed round gives the exact round's
-    coloring, ids included; the right translations the graph carries pass
-    the exact automorphism check with one orbit, so wl2 and
-    integral_spectrum give with them what they give with perms=(), and the
-    recheck reduced by them gives the full recheck's verdict and witness
-    from one row. Graphs derived from it carry none."""
+    coloring, ids included, once numbered by first occurrence; the right
+    translations the graph carries pass the exact automorphism check with
+    one orbit, so wl2 and integral_spectrum give with them what they give
+    with perms=(), and the recheck reduced by them gives the full recheck's
+    verdict and witness from one row. Graphs derived from it carry none."""
+    _check_wl2_and_closure(*group_and_set)
+
+
+@settings(max_examples=25, deadline=timedelta(seconds=20), derandomize=True,
+          database=None)
+@given(_inverse_closed_sets(_LARGER_GROUPS))
+def test_wl2_and_sring_closure_agree_on_larger_cayley_graphs(group_and_set):
+    """The same checks on groups of order 64 to 128. Time bound: no example
+    may take 20 s (the hypothesis deadline), so a round, the closure or the
+    spectrum that blew up on some connection set would fail the test. The
+    slowest examples take about 1.5 s, almost all of it the spectrum's
+    exact elimination on graphs that are not integral."""
+    _check_wl2_and_closure(*group_and_set)
+
+
+def _check_wl2_and_closure(g, s):
     import numpy as np
 
     from dezawl import graph_to_json, integral_spectrum, load_graph
-    from dezawl.wl import PairColoring, _hashed_round, _orbit_representatives, _wl2_round
+    from dezawl.wl import PairColoring, _orbit_representatives, _wl2_round
 
-    g, s = group_and_set
     graph = cayley_graph(g, s)
     closure = wl_closure(g, [s])
     translations = graph.automorphisms
@@ -529,7 +587,7 @@ def test_wl2_and_sring_closure_agree_on_cayley_graphs(group_and_set):
         reduced = verify_coherence(coloring, translations)
         assert (reduced.ok, reduced.witness, reduced.rows) == (full.ok, full.witness, 1)
         exact_color, exact_num = _wl2_round(color, num)
-        hashed_color, hashed_num = _hashed_round(color, num, t)
+        hashed_color, hashed_num = hashed_round(color, t)
         assert hashed_num == exact_num
         assert np.array_equal(hashed_color, exact_color)
         if exact_num == num:
