@@ -47,12 +47,11 @@ columns with lambda_0 subtracted on the diagonal, so a block takes |C| - 1
 products.
 
 On a vertex-transitive graph one column decides everything (Godsil and
-Royle, Algebraic Graph Theory, 2001, ch. 3). integral_spectrum may be given
-vertex permutations, and takes the graph's own (Graph.automorphisms)
-otherwise, so every graph built by cayley_graph or grid_graph qualifies; it
-checks exactly that each is a permutation with A[p][:, p] = A
-(wl._orbit_representatives), and if the group they generate has one orbit,
-only the column block (0, 1) is taken:
+Royle, Algebraic Graph Theory, 2001, ch. 3). integral_spectrum reads the
+automorphisms the graph carries (Graph.automorphisms), so every graph built
+by cayley_graph or grid_graph qualifies; graphs._transitive checks exactly
+that each is a permutation with A[p][:, p] = A, and if the group they
+generate has one orbit, only the column block (0, 1) is taken:
 - every q(A) commutes with the permutation matrix P_s of each s in that
   group, so if s(0) = v then P(A) e_v = P(A) P_s e_0 = P_s P(A) e_0, and
   P(A) = 0 iff P(A) e_0 = 0;
@@ -60,10 +59,10 @@ only the column block (0, 1) is taken:
   and the trace equations and their solution are unchanged.
 Transitivity is enough; the graph need not be a Cayley graph (the Petersen
 graph is not). This takes |C| - 1 products of one column, O(|C| n^2) work
-against O(|C| n^3), under the same exactness rule. Any other input (no
-perms, as perms=() or on a graph that carries none, a non-permutation, a
-non-automorphism, more than one orbit) takes the eight blocks, with the
-same result.
+against O(|C| n^3), under the same exactness rule. Any other graph (one
+that carries no automorphisms, or ones that include a non-permutation or
+a non-automorphism or have more than one orbit) takes the eight blocks,
+with the same result.
 
 Exactness has one rule, checked as each product runs. Every product of A
 is one call of _adjacency_product(adj, x, D, shift). It converts the
@@ -102,12 +101,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from .graphs import Graph, _row_blocks
-from .wl import _orbit_representatives, _splitmix64
+from .graphs import Graph, _row_blocks, _transitive
+from .wl import _splitmix64
 
 CANDIDATE_TOLERANCE = 1e-6
 
@@ -324,7 +323,7 @@ def _krylov_candidates(adj: np.ndarray, max_degree: int) -> Optional[list[int]]:
     return roots if len(roots) == length else None
 
 
-def integral_spectrum(g: Graph, perms: Optional[Sequence[Sequence[int]]] = None):
+def integral_spectrum(g: Graph):
     """Certify that all adjacency eigenvalues of g are integers.
 
     Returns an IntegralSpectrum with exact multiplicities, or a
@@ -336,12 +335,12 @@ def integral_spectrum(g: Graph, perms: Optional[Sequence[Sequence[int]]] = None)
     solved exactly), or else from exact integer elimination, one nullity per
     candidate. NonIntegralVerdict only ever comes from elimination.
 
-    perms, vertex permutations as for wl2, default to g.automorphisms and
-    only shorten the certificate. Each is checked exactly to be an
-    automorphism of g; if all are and the group they generate is
-    transitive, the annihilator takes column 0 alone (module docstring), as
-    it does on every Cayley graph and grid. Otherwise, or with perms=(), it
-    takes all eight column blocks; the result is the same either way.
+    The automorphisms g carries only shorten the certificate. Each is
+    checked exactly to be an automorphism of g; if all are and the group
+    they generate is transitive, the annihilator takes column 0 alone
+    (module docstring), as it does on every Cayley graph and grid.
+    Otherwise it takes all eight column blocks; the result is the same
+    either way.
 
     The candidates are the exact Krylov nomination. eigvalsh runs only when
     that nomination fails or the annihilator refuses it; its
@@ -355,12 +354,9 @@ def integral_spectrum(g: Graph, perms: Optional[Sequence[Sequence[int]]] = None)
         return IntegralSpectrum(())
 
     max_degree = int(g.adj.sum(axis=1).max())
-    if perms is None:
-        perms = g.automorphisms
-    transitive = len(perms) > 0 and len(_orbit_representatives(g.adj, perms)) == 1
     nominated = _krylov_candidates(g.adj, max_degree)
     if nominated is not None:
-        mults = _annihilator_multiplicities(g.adj, nominated, max_degree, transitive=transitive)
+        mults = _annihilator_multiplicities(g.adj, nominated, max_degree, _transitive(g))
         if mults is not None:
             return IntegralSpectrum(tuple((lam, m) for lam, m in zip(nominated, mults) if m > 0))
 

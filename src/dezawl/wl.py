@@ -38,24 +38,25 @@ split or makes a check reject. Three arguments make the result exact:
    stop at H's count stops on H; exact rounds go on from it, and the same
    checks accept their stable coloring or raise.
 3. Orbit reduction is sound. verify_coherence checks exactly that given
-   vertex permutations (Graph.automorphisms by default) preserve every pair
+   vertex permutations (from wl2, g.automorphisms) preserve every pair
    color. Then every pi in the group they generate maps the multiset of
    (u, v) to that of (pi u, pi v), so the rows of the least vertex of each
    orbit, one row on graphs from cayley_graph and grid_graph, give the full
-   comparison's least varying (code, class). Perms that preserve g.adj
-   preserve every W_t and key; if they act transitively, every class meets
-   row 0, and a round splits a class iff row 0 of its new key, which it
-   forms first and alone, does: wl2's trigger.
+   comparison's least varying (code, class). Automorphisms that preserve
+   g.adj preserve every W_t and key; if they act transitively
+   (graphs._transitive), every class meets row 0, and a round splits a
+   class iff row 0 of its new key, which it forms first and alone, does:
+   wl2's trigger.
 
-Colors are int32 ids, exact while n <= 46340; wl2 and initial_pair_coloring
-raise ValueError past that before allocating. In units of 8 n^2 bytes, a
-round holds the key, y(key) made in place, an eighth per row block, and the
-shifted words of its splitmix64 pass once y is freed; the count rule sorts
-a copy of the key. The renumbering frees the key it is handed, then holds
-the argsort order and int32 ids (two units). wl2 peaks near 2.5; the tests
-bound it by 3 on Gamma_16 and the 4 x 32 grid and by 4 on Gamma_32 less
-the edge (0, 2), of rank n^2 / 2, where the recheck peaks with the coloring
-and the compared pairs' colors and order (1.5 units for all rows).
+Colors are int32 ids, exact while n <= 46340; wl2 raises ValueError past
+that before allocating. In units of 8 n^2 bytes, a round holds the key,
+y(key) made in place, an eighth per row block, and the shifted words of
+its splitmix64 pass once y is freed; the count rule sorts a copy of the
+key. The renumbering frees the key it is handed, then holds the argsort
+order and int32 ids (two units). wl2 peaks near 2.5; the tests bound it
+by 3 on Gamma_16 and the 4 x 32 grid and by 4 on Gamma_32 less the edge
+(0, 2), of rank n^2 / 2, where the recheck peaks with the coloring and
+the compared pairs' colors and order (1.5 units for all rows).
 
 wl1 is classical color refinement (Berkholz, Bonsma and Grohe, 2017): a
 round keys each vertex by (color, sorted out-neighbor colors, sorted
@@ -80,7 +81,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .graphs import Graph, _row_blocks
+from .graphs import Graph, _orbit_representatives, _row_blocks, _transitive
 
 
 @dataclass
@@ -129,22 +130,14 @@ def _renumber_first_occurrence(key: np.ndarray) -> tuple[np.ndarray, int]:
     return relabel[ids], len(first)
 
 
-def _initial_key(g: Graph, dtype: type = np.int64) -> np.ndarray:
-    """adj + 2 adj^T off the diagonal and 4 on it, as one flat key."""
-    key = np.empty((g.n, g.n), dtype=dtype)
-    np.multiply(g.adj.T, key.dtype.type(2), out=key)
+def _initial_key(g: Graph) -> np.ndarray:
+    """adj + 2 adj^T off the diagonal and 4 on it, as one flat uint8 key:
+    the diagonal, arc, reverse-arc and non-arc classes."""
+    key = np.empty((g.n, g.n), dtype=np.uint8)
+    np.multiply(g.adj.T, np.uint8(2), out=key)
     key += g.adj
     np.fill_diagonal(key, 4)
     return key.ravel()
-
-
-def initial_pair_coloring(g: Graph) -> PairColoring:
-    """Diagonal, arc, reverse-arc and non-arc classes, degenerate cases
-    collapsing to fewer colors. Raises ValueError when n^2 >= 2^31."""
-    if g.n * g.n >= 2**31:
-        raise ValueError(f"{g.n} vertices too many for int32 pair colors")
-    flat, num = _renumber_first_occurrence(_initial_key(g))
-    return PairColoring(g.n, flat.reshape(g.n, g.n), num)
 
 
 def _wl2_round(color: np.ndarray, num_colors: int) -> tuple[np.ndarray, int]:
@@ -252,29 +245,26 @@ def _count(key: np.ndarray) -> int:
 def _mixed_key(g: Graph, color: Optional[np.ndarray] = None) -> np.ndarray:
     """splitmix64 of 5 color + the initial key, or of the initial key alone:
     a key of the meet of color and the initial coloring."""
-    init = _initial_key(g, np.uint8).reshape(g.n, g.n)
+    init = _initial_key(g).reshape(g.n, g.n)
     if color is None:
         return _finalize(np.arange(5, dtype=np.uint64))[init]
     return _finalize(color.astype(np.uint64) * np.uint64(5) + init)
 
 
-def wl2(
-    g: Graph, perms: Optional[Sequence[Sequence[int]]] = None
-) -> CoherentConfiguration:
+def wl2(g: Graph) -> CoherentConfiguration:
     """Stable 2-WL pair coloring of g, verified coherent (module docstring).
 
-    Hashed rounds stop when row 0 splits no class, if perms (by default
-    g.automorphisms; () compares every row) pass the exact automorphism
-    check on g.adj and act transitively, else when a round keeps the count
-    of distinct keys. g.n must be at most 46340 (ValueError otherwise).
-    Raises RuntimeError if the stable exact coloring fails a check.
+    Hashed rounds stop when row 0 splits no class if the automorphisms g
+    carries pass the exact check on g.adj and act transitively
+    (graphs._transitive), else when a round keeps the count of distinct
+    keys; the recheck reduces by the same automorphisms. g.n must be at
+    most 46340 (ValueError otherwise). Raises RuntimeError if the stable
+    exact coloring fails a check.
     """
     n = g.n
     if n * n >= 2**31:
         raise ValueError(f"{n} vertices too many for int32 pair colors")
-    if perms is None:
-        perms = g.automorphisms
-    trigger = len(_orbit_representatives(g.adj, perms)) == 1
+    trigger = _transitive(g)
     p = _hash_prime(n)
     keys = [_mixed_key(g)]  # handed over to the renumbering, which frees it
     num = None if trigger else _count(keys[0])
@@ -297,10 +287,10 @@ def wl2(
                 color, num = step
                 continue
             del step
-        init = _initial_key(g, np.uint8)  # does each class lie in one initial class?
+        init = _initial_key(g)  # does each class lie in one initial class?
         first = np.empty(num, dtype=np.uint8)
         first[color.ravel()] = init
-        check = (verify_coherence(PairColoring(n, color, num), perms)
+        check = (verify_coherence(PairColoring(n, color, num), g.automorphisms)
                  if np.array_equal(first[color.ravel()], init) else CoherenceResult(False))
         recheck_rows += check.rows
         if check.ok:
@@ -326,37 +316,6 @@ class CoherenceResult:
 
     def __bool__(self) -> bool:
         return self.ok
-
-
-def _orbit_representatives(
-    color: np.ndarray, perms: Sequence[Sequence[int]]
-) -> Sequence[int]:
-    """The smallest vertex of each orbit of the group the perms generate, or
-    every vertex unless each is a permutation of the vertices that preserves
-    every pair color exactly. The check gathers rows then columns with take."""
-    n = color.shape[0]
-    gens = [np.asarray(p, dtype=np.intp) for p in perms]
-    for p in gens:
-        if (p.shape != (n,) or not np.array_equal(np.sort(p), np.arange(n))
-                or not np.array_equal(color.take(p, axis=0).take(p, axis=1), color)):
-            return range(n)
-    images = [p.tolist() for p in gens]
-    seen = [False] * n
-    reps = []
-    for s in range(n):
-        if seen[s]:
-            continue
-        reps.append(s)
-        seen[s] = True
-        stack = [s]
-        while stack:
-            x = stack.pop()
-            for image in images:
-                y = image[x]
-                if not seen[y]:
-                    seen[y] = True
-                    stack.append(y)
-    return reps
 
 
 # Rows of the code block that a coherence recheck or a 1-WL round builds and

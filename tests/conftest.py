@@ -3,10 +3,13 @@ expensive objects are built once per session."""
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 import pytest
 
 from dezawl import (
+    Graph,
     Group,
     cayley_graph,
     connection_set,
@@ -27,6 +30,22 @@ def elementary_abelian(m: int) -> Group:
     """C2^m with the elements as bit vectors and xor as the product."""
     n = 1 << m
     return Group([[a ^ b for b in range(n)] for a in range(n)], list(range(n)), 0)
+
+
+def carrying(g: Graph, automorphisms=()) -> Graph:
+    """A shallow copy of g that shares its adjacency and carries the given
+    automorphisms, or none: the graph to hand wl2 or integral_spectrum to
+    steer their transitivity decision."""
+    h = copy.copy(g)
+    h.automorphisms = automorphisms
+    return h
+
+
+def initial_coloring(g: Graph) -> wl.PairColoring:
+    """The diagonal, arc, reverse-arc and non-arc classes of g, numbered by
+    first occurrence as wl2 numbers its colorings."""
+    ids, num = wl._renumber_first_occurrence(wl._initial_key(g))
+    return wl.PairColoring(g.n, ids.reshape(g.n, g.n), num)
 
 
 def hashed_round(color: np.ndarray, seed: int) -> tuple[np.ndarray, int]:

@@ -7,6 +7,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+from conftest import carrying
 from dezawl.cli import main
 from dezawl.graphs import graph_from_json, load_graph, write_edgelist
 
@@ -417,8 +418,8 @@ def test_verify_family_keeps_no_wl2_coloring_past_its_rank(monkeypatch):
     refs, dead = [], []
     real_wl2 = verify.wl2
 
-    def wl2(g, perms=()):
-        conf = real_wl2(g, perms)
+    def wl2(g):
+        conf = real_wl2(carrying(g))
         refs.append(weakref.ref(conf.coloring.color))
         return conf
 

@@ -12,9 +12,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 import pytest
-from conftest import hashed_round
+from conftest import hashed_round, initial_coloring
 
-from dezawl import Graph, initial_pair_coloring, verify_coherence, wl
+from dezawl import Graph, verify_coherence, wl
 from dezawl.wl import (
     _SORT_BLOCK_ROWS,
     CoherenceResult,
@@ -105,7 +105,7 @@ def test_every_intermediate_round(cache, graph):
         g = cache.graph(int(graph[len("gamma"):]))
     else:
         g = _random_digraph(int(graph[len("digraph"):]))
-    init = initial_pair_coloring(g)
+    init = initial_coloring(g)
     color, num = init.color, init.num_colors
     kinds = []
     while True:
@@ -172,7 +172,7 @@ def _relabel(coloring: PairColoring, perms, sigma):
 @pytest.mark.parametrize("k", [3, 4, 5, 6])
 def test_orbit_reduced_recheck_on_every_round(cache, k):
     perms = cache.graph(k).automorphisms
-    init = initial_pair_coloring(cache.graph(k))
+    init = initial_coloring(cache.graph(k))
     rng = random.Random(k)
     color, num = init.color, init.num_colors
     while True:
@@ -241,7 +241,7 @@ def test_non_preserving_permutations_fall_back_to_the_full_check(cache):
     # removed, so its colorings are checked in full, with the same witness
     u = 0
     broken = gamma.without_edge(u, gamma.neighbors(u)[0])
-    init = initial_pair_coloring(broken)
+    init = initial_coloring(broken)
     color, num = init.color, init.num_colors
     while True:
         coloring = PairColoring(init.n, color, num)
@@ -328,7 +328,7 @@ def test_witness_matches_row_path_on_every_hashed_round(cache, k, drop):
     graph = cache.graph(k)
     if drop:
         graph = graph.without_edge(0, 2)
-    init = initial_pair_coloring(graph)
+    init = initial_coloring(graph)
     color, num = init.color, init.num_colors
     rng = random.Random(f"hashed-{k}-{drop}")
     witnesses = []

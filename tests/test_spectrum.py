@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import elementary_abelian
+from conftest import carrying, elementary_abelian
 from dezawl import graphs as graph_layer
 from dezawl import spectrum
 from dezawl import (
@@ -21,6 +21,7 @@ from dezawl import (
     grid_graph,
     integer_rank,
     integral_spectrum,
+    wl2,
 )
 
 
@@ -133,6 +134,12 @@ def test_directed_graph_rejected():
 def test_empty_graph_spectrum():
     spec = integral_spectrum(Graph(4))
     assert spec.pairs == ((0, 4),)
+
+
+def test_one_vertex_spectrum():
+    """One vertex, which carries no automorphisms, is transitive: its one
+    column is all the columns."""
+    assert integral_spectrum(Graph(1)) == IntegralSpectrum(((0, 1),))
 
 
 # ---------------------------------------------- cross-oracle: pure elimination
@@ -475,11 +482,11 @@ def test_annihilator_runs_one_product_fewer_per_block(cache, monkeypatch):
 
 def test_past_512_vertices_blocks_are_an_eighth_wide(cache, monkeypatch):
     """At n = 8k = 576 the nomination takes 2L + 1 products of vectors, and
-    the annihilator, kept off the translations Gamma_72 carries by
-    perms=(), 8 blocks of n // 8 = 72 columns, |C| - 1 = 4 products each."""
-    g = cache.graph(72)
+    the annihilator, on a copy of Gamma_72 that carries no translations,
+    8 blocks of n // 8 = 72 columns, |C| - 1 = 4 products each."""
+    g = carrying(cache.graph(72))
     products = _counting(monkeypatch)
-    spec = integral_spectrum(g, ())
+    spec = integral_spectrum(g)
     assert spec.pairs == ((146, 1), (142, 1), (2, 285), (-2, 287), (-142, 2))
     assert products == [(576,)] * (2 * 5 + 1) + [(576, 72)] * (8 * 4)
 
@@ -536,10 +543,10 @@ def test_cayley_graphs_of_c2m_nominate_their_distinct_eigenvalues(m, data):
     assert _nominate(g) == _distinct_eigenvalues(expected)
     # The graph carries the unit translations, which are automorphisms and
     # transitive even when S does not generate C2^m, so the one-column path
-    # applies; perms=() takes the eight blocks.
+    # applies; a copy that carries none takes the eight blocks.
     assert np.array_equal(g.automorphisms, _unit_translations(m))
     assert integral_spectrum(g) == expected
-    assert integral_spectrum(g, ()) == expected
+    assert integral_spectrum(carrying(g)) == expected
     candidates, d = _distinct_eigenvalues(expected), _max_degree(g)
     assert (spectrum._annihilator_multiplicities(g.adj, candidates, d, transitive=True)
             == spectrum._annihilator_multiplicities(g.adj, candidates, d))
@@ -604,28 +611,23 @@ def _annihilator_widths(products):
     return {shape[1] for shape in products if len(shape) == 2}
 
 
-def _carried(g):
-    return g, g.automorphisms
-
-
+# Graphs that carry automorphisms acting transitively.
 TRANSITIVE_CASES = {
-    **{f"gamma{k}": (lambda cache, k=k: _carried(cache.graph(k)))
-       for k in [*range(3, 17), 48]},
-    **{f"grid4x{m}": (lambda cache, m=m: _carried(grid_graph(4, m)))
-       for m in [3, 6, 9]},
-    "q4": lambda cache: (_hypercube(4), _unit_translations(4)),
-    "petersen": lambda cache: (_petersen(), [_PETERSEN_ROTATION, _PETERSEN_SWAP]),
+    **{f"gamma{k}": (lambda cache, k=k: cache.graph(k)) for k in [*range(3, 17), 48]},
+    **{f"grid4x{m}": (lambda cache, m=m: grid_graph(4, m)) for m in [3, 6, 9]},
+    "q4": lambda cache: carrying(_hypercube(4), _unit_translations(4)),
+    "petersen": lambda cache: carrying(_petersen(), [_PETERSEN_ROTATION, _PETERSEN_SWAP]),
 }
 
 
 @pytest.mark.parametrize("name", sorted(TRANSITIVE_CASES))
 def test_one_column_gives_the_blocked_pairs(cache, monkeypatch, name):
-    g, perms = TRANSITIVE_CASES[name](cache)
-    blocked = integral_spectrum(g, ())
+    g = TRANSITIVE_CASES[name](cache)
+    blocked = integral_spectrum(carrying(g))
     assert isinstance(blocked, IntegralSpectrum)
     products = _counting(monkeypatch)
     monkeypatch.setattr(spectrum, "np", _NoLinalg())
-    assert integral_spectrum(g, perms) == blocked
+    assert integral_spectrum(g) == blocked
     assert _annihilator_widths(products) == {1}
 
 
@@ -654,12 +656,12 @@ FALLBACK_PERMS = {
 
 @pytest.mark.parametrize("name", sorted(FALLBACK_PERMS))
 def test_unusable_perms_take_the_eight_blocks(cache, monkeypatch, name):
-    """Gamma_5 (n = 40) with perms that are no permutations or generate more
-    than one orbit: the blocked path's 8 x 4 products of 5 columns."""
+    """Gamma_5 (n = 40) carrying perms that are no permutations or generate
+    more than one orbit: the blocked path's 8 x 4 products of 5 columns."""
     g = cache.graph(5)
     expected = integral_spectrum(g)
     products = _counting(monkeypatch)
-    assert integral_spectrum(g, FALLBACK_PERMS[name](cache)) == expected
+    assert integral_spectrum(carrying(g, FALLBACK_PERMS[name](cache))) == expected
     assert products == [(40,)] * 11 + [(40, 5)] * 32
 
 
@@ -669,7 +671,7 @@ def test_petersen_rotation_alone_takes_the_eight_blocks(monkeypatch):
     g = _petersen()
     expected = integral_spectrum(g)
     products = _counting(monkeypatch)
-    assert integral_spectrum(g, [_PETERSEN_ROTATION]) == expected
+    assert integral_spectrum(carrying(g, [_PETERSEN_ROTATION])) == expected
     assert _annihilator_widths(products) == {2}
 
 
@@ -678,11 +680,46 @@ def test_translations_of_gamma_are_no_automorphisms_without_an_edge(cache, monke
     """On Gamma_k - (0, 2) the translations fail the automorphism check. With
     Gamma_k's own eigenvalues nominated, the blocked annihilator runs on the
     first block of n / 8 columns and refuses it, and elimination gives the
-    no-perms verdict."""
+    verdict of the graph without them."""
     g = cache.graph(k).without_edge(0, 2)
     expected = _reference_spectrum(g)
     assert isinstance(expected, NonIntegralVerdict)
     _patched_nominator(monkeypatch, lambda c: sorted(expected_eigenvalues(k), reverse=True))
     products = _counting(monkeypatch)
-    assert integral_spectrum(g, cache.graph(k).automorphisms) == expected
+    assert integral_spectrum(carrying(g, cache.graph(k).automorphisms)) == expected
     assert [shape for shape in products if len(shape) == 2] == [(8 * k, k)] * 4
+
+
+def _dropped_with_translations(k):
+    return lambda cache: carrying(cache.graph(k).without_edge(0, 2),
+                                  cache.graph(k).automorphisms)
+
+
+def _gamma5_carrying(name):
+    return lambda cache: carrying(cache.graph(5), FALLBACK_PERMS[name](cache))
+
+
+# TRANSITIVE_CASES and graphs whose carried automorphisms are unusable.
+DECISION_CASES = {
+    **TRANSITIVE_CASES,
+    **{f"gamma5_{name}": _gamma5_carrying(name) for name in FALLBACK_PERMS},
+    "petersen_rotation": lambda cache: carrying(_petersen(), [_PETERSEN_ROTATION]),
+    **{f"gamma{k}_without_0_2": _dropped_with_translations(k) for k in [5, 8]},
+}
+
+
+@pytest.mark.parametrize("name", sorted(DECISION_CASES))
+def test_wl2_and_the_spectrum_decide_transitivity_alike(cache, monkeypatch, name):
+    """wl2 rechecks one row exactly when the annihilator's products are one
+    column wide, and both exactly on the transitive cases. Gamma_k less an
+    edge gets Gamma_k's eigenvalues nominated, so its annihilator runs."""
+    g = DECISION_CASES[name](cache)
+    one_row = wl2(g).recheck_rows == 1
+    if name.endswith("_without_0_2"):
+        k = g.n // 8
+        _patched_nominator(monkeypatch, lambda c: sorted(expected_eigenvalues(k), reverse=True))
+    products = _counting(monkeypatch)
+    integral_spectrum(g)
+    widths = _annihilator_widths(products)
+    assert widths
+    assert one_row == (widths == {1}) == (name in TRANSITIVE_CASES)

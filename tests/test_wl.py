@@ -6,14 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import cyclic_group, elementary_abelian, hashed_round
+from conftest import carrying, cyclic_group, elementary_abelian, hashed_round, initial_coloring
 from dezawl import (
     Graph,
     cayley_graph,
     connection_set,
     family_group,
     grid_graph,
-    initial_pair_coloring,
     is_sring,
     verify_coherence,
     wl1,
@@ -96,14 +95,14 @@ def test_wl2_output_is_coherent(cache):
 
 
 def test_initial_coloring_of_family_graph_is_not_coherent(cache):
-    res = verify_coherence(initial_pair_coloring(cache.graph(3)))
+    res = verify_coherence(initial_coloring(cache.graph(3)))
     assert not res.ok
     assert res.witness["kind"] == "intersection"
     # the witness pairs really do differ, recounted by hand
     gamma = cache.graph(3)
     (u1, v1), (u2, v2) = res.witness["pairs"]
     i, j = res.witness["colors"]
-    init = initial_pair_coloring(gamma)
+    init = initial_coloring(gamma)
 
     def count(u, v):
         return sum(
@@ -116,7 +115,7 @@ def test_initial_coloring_of_family_graph_is_not_coherent(cache):
 
 
 def test_trivial_coloring_of_complete_graph_is_coherent():
-    res = verify_coherence(initial_pair_coloring(_complete(5)))
+    res = verify_coherence(initial_coloring(_complete(5)))
     assert res.ok
 
 
@@ -203,7 +202,7 @@ def test_refinement_never_decreases_color_count(cache):
     from dezawl.wl import _wl2_round
 
     gamma = cache.graph(3)
-    init = initial_pair_coloring(gamma)
+    init = initial_coloring(gamma)
     color, num = init.color, init.num_colors
     for _ in range(10):
         new_color, new_num = _wl2_round(color, num)
@@ -246,7 +245,7 @@ def _exact_fixed_point(graph):
     """The stable coloring reached by exact _wl2_round rounds alone."""
     from dezawl.wl import _wl2_round
 
-    init = initial_pair_coloring(graph)
+    init = initial_coloring(graph)
     color, num = init.color, init.num_colors
     while True:
         new_color, new_num = _wl2_round(color, num)
@@ -282,7 +281,7 @@ def test_round_ids_do_not_depend_on_color_values(cache):
     from dezawl.wl import _wl2_round
 
     for graph in (cache.graph(3), _directed_3_cycle()):
-        init = initial_pair_coloring(graph)
+        init = initial_coloring(graph)
         expected_color, expected_num = _wl2_round(init.color, init.num_colors)
         reversed_color = init.num_colors - 1 - init.color
         new_color, new_num = _wl2_round(reversed_color, init.num_colors)
@@ -315,13 +314,14 @@ def _sha(conf):
 
 
 def test_hashed_rounds_take_the_hashed_path(cache):
-    """With perms=() the recheck compares every row; by default it compares
-    one on the Cayley graphs and the grid, which carry their translations,
-    and every row on the 3-cycle digraph, built from its edges."""
+    """On a copy that carries no automorphisms the recheck compares every
+    row; on the graph itself it compares one on the Cayley graphs and the
+    grid, which carry their translations, and every row on the 3-cycle
+    digraph, built from its edges."""
     import numpy as np
 
     for name, graph in _pinned_graphs(cache).items():
-        conf = wl2(graph, ())
+        conf = wl2(carrying(graph))
         assert conf.path == "hashed", name
         assert conf.recheck_rows == graph.n, name
         assert conf.rounds >= 1
@@ -347,7 +347,7 @@ def test_hash_collisions_fall_back_to_exact_rounds(cache, monkeypatch, prime):
         conf = wl2(graph)
         assert _sha(conf) == _PINNED_COLORINGS[name], name
         paths.add(conf.path)
-        if prime == 2 and not verify_coherence(initial_pair_coloring(graph)):
+        if prime == 2 and not verify_coherence(initial_coloring(graph)):
             assert conf.path == "hashed+exact", name
     assert paths <= {"hashed", "hashed+exact"}
     if prime == 2:
@@ -412,16 +412,16 @@ def test_a_mixer_that_merges_classes_cannot_stop_on_a_coarser_coloring(cache, mo
 
 def test_perms_that_are_not_transitive_automorphisms_trigger_nothing(cache):
     """The identity alone has n orbits, and a shift of the vertex labels is
-    transitive but moves edges of these graphs: with either, wl2 stops on
-    a round that keeps the count and rechecks every row, on the pinned
-    bytes."""
+    transitive but moves edges of these graphs: on a copy that carries
+    either, wl2 stops on a round that keeps the count and rechecks every
+    row, on the pinned bytes."""
     for name, graph in _pinned_graphs(cache).items():
         n = graph.n
         perms = [[list(range(n))]]
         if name != "directed3cycle":  # whose shifts are its rotations
             perms.append([[(v + 1) % n for v in range(n)]])
         for p in perms:
-            conf = wl2(graph, p)
+            conf = wl2(carrying(graph, p))
             assert _sha(conf) == _PINNED_COLORINGS[name], name
             assert conf.recheck_rows == n, name
 
@@ -501,7 +501,7 @@ def test_hashed_and_exact_rounds_agree(seed):
     from dezawl.wl import _wl2_round
 
     graph = _random_graph(seed)
-    init = initial_pair_coloring(graph)
+    init = initial_coloring(graph)
     color, num = init.color, init.num_colors
     for t in range(graph.n ** 2):
         exact_color, exact_num = _wl2_round(color, num)
@@ -542,8 +542,9 @@ def test_wl2_and_sring_closure_agree_on_cayley_graphs(group_and_set):
     coloring, ids included, once numbered by first occurrence; the right
     translations the graph carries pass the exact automorphism check with
     one orbit, so wl2 and integral_spectrum give with them what they give
-    with perms=(), and the recheck reduced by them gives the full recheck's
-    verdict and witness from one row. Graphs derived from it carry none."""
+    on a copy that carries none, and the recheck reduced by them gives the
+    full recheck's verdict and witness from one row. Graphs derived from it
+    carry none."""
     _check_wl2_and_closure(*group_and_set)
 
 
@@ -563,23 +564,24 @@ def _check_wl2_and_closure(g, s):
     import numpy as np
 
     from dezawl import graph_to_json, integral_spectrum, load_graph
-    from dezawl.wl import PairColoring, _orbit_representatives, _wl2_round
+    from dezawl.graphs import _orbit_representatives
+    from dezawl.wl import PairColoring, _wl2_round
 
     graph = cayley_graph(g, s)
     closure = wl_closure(g, [s])
     translations = graph.automorphisms
     assert _orbit_representatives(graph.adj, translations) == [0]
-    carried, every_row = wl2(graph), wl2(graph, ())
+    carried, every_row = wl2(graph), wl2(carrying(graph))
     assert np.array_equal(carried.coloring.color, every_row.coloring.color)
     assert (carried.recheck_rows, every_row.recheck_rows) == (1, graph.n)
     assert carried.rank == closure.rank
-    assert integral_spectrum(graph) == integral_spectrum(graph, ())
+    assert integral_spectrum(graph) == integral_spectrum(carrying(graph))
     assert is_sring(closure).ok
     derived = [load_graph(graph_to_json(graph))]
     if s:
         derived.append(graph.without_edge(*graph.edges()[0]))
     assert [d.automorphisms for d in derived] == [()] * len(derived)
-    init = initial_pair_coloring(graph)
+    init = initial_coloring(graph)
     color, num = init.color, init.num_colors
     for t in range(graph.n ** 2):
         coloring = PairColoring(graph.n, color, num)

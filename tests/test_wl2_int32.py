@@ -12,7 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dezawl import grid_graph, initial_pair_coloring, verify_coherence, wl2
+from conftest import initial_coloring
+from dezawl import grid_graph, verify_coherence, wl2
 from dezawl import wl
 
 PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -58,7 +59,7 @@ def test_renumbering_of_repeated_pools(pool, size, rnd):
 
 def test_colors_are_int32_on_every_path(cache, monkeypatch):
     gamma = cache.graph(5)
-    assert initial_pair_coloring(gamma).color.dtype == np.int32
+    assert initial_coloring(gamma).color.dtype == np.int32
     hashed = wl2(gamma)
     assert hashed.path == "hashed"
     assert hashed.coloring.color.dtype == np.int32
@@ -71,7 +72,7 @@ def test_colors_are_int32_on_every_path(cache, monkeypatch):
 
 def test_recheck_accepts_int32_and_int64_alike(cache):
     gamma = cache.graph(4)
-    init = initial_pair_coloring(gamma)
+    init = initial_coloring(gamma)
     conf = wl2(gamma)
     for coloring in (init, conf.coloring):
         wide = wl.PairColoring(coloring.n, coloring.color.astype(np.int64),
@@ -84,8 +85,6 @@ def test_pair_count_bound_raises_before_reading_the_graph():
     for n in (46341, 10**6):
         with pytest.raises(ValueError, match="int32 pair colors"):
             wl2(SimpleNamespace(n=n))
-        with pytest.raises(ValueError, match="int32 pair colors"):
-            initial_pair_coloring(SimpleNamespace(n=n))
     assert 46340 ** 2 < 2**31 <= 46341 ** 2
 
 
