@@ -94,7 +94,8 @@ def _spectrum_entry(spectrum: IntegralSpectrum | NonIntegralVerdict) -> dict:
 
 
 def _wl2_work(conf: CoherentConfiguration) -> dict:
-    return {"path": conf.path, "rounds": conf.rounds, "recheck_rows": conf.recheck_rows}
+    return {"rounds": conf.rounds, "rejections": conf.rejections,
+            "recheck_rows": conf.recheck_rows}
 
 
 @contextmanager

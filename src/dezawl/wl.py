@@ -1,14 +1,13 @@
 """Weisfeiler-Leman refinement: vertex color refinement (1-WL) and pair
 refinement (2-WL) producing the coherent configuration of a graph.
 
-The exact 2-WL round (_wl2_round) replaces the color of each pair (u, v) by
-its old color and the sorted multiset over w of (color(u, w), color(w, v)),
-built one pair row at a time, and numbers these signatures by first
-occurrence in row-major pair order, the same on every platform. Rounds only
-split classes. The stable coloring W is the smallest coherent configuration
-in which the arc set is a union of classes: the initial (diagonal, arc,
-non-arc) classes are unions of classes of any such configuration, and each
-round keeps that property because intersection numbers are well defined.
+An exact 2-WL round replaces the color of each pair (u, v) by its old
+color and the multiset over w of (color(u, w), color(w, v)). Rounds only
+split classes. Their stable coloring W, numbered by first occurrence in
+row-major pair order, is the smallest coherent configuration in which the
+arc set is a union of classes: the initial (diagonal, arc, non-arc)
+classes are unions of classes of any such configuration, and each round
+keeps that property because intersection numbers are well defined.
 
 wl2 refines a uint64 key of each pair by hashed rounds (_hashed_round),
 after Shervashidze et al. (JMLR 2011), numbering no key until it stops. The
@@ -23,30 +22,34 @@ split or makes a check reject. Three arguments make the result exact:
 1. Exact arithmetic. The n terms of h are integers at most (p - 1)^2, so
    every partial sum, in any order, blocking or fused multiply-add, is an
    integer below 2^53, exact in float64, up to Graph's bound n <= 46340.
-2. Accepting checks prove H = W. By induction every key is a function of
-   the exact color W_t, as h is one of the multiset of (W_t(u, w),
-   W_t(w, v)), which with W_t(u, v) makes W_{t+1}(u, v); so the partition H
-   of the keys where wl2 stops is never finer than W. A mixed key need not
-   carry the old one, so wl2 numbers H by first occurrence and checks in
-   O(n^2) that it refines the initial coloring. If so and the exact,
-   independent verify_coherence accepts H, H is coherent and refines the
-   initial coloring, so it is at least as fine as W, the coarsest such:
-   H = W, with identical matrices, both numbered by first occurrence. Else
-   hashed rounds go on under fresh seeds from the meet of H and the initial
-   coloring, again between the initial coloring and W. Classes share a
-   mixed key only by a 64-bit coincidence, so rounds refine and a second
-   stop at H's count stops on H; exact rounds go on from it, and the same
-   checks accept their stable coloring or raise.
+2. Accepting checks prove H = W, and rejections end. Rounds start from a
+   coloring K that W refines, at first the initial one. By induction every
+   key is then a function of the exact color W_t, as h is one of the
+   multiset of (W_t(u, w), W_t(w, v)), which with W_t(u, v) makes
+   W_{t+1}(u, v); so the partition H of the keys where the rounds stop is
+   a coarsening of W. wl2 numbers H by first occurrence and, as a mixed key
+   need not carry the old one, replaces H by its meet with K unless it
+   refines K, in O(n^2). If the exact, independent verify_coherence
+   accepts H, H is coherent and refines the initial coloring, so it is at
+   least as fine as W, the coarsest such: H = W, with identical matrices,
+   both numbered by first occurrence. Else rounds restart under the next
+   seed from K', the meet of H and H^T for a transpose witness, or of H
+   and p_ij (_intersection_counts) for an intersection witness (i, j).
+   The counts of two classes of any coarsening of a coherent configuration
+   are constant on each of its classes (Weisfeiler and Leman, 1968), and
+   so is the transpose: W refines K'. The witness splits a class of H,
+   which refines K, so K gains a class per rejection and wl2 ends after at
+   most n^2 of them; a witness that splits no class raises RuntimeError.
 3. Orbit reduction is sound. verify_coherence checks exactly that given
    vertex permutations (from wl2, g.automorphisms) preserve every pair
    color. Then every pi in the group they generate maps the multiset of
    (u, v) to that of (pi u, pi v), so the rows of the least vertex of each
    orbit, one row on graphs from cayley_graph and grid_graph, give the full
    comparison's least varying (code, class). Automorphisms that preserve
-   g.adj preserve every W_t and key; if they act transitively
-   (graphs._transitive), every class meets row 0, and a round splits a
-   class iff row 0 of its new key, which it forms first and alone, does:
-   wl2's trigger.
+   g.adj preserve every W_t and fix every W class, so every K and key is
+   invariant under them; if they act transitively (graphs._transitive),
+   every class meets row 0, and a round splits a class iff row 0 of its
+   new key, which it forms first and alone, does: wl2's trigger.
 
 Colors are int32 ids, exact while n <= 46340; wl2 raises ValueError past
 that before allocating. In units of 8 n^2 bytes, a round holds the key,
@@ -56,7 +59,9 @@ key. The renumbering frees the key it is handed, then holds the argsort
 order and int32 ids (two units). wl2 peaks near 2.5; the tests bound it
 by 3 on Gamma_16 and the 4 x 32 grid and by 4 on Gamma_32 less the edge
 (0, 2), of rank n^2 / 2, where the recheck peaks with the coloring and
-the compared pairs' colors and order (1.5 units for all rows).
+the compared pairs' colors and order (1.5 units for all rows), and by 4
+there with one rejection, which builds K' in one int64 key in place, frees
+the witness's counts before numbering it, and holds K' through the rounds.
 
 wl1 is classical color refinement (Berkholz, Bonsma and Grohe, 2017): a
 round keys each vertex by (color, sorted out-neighbor colors, sorted
@@ -97,13 +102,13 @@ class PairColoring:
 @dataclass
 class CoherentConfiguration:
     """A stable 2-WL coloring with the work wl2 did to reach it: the full
-    rounds run, the path ("hashed", or "hashed+exact" after a rejected
-    hashed coloring recurs) and the rows its rechecks compared."""
+    rounds run, the colorings its rechecks rejected and the rows they
+    compared."""
 
     coloring: PairColoring
     rank: int
     rounds: int
-    path: str
+    rejections: int
     recheck_rows: int
 
 
@@ -138,27 +143,6 @@ def _initial_key(g: Graph) -> np.ndarray:
     key += g.adj
     np.fill_diagonal(key, 4)
     return key.ravel()
-
-
-def _wl2_round(color: np.ndarray, num_colors: int) -> tuple[np.ndarray, int]:
-    n = color.shape[0]
-    row_type = np.dtype((np.void, (n + 1) * 8))
-    ids: dict[bytes, int] = {}
-    new = np.empty((n, n), dtype=np.int32)
-    for u in range(n):
-        # sig[v] = (color(u, v), sorted over w of the code of the pair
-        # (color(u, w), color(w, v))), one contiguous row per pair.
-        sig = np.empty((n, n + 1), dtype=np.int64)
-        sig[:, 0] = color[u]
-        np.multiply(color[u, None, :], num_colors, out=sig[:, 1:], dtype=np.int64)
-        sig[:, 1:] += color.T
-        sig[:, 1:].sort(axis=1)
-        keys = sig.reshape(-1).view(row_type).tolist()
-        del sig  # before the keys are numbered
-        new[u] = np.fromiter((ids.setdefault(key, len(ids)) for key in keys),
-                             dtype=np.int32, count=n)
-        del keys  # before the next row is built
-    return new, len(ids)
 
 
 def _is_prime(m: int) -> bool:
@@ -242,13 +226,17 @@ def _count(key: np.ndarray) -> int:
     return int(np.count_nonzero(s[1:] != s[:-1])) + min(s.size, 1)
 
 
-def _mixed_key(g: Graph, color: Optional[np.ndarray] = None) -> np.ndarray:
-    """splitmix64 of 5 color + the initial key, or of the initial key alone:
-    a key of the meet of color and the initial coloring."""
-    init = _initial_key(g).reshape(g.n, g.n)
-    if color is None:
-        return _finalize(np.arange(5, dtype=np.uint64))[init]
-    return _finalize(color.astype(np.uint64) * np.uint64(5) + init)
+def _meet(color: np.ndarray, other: np.ndarray) -> tuple[np.ndarray, int]:
+    """The meet of the n x n pair coloring color and the nonnegative integer
+    valued n x n array other, numbered by first occurrence, from one int64
+    key built in place; other, if handed over, is freed before the
+    renumbering."""
+    key = [color.astype(np.int64)]
+    key[0] *= int(other.max()) + 1
+    np.add(key[0], other, out=key[0], casting="unsafe")  # float32 counts are integers
+    del other
+    ids, num = _renumber_first_occurrence(key.pop().reshape(-1))
+    return ids.reshape(color.shape), num
 
 
 def wl2(g: Graph) -> CoherentConfiguration:
@@ -257,49 +245,53 @@ def wl2(g: Graph) -> CoherentConfiguration:
     Hashed rounds stop when row 0 splits no class if the automorphisms g
     carries pass the exact check on g.adj and act transitively
     (graphs._transitive), else when a round keeps the count of distinct
-    keys; the recheck reduces by the same automorphisms. g.n must be at
-    most 46340 (ValueError otherwise). Raises RuntimeError if the stable
-    exact coloring fails a check.
+    keys; the recheck reduces by the same automorphisms. A rejected
+    coloring is split by the recheck's witness, and the rounds restart from
+    the split. g.n must be at most 46340 (ValueError otherwise). Raises
+    RuntimeError if a witness splits no class.
     """
     n = g.n
     if n * n >= 2**31:
         raise ValueError(f"{n} vertices too many for int32 pair colors")
     trigger = _transitive(g)
     p = _hash_prime(n)
-    keys = [_mixed_key(g)]  # handed over to the renumbering, which frees it
+    # Handed over to the renumbering, which frees it.
+    keys = [_finalize(np.arange(5, dtype=np.uint64))[_initial_key(g).reshape(n, n)]]
     num = None if trigger else _count(keys[0])
-    path, rounds, seed, recheck_rows, rejected = "hashed", 0, 0, 0, None
+    base = None  # the coloring K the rounds start from, None for the initial one
+    rounds, seed, rejections, recheck_rows = 0, 0, 0, 0
     while True:
-        if path == "hashed":
-            split = _hashed_round(keys[0], p, seed, trigger)
-            seed, rounds = seed + 1, rounds + split
-            if not trigger:  # the count rule: compare the old count with the new
-                split = num != (num := _count(keys[0]))
-            if split:
-                continue
-            color, num = _renumber_first_occurrence(keys.pop().reshape(-1))
-            color = color.reshape(n, n)
-            path = "hashed+exact" if num == rejected else path  # it recurs
-        if path != "hashed":
-            step = _wl2_round(color, num)
-            rounds += 1
-            if step[1] != num:
-                color, num = step
-                continue
-            del step
-        init = _initial_key(g)  # does each class lie in one initial class?
-        first = np.empty(num, dtype=np.uint8)
-        first[color.ravel()] = init
-        check = (verify_coherence(PairColoring(n, color, num), g.automorphisms)
-                 if np.array_equal(first[color.ravel()], init) else CoherenceResult(False))
+        split = _hashed_round(keys[0], p, seed, trigger)
+        seed, rounds = seed + 1, rounds + split
+        if not trigger:  # the count rule: compare the old count with the new
+            split = num != (num := _count(keys[0]))
+        if split:
+            continue
+        color, num = _renumber_first_occurrence(keys.pop().reshape(-1))
+        color = color.reshape(n, n)
+        # Does each class of H lie in one class of K? Else check their meet.
+        start = _initial_key(g) if base is None else base.reshape(-1)
+        del base
+        first = np.empty(num, dtype=start.dtype)
+        first[color.ravel()] = start
+        if not np.array_equal(first[color.ravel()], start):
+            color, num = _meet(color, start.reshape(n, n))
+        del first, start
+        check = verify_coherence(PairColoring(n, color, num), g.automorphisms)
         recheck_rows += check.rows
         if check.ok:
             break
-        if path != "hashed":
-            raise RuntimeError(f"2-WL produced an incoherent coloring: {check.witness}")
-        rejected = num
-        keys.append(_mixed_key(g, color))
-    return CoherentConfiguration(PairColoring(n, color, num), num, rounds, path, recheck_rows)
+        rejections += 1
+        witness = check.witness
+        base, count = _meet(color, _intersection_counts(color, *witness["colors"])
+                            if witness["kind"] == "intersection" else color.T)
+        if count <= num:
+            raise RuntimeError(f"the recheck's witness splits no class: {witness}")
+        del color
+        num = count
+        keys.append(_finalize(base.astype(np.uint64)))
+    return CoherentConfiguration(PairColoring(n, color, num), num, rounds, rejections,
+                                 recheck_rows)
 
 
 def wl_rank(g: Graph) -> int:

@@ -51,11 +51,37 @@ def initial_coloring(g: Graph) -> wl.PairColoring:
 def hashed_round(color: np.ndarray, seed: int) -> tuple[np.ndarray, int]:
     """One hashed 2-WL round from the pair coloring color, on its mixed key
     under the given seed, with the new keys numbered by first occurrence as
-    exact rounds number their signatures."""
+    exact_round numbers its signatures."""
     key = wl._finalize(color.astype(np.uint64))
     assert wl._hashed_round(key, wl._hash_prime(len(color)), seed)
     ids, num = wl._renumber_first_occurrence(key.reshape(-1))
     return ids.reshape(color.shape), num
+
+
+def exact_round(color: np.ndarray, num_colors: int) -> tuple[np.ndarray, int]:
+    """One exact 2-WL round, the reference the hashed rounds of wl2 are
+    tested against: the color of each pair (u, v) becomes its old color and
+    the sorted multiset over w of (color(u, w), color(w, v)), built one pair
+    row at a time, and these signatures are numbered by first occurrence in
+    row-major pair order."""
+    n = color.shape[0]
+    row_type = np.dtype((np.void, (n + 1) * 8))
+    ids: dict[bytes, int] = {}
+    new = np.empty((n, n), dtype=np.int32)
+    for u in range(n):
+        # sig[v] = (color(u, v), sorted over w of the code of the pair
+        # (color(u, w), color(w, v))), one contiguous row per pair.
+        sig = np.empty((n, n + 1), dtype=np.int64)
+        sig[:, 0] = color[u]
+        np.multiply(color[u, None, :], num_colors, out=sig[:, 1:], dtype=np.int64)
+        sig[:, 1:] += color.T
+        sig[:, 1:].sort(axis=1)
+        keys = sig.reshape(-1).view(row_type).tolist()
+        del sig  # before the keys are numbered
+        new[u] = np.fromiter((ids.setdefault(key, len(ids)) for key in keys),
+                             dtype=np.int32, count=n)
+        del keys  # before the next row is built
+    return new, len(ids)
 
 
 class _Cache:

@@ -93,9 +93,9 @@ def test_verify_prints_wl2_work_on_stderr_only(tmp_path, capsys, k, drop):
     # family graph's translations do only while no edge is dropped
     gamma_rows = 1 if drop is None else 8 * k
     assert len(work) == 2
-    assert re.fullmatch(rf"work wl2_gamma: path=hashed rounds=\d+ recheck_rows={gamma_rows}",
+    assert re.fullmatch(rf"work wl2_gamma: rounds=\d+ rejections=0 recheck_rows={gamma_rows}",
                         work[0])
-    assert work[1] == "work wl2_grid: path=hashed rounds=1 recheck_rows=1"
+    assert work[1] == "work wl2_grid: rounds=1 rejections=0 recheck_rows=1"
     assert "work" not in captured.out
     text = report_path.read_text()
     assert "work" not in text and "recheck" not in text

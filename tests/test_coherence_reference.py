@@ -12,7 +12,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 import pytest
-from conftest import hashed_round, initial_coloring
+from conftest import exact_round, hashed_round, initial_coloring
 
 from dezawl import Graph, verify_coherence, wl
 from dezawl.wl import (
@@ -20,7 +20,6 @@ from dezawl.wl import (
     CoherenceResult,
     PairColoring,
     _varying_intersection,
-    _wl2_round,
 )
 
 
@@ -110,7 +109,7 @@ def test_every_intermediate_round(cache, graph):
     kinds = []
     while True:
         kinds.append(_check_against_reference(PairColoring(init.n, color, num)))
-        new_color, new_num = _wl2_round(color, num)
+        new_color, new_num = exact_round(color, num)
         if new_num == num:
             break
         color, num = new_color, new_num
@@ -184,7 +183,7 @@ def test_orbit_reduced_recheck_on_every_round(cache, k):
         sigma = rng.sample(range(init.n), init.n)
         moved = _assert_reduced_agrees(*_relabel(coloring, perms, sigma))
         assert moved.rows == reduced.rows
-        new_color, new_num = _wl2_round(color, num)
+        new_color, new_num = exact_round(color, num)
         if new_num == num:
             break
         color, num = new_color, new_num
@@ -247,7 +246,7 @@ def test_non_preserving_permutations_fall_back_to_the_full_check(cache):
         coloring = PairColoring(init.n, color, num)
         reduced = _assert_reduced_agrees(coloring, perms)
         assert reduced.rows == init.n
-        new_color, new_num = _wl2_round(color, num)
+        new_color, new_num = exact_round(color, num)
         if new_num == num:
             break
         color, num = new_color, new_num

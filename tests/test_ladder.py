@@ -57,7 +57,7 @@ def test_ladder_records_one_row_per_run(tmp_path):
     assert list(row["timings"]) == PHASES
     assert all(seconds >= 0 for seconds in row["timings"].values())
     assert row["work"] == {
-        name: {"path": "hashed", "rounds": row["work"][name]["rounds"], "recheck_rows": 1}
+        name: {"rounds": row["work"][name]["rounds"], "rejections": 0, "recheck_rows": 1}
         for name in ("wl2_gamma", "wl2_grid")
     }
     golden = json.loads((ROOT / "perfbench" / "golden.json").read_text())

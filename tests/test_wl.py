@@ -6,7 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import carrying, cyclic_group, elementary_abelian, hashed_round, initial_coloring
+from conftest import (
+    carrying,
+    cyclic_group,
+    elementary_abelian,
+    exact_round,
+    hashed_round,
+    initial_coloring,
+)
 from dezawl import (
     Graph,
     cayley_graph,
@@ -199,13 +206,11 @@ def test_configuration_serialization(cache):
 
 
 def test_refinement_never_decreases_color_count(cache):
-    from dezawl.wl import _wl2_round
-
     gamma = cache.graph(3)
     init = initial_coloring(gamma)
     color, num = init.color, init.num_colors
     for _ in range(10):
-        new_color, new_num = _wl2_round(color, num)
+        new_color, new_num = exact_round(color, num)
         assert new_num >= num
         assert new_num <= gamma.n * gamma.n
         if new_num == num:
@@ -242,13 +247,11 @@ def test_final_colorings_are_bit_identical_to_pins(cache):
 
 
 def _exact_fixed_point(graph):
-    """The stable coloring reached by exact _wl2_round rounds alone."""
-    from dezawl.wl import _wl2_round
-
+    """The stable coloring reached by exact rounds alone."""
     init = initial_coloring(graph)
     color, num = init.color, init.num_colors
     while True:
-        new_color, new_num = _wl2_round(color, num)
+        new_color, new_num = exact_round(color, num)
         if new_num == num:
             return color, num
         color, num = new_color, new_num
@@ -278,24 +281,36 @@ def test_round_ids_do_not_depend_on_color_values(cache):
     the colors."""
     import numpy as np
 
-    from dezawl.wl import _wl2_round
-
     for graph in (cache.graph(3), _directed_3_cycle()):
         init = initial_coloring(graph)
-        expected_color, expected_num = _wl2_round(init.color, init.num_colors)
+        expected_color, expected_num = exact_round(init.color, init.num_colors)
         reversed_color = init.num_colors - 1 - init.color
-        new_color, new_num = _wl2_round(reversed_color, init.num_colors)
+        new_color, new_num = exact_round(reversed_color, init.num_colors)
         assert new_num == expected_num
         assert np.array_equal(new_color, expected_color)
 
 
 def test_wl2_raises_when_refinement_stops_early(cache, monkeypatch):
+    """A recheck stand-in rejects every coloring, with a witness that splits
+    no class of a coherent one: a transpose witness, or an intersection
+    witness whose counts are constant on every class. wl2 raises after its
+    one check, of the stable coloring, instead of looping."""
     from dezawl import wl
+    from dezawl.wl import CoherenceResult
 
-    monkeypatch.setattr(wl, "_hashed_round", lambda key, p, seed, trigger: False)
-    monkeypatch.setattr(wl, "_wl2_round", lambda color, num: (color, num))
-    with pytest.raises(RuntimeError, match="incoherent"):
-        wl2(cache.graph(3))
+    graph = cache.graph(3)
+    for witness in ({"kind": "transpose", "color": 0},
+                    {"kind": "intersection", "colors": (1, 2)}):
+        checked = []
+
+        def reject(c, perms=()):
+            checked.append(c.num_colors)
+            return CoherenceResult(False, witness)
+
+        monkeypatch.setattr(wl, "verify_coherence", reject)
+        with pytest.raises(RuntimeError, match="splits no class"):
+            wl2(graph)
+        assert checked == [graph.n], witness
 
 
 def _pinned_graphs(cache):
@@ -322,7 +337,7 @@ def test_hashed_rounds_take_the_hashed_path(cache):
 
     for name, graph in _pinned_graphs(cache).items():
         conf = wl2(carrying(graph))
-        assert conf.path == "hashed", name
+        assert conf.rejections == 0, name
         assert conf.recheck_rows == graph.n, name
         assert conf.rounds >= 1
         carried = wl2(graph)
@@ -330,36 +345,54 @@ def test_hashed_rounds_take_the_hashed_path(cache):
         assert carried.recheck_rows == (graph.n if name == "directed3cycle" else 1), name
 
 
+def _spy_rejections(monkeypatch) -> list:
+    """The witness kinds of the rejections of wl2's rechecks from now on."""
+    from dezawl import wl
+
+    real, kinds = wl.verify_coherence, []
+
+    def spy(c, perms=()):
+        check = real(c, perms)
+        if not check.ok:
+            kinds.append(check.witness["kind"])
+        return check
+
+    monkeypatch.setattr(wl, "verify_coherence", spy)
+    return kinds
+
+
 @pytest.mark.parametrize("prime", [2, 3])
-def test_hash_collisions_fall_back_to_exact_rounds(cache, monkeypatch, prime):
+def test_hash_collisions_are_split_by_the_recheck_witness(cache, monkeypatch, prime):
     """The prime taken from n is replaced by 2 or 3. With p = 2 every weight
     is 1, so no hashed round splits a class: the first trigger fires on the
-    initial coloring, the recheck rejects it, a second stop at its count
-    goes to exact rounds, which alone refine every pinned graph whose
-    initial coloring is not coherent, and each recheck compares one row on
-    Gamma_5. With p = 3 hashed signatures collide at random. Either way
-    retries or exact rounds finish the job and the bytes stay pinned."""
+    initial coloring, and the splits by the recheck's witnesses alone refine
+    every pinned graph whose initial coloring is not coherent. On Gamma_5
+    every check that compares rows compares one, as each coloring the
+    rounds restart from is invariant under the translations; a transpose
+    rejection compares none. With p = 3 hashed signatures collide at
+    random. Either way the bytes stay pinned."""
     from dezawl import wl
 
     monkeypatch.setattr(wl, "_hash_prime", lambda n: prime)
-    paths = set()
+    kinds = _spy_rejections(monkeypatch)
     for name, graph in _pinned_graphs(cache).items():
         conf = wl2(graph)
         assert _sha(conf) == _PINNED_COLORINGS[name], name
-        paths.add(conf.path)
-        if prime == 2 and not verify_coherence(initial_coloring(graph)):
-            assert conf.path == "hashed+exact", name
-    assert paths <= {"hashed", "hashed+exact"}
+        if prime == 2:
+            coherent = verify_coherence(initial_coloring(graph)).ok
+            assert (conf.rejections > 0) == (not coherent), name
     if prime == 2:
+        kinds.clear()
         conf = wl2(cache.graph(5))
-        assert (conf.path, conf.recheck_rows) == ("hashed+exact", 2)
+        assert conf.rejections == len(kinds) > 0
+        assert conf.recheck_rows == conf.rejections + 1 - kinds.count("transpose")
 
 
 def test_a_false_stop_is_retried_under_the_next_seed(cache, monkeypatch):
     """A trigger forced to fire on the first round (seed 0) stops on the
     initial coloring; the recheck rejects it where it is not coherent, and
-    hashed rounds from it under the next seeds reach the pinned bytes
-    without exact rounds."""
+    hashed rounds under the next seeds, from its split by the witness,
+    reach the pinned bytes after that one rejection."""
     from dezawl import wl
 
     real = wl._hashed_round
@@ -373,16 +406,18 @@ def test_a_false_stop_is_retried_under_the_next_seed(cache, monkeypatch):
     for name, graph in _pinned_graphs(cache).items():
         conf = wl2(graph)
         assert _sha(conf) == _PINNED_COLORINGS[name], name
-        assert conf.path == "hashed", name
+        assert conf.rejections == (0 if verify_coherence(initial_coloring(graph)) else 1), name
     assert wl2(cache.graph(5)).recheck_rows == 2
 
 
 def test_a_mixer_that_merges_classes_cannot_stop_on_a_coarser_coloring(cache, monkeypatch):
     """The mixer of the first round maps the arc and non-arc keys (and
     reverse arcs) to one key. The coloring {diagonal, off-diagonal} that the
-    rounds then stop on is coherent, so the recheck accepts it; only the
-    check that the coloring refines the initial one rejects it, and the
-    rounds from the meet of the two reach the pinned bytes and rank."""
+    rounds then stop on is coherent, so the recheck would accept it; only
+    the check that it refines the initial coloring catches it, and the
+    recheck takes their meet, the initial coloring, instead: it accepts it
+    where it is coherent and else rejects it once, and the rounds from its
+    split reach the pinned bytes and rank."""
     import numpy as np
 
     from dezawl import wl
@@ -407,7 +442,7 @@ def test_a_mixer_that_merges_classes_cannot_stop_on_a_coarser_coloring(cache, mo
         assert merged, name
         assert _sha(conf) == _PINNED_COLORINGS[name], name
         assert conf.rank == _exact_fixed_point(graph)[1] > 2, name
-        assert conf.path == "hashed", name
+        assert conf.rejections == (0 if verify_coherence(initial_coloring(graph)) else 1), name
 
 
 def test_perms_that_are_not_transitive_automorphisms_trigger_nothing(cache):
@@ -456,7 +491,7 @@ def test_a_hashed_round_is_one_product_in_row_blocks(cache, monkeypatch):
         conf = wl2(graph)
         assert len(products) == conf.rounds * (_BLOCKS + row_0) + row_0
         assert products[0] == ((1, graph.n) if row_0 else (graph.n // _BLOCKS, graph.n))
-        assert (conf.path, conf.recheck_rows) == ("hashed", rows)
+        assert (conf.rejections, conf.recheck_rows) == (0, rows)
         confs.append(conf)
     assert products[-1] == (graph.n // _BLOCKS, graph.n)
     assert _sha(confs[0]) == _PINNED_COLORINGS["gamma5"]
@@ -498,13 +533,11 @@ def test_hashed_and_exact_rounds_agree(seed):
     random graphs and digraphs, which are rarely Cayley graphs."""
     import numpy as np
 
-    from dezawl.wl import _wl2_round
-
     graph = _random_graph(seed)
     init = initial_coloring(graph)
     color, num = init.color, init.num_colors
     for t in range(graph.n ** 2):
-        exact_color, exact_num = _wl2_round(color, num)
+        exact_color, exact_num = exact_round(color, num)
         hashed_color, hashed_num = hashed_round(color, t)
         assert hashed_num == exact_num
         assert np.array_equal(hashed_color, exact_color)
@@ -512,8 +545,47 @@ def test_hashed_and_exact_rounds_agree(seed):
             break
         color, num = exact_color, exact_num
     conf = wl2(graph)
-    assert conf.path == "hashed"
+    assert conf.rejections == 0
     assert np.array_equal(conf.coloring.color, color)
+
+
+@pytest.mark.parametrize("prime", [2, 3])
+def test_witness_splits_reach_the_exact_fixed_point(monkeypatch, prime):
+    """With the prime replaced by 2, where only the recheck's witnesses
+    split classes, or 3, where hashed signatures collide at random, wl2
+    ends on the exact fixed point, ids included, on the random graphs and
+    digraphs of test_hashed_and_exact_rounds_agree; splits by transpose and
+    by intersection witnesses both occur."""
+    import numpy as np
+
+    from dezawl import wl
+
+    monkeypatch.setattr(wl, "_hash_prime", lambda n: prime)
+    kinds = _spy_rejections(monkeypatch)
+    for seed in range(12):
+        graph = _random_graph(seed)
+        conf = wl2(graph)
+        color, num = _exact_fixed_point(graph)
+        assert conf.rank == num, seed
+        assert np.array_equal(conf.coloring.color, color), seed
+    assert {"transpose", "intersection"} <= set(kinds), kinds
+
+
+def test_witness_splits_alone_refine_gamma_5_less_an_edge(cache, monkeypatch):
+    """Under p = 2 the witnesses alone refine Gamma_5 less the edge (0, 2),
+    which carries no automorphisms, to its exact fixed point of rank 800,
+    one class or more per rejection."""
+    import numpy as np
+
+    from dezawl import wl
+
+    graph = cache.graph(5).without_edge(0, 2)
+    color, num = _exact_fixed_point(graph)
+    assert num == 800
+    monkeypatch.setattr(wl, "_hash_prime", lambda n: 2)
+    conf = wl2(graph)
+    assert np.array_equal(conf.coloring.color, color)
+    assert 0 < conf.rejections <= num - initial_coloring(graph).num_colors
 
 
 _CAYLEY_GROUPS = (family_group(3), elementary_abelian(4), cyclic_group(16))
@@ -565,7 +637,7 @@ def _check_wl2_and_closure(g, s):
 
     from dezawl import graph_to_json, integral_spectrum, load_graph
     from dezawl.graphs import _orbit_representatives
-    from dezawl.wl import PairColoring, _wl2_round
+    from dezawl.wl import PairColoring
 
     graph = cayley_graph(g, s)
     closure = wl_closure(g, [s])
@@ -588,7 +660,7 @@ def _check_wl2_and_closure(g, s):
         full = verify_coherence(coloring)
         reduced = verify_coherence(coloring, translations)
         assert (reduced.ok, reduced.witness, reduced.rows) == (full.ok, full.witness, 1)
-        exact_color, exact_num = _wl2_round(color, num)
+        exact_color, exact_num = exact_round(color, num)
         hashed_color, hashed_num = hashed_round(color, t)
         assert hashed_num == exact_num
         assert np.array_equal(hashed_color, exact_color)

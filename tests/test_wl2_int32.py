@@ -1,6 +1,6 @@
 """2-WL on int32 colors: the first-occurrence renumbering against a dict
-reference, the color dtype on every path, the int32 size bound, and the
-traced peak memory of wl2."""
+reference, the color dtype with and without rejections, the int32 size
+bound, and the traced peak memory of wl2."""
 
 from __future__ import annotations
 
@@ -61,13 +61,13 @@ def test_colors_are_int32_on_every_path(cache, monkeypatch):
     gamma = cache.graph(5)
     assert initial_coloring(gamma).color.dtype == np.int32
     hashed = wl2(gamma)
-    assert hashed.path == "hashed"
+    assert hashed.rejections == 0
     assert hashed.coloring.color.dtype == np.int32
     monkeypatch.setattr(wl, "_hash_prime", lambda n: 2)  # every weight 1
-    exact = wl2(gamma)
-    assert exact.path == "hashed+exact"
-    assert exact.coloring.color.dtype == np.int32
-    assert np.array_equal(exact.coloring.color, hashed.coloring.color)
+    split = wl2(gamma)  # by the recheck's witnesses alone
+    assert split.rejections > 0
+    assert split.coloring.color.dtype == np.int32
+    assert np.array_equal(split.coloring.color, hashed.coloring.color)
 
 
 def test_recheck_accepts_int32_and_int64_alike(cache):
@@ -126,6 +126,27 @@ def test_wl2_peak_memory_is_at_most_four_int64_matrices(cache, name, units):
     assert peak <= units * 8 * graph.n ** 2, peak / (8 * graph.n ** 2)
 
 
+def test_wl2_peak_memory_with_a_rejection_is_at_most_four_int64_matrices(cache, monkeypatch):
+    """A trigger forced to fire on the first round stops Gamma_32 less the
+    edge (0, 2) on its initial coloring, which the full-row recheck rejects;
+    the split by its witness, built in place, and the rounds from it, which
+    hold the split, stay within 4 * 8 n^2 bytes too."""
+    graph, conf = _family_without_edge(cache)
+    real = wl._hashed_round
+
+    def false_stop(key, p, seed, trigger):
+        if seed == 0:
+            return not trigger  # the key unchanged, so the count rule stops
+        return real(key, p, seed, trigger)
+
+    monkeypatch.setattr(wl, "_hashed_round", false_stop)
+    result = []
+    peak = _traced_peak(lambda: result.append(wl2(graph)))
+    assert result[0].rejections == 1
+    assert np.array_equal(result[0].coloring.color, conf.coloring.color)
+    assert peak <= 4 * 8 * graph.n ** 2, peak / (8 * graph.n ** 2)
+
+
 def test_full_recheck_peak_memory_at_rank_half_n_squared(cache):
     """The full-row recheck of a coherent coloring of rank n^2 / 2 holds no
     table indexed by class and frees its class counts before the comparison:
@@ -136,23 +157,3 @@ def test_full_recheck_peak_memory_at_rank_half_n_squared(cache):
     peak = _traced_peak(lambda: result.append(verify_coherence(conf.coloring)))
     assert result[0].ok and result[0].rows == graph.n
     assert peak < 3 * 8 * graph.n ** 2, peak / (8 * graph.n ** 2)
-
-
-@pytest.mark.parametrize("k, rank", [(33, 264), (64, 260)], ids=["gamma33", "gamma64"])
-def test_exact_round_peak_memory_is_below_four_int64_matrices(cache, k, rank):
-    """One exact round on the stable coloring of Gamma_k (n = 8k; rank 264 at
-    k = 33 and 260 at k = 64, so most ids are not cached small ints) builds
-    one pair row u at a time: the ids go into a preallocated int32 array,
-    not a Python list, and the codes are built from the int32 coloring row
-    by row. The round keeps the coloring, ids included."""
-    graph = cache.graph(k)
-    conf = wl2(graph)
-    color = conf.coloring.color
-    assert conf.rank == rank
-    wl._wl2_round(color, rank)  # warm every lazy import and cache first
-    result = []
-    peak = _traced_peak(lambda: result.append(wl._wl2_round(color, rank)))
-    new, num = result[0]
-    assert num == rank
-    assert new.dtype == np.int32 and np.array_equal(new, color)
-    assert peak < 4 * 8 * graph.n ** 2, peak / (8 * graph.n ** 2)
