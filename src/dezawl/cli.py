@@ -93,6 +93,9 @@ def _print_summary(d: dict) -> None:
 
 
 def cmd_construct(args: argparse.Namespace) -> int:
+    missing = _missing_directory(Path(args.out)) if args.out != "-" else None
+    if missing:
+        return _fail(missing)
     g = family_group(args.k)
     graph = cayley_graph(g, connection_set(g, args.k))
     payload = save_graph(graph, args.format)

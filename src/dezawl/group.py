@@ -218,14 +218,10 @@ def subgroup_generated(g: Group, gens: Iterable[int]) -> Subgroup:
 
 def _normalizes(g: Group, xs: np.ndarray, h: Subgroup) -> bool:
     """True iff x h x^-1 lies in h for every x in xs, by one gather of the
-    conjugates. |x h x^-1| = |h|, so then x h x^-1 = h, that is xh = hx."""
+    conjugates. |x h x^-1| = |h|, so then x h x^-1 = h, that is xh = hx;
+    with xs all of g, iff h is normal."""
     conj = g.mult[g.mult[xs[:, None], np.flatnonzero(h.mask)], g.inv[xs, None]]
     return bool(h.mask.take(conj).all())
-
-
-def is_normal(g: Group, h: Subgroup) -> bool:
-    """True iff xH = Hx for every x in g."""
-    return _normalizes(g, np.arange(g.order), h)
 
 
 def cosets(g: Group, h: Subgroup) -> list[tuple[int, ...]]:

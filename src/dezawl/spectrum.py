@@ -184,10 +184,6 @@ def integer_rank(matrix: list[list[int]]) -> int:
     return rank_count
 
 
-def exact_nullity(matrix: list[list[int]]) -> int:
-    return len(matrix) - integer_rank(matrix)
-
-
 def _adjacency_product(
     adj: np.ndarray, x: np.ndarray, max_degree: int, shift: int = 0
 ) -> Optional[np.ndarray]:
@@ -372,13 +368,13 @@ def integral_spectrum(g: Graph):
     ordered = sorted(candidates, reverse=True)
 
     # One list of A - lambda*I, its (zero) diagonal overwritten for each
-    # lambda; exact_nullity works on a copy.
+    # lambda; integer_rank works on a copy.
     shifted = g.adj.astype(np.int8).tolist()
     pairs = []
     for lam in ordered:
         for i in range(n):
             shifted[i][i] = -lam
-        mult = exact_nullity(shifted)
+        mult = n - integer_rank(shifted)
         if mult > 0:
             pairs.append((lam, mult))
 

@@ -281,23 +281,12 @@ def wl_closure(g: Group, marked: Sequence[Iterable[int]]) -> SRingPartition:
 
 
 def _radical(g: Group, in_x: np.ndarray) -> np.ndarray:
-    """Mask of {h : Xh = hX = X} for the set X with membership mask in_x:
-    h passes when every xh and every hx lies in X, since |Xh| = |hX| = |X|."""
+    """Mask of the radical {h : Xh = hX = X} of the set X with membership
+    mask in_x, a subgroup: {e} for X = {e}, G for X = G or X empty. h passes
+    when every xh and every hx lies in X, since |Xh| = |hX| = |X|."""
     xs = np.flatnonzero(in_x)
     rows, cols = g.mult.take(xs, axis=0), g.mult.take(xs, axis=1)
     return in_x.take(rows).all(axis=0) & in_x.take(cols).all(axis=1)
-
-
-def radical(g: Group, x: Iterable[int]) -> Subgroup:
-    """The subgroup of two-sided stabilizers {h : Xh = hX = X}.
-
-    It is {e} for X = {e} and the whole group for X = G or X empty.
-    detect_wreath computes the radical of each class by the same helper;
-    as a subgroup, it holds every join of the M_X inside it.
-    Raises ValueError for an element outside 0..order-1.
-    """
-    members = np.flatnonzero(_radical(g, g.mask(x)))
-    return Subgroup(g, members.tolist(), check=False)
 
 
 def section_sring(p: SRingPartition, s: Section) -> SRingPartition:

@@ -90,22 +90,12 @@ from .graphs import Graph, _orbit_representatives, _row_blocks, _transitive
 
 
 @dataclass
-class PairColoring:
-    """Coloring of V x V with contiguous color ids 0..num_colors-1: int32 from
-    wl2 and its rounds; verify_coherence also takes int64."""
-
-    n: int
-    color: np.ndarray
-    num_colors: int
-
-
-@dataclass
 class CoherentConfiguration:
-    """A stable 2-WL coloring with the work wl2 did to reach it: the full
-    rounds run, the colorings its rechecks rejected and the rows they
-    compared."""
+    """A stable 2-WL coloring, the n x n int32 matrix color of ids
+    0..rank-1, with the work wl2 did to reach it: the full rounds run, the
+    colorings its rechecks rejected and the rows they compared."""
 
-    coloring: PairColoring
+    color: np.ndarray
     rank: int
     rounds: int
     rejections: int
@@ -277,7 +267,7 @@ def wl2(g: Graph) -> CoherentConfiguration:
         if not np.array_equal(first[color.ravel()], start):
             color, num = _meet(color, start.reshape(n, n))
         del first, start
-        check = verify_coherence(PairColoring(n, color, num), g.automorphisms)
+        check = verify_coherence(color, num, g.automorphisms)
         recheck_rows += check.rows
         if check.ok:
             break
@@ -290,8 +280,7 @@ def wl2(g: Graph) -> CoherentConfiguration:
         del color
         num = count
         keys.append(_finalize(base.astype(np.uint64)))
-    return CoherentConfiguration(PairColoring(n, color, num), num, rounds, rejections,
-                                 recheck_rows)
+    return CoherentConfiguration(color, num, rounds, rejections, recheck_rows)
 
 
 def wl_rank(g: Graph) -> int:
@@ -358,8 +347,11 @@ def _intersection_counts(color: np.ndarray, i: int, j: int) -> np.ndarray:
     return (color == i).astype(np.float32) @ (color == j).astype(np.float32)
 
 
-def verify_coherence(c: PairColoring, perms: Sequence[Sequence[int]] = ()) -> CoherenceResult:
-    """Independent recheck that a pair coloring is a coherent configuration.
+def verify_coherence(
+    color: np.ndarray, rank: int, perms: Sequence[Sequence[int]] = ()
+) -> CoherenceResult:
+    """Independent recheck that the n x n pair coloring color, of ids
+    0..rank-1, is a coherent configuration.
 
     Checks that the diagonal is a union of classes, that the transpose of
     every class is a class, and, by an exact count independent of the
@@ -380,12 +372,6 @@ def verify_coherence(c: PairColoring, perms: Sequence[Sequence[int]] = ()) -> Co
     pair of that class where p_ij is smallest and one where it is largest,
     counted by an exact float32 product.
     """
-    n = c.n
-    color = c.color
-    if n == 0:
-        return CoherenceResult(True)
-
-    rank = c.num_colors
     # counts[i] pairs have color i, on_diagonal[i] of them on the diagonal.
     counts = np.bincount(color.ravel(), minlength=rank)
     on_diagonal = np.bincount(np.diagonal(color), minlength=len(counts))

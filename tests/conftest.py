@@ -41,11 +41,12 @@ def carrying(g: Graph, automorphisms=()) -> Graph:
     return h
 
 
-def initial_coloring(g: Graph) -> wl.PairColoring:
+def initial_coloring(g: Graph) -> tuple[np.ndarray, int]:
     """The diagonal, arc, reverse-arc and non-arc classes of g, numbered by
-    first occurrence as wl2 numbers its colorings."""
+    first occurrence as wl2 numbers its colorings: the n x n matrix and its
+    rank."""
     ids, num = wl._renumber_first_occurrence(wl._initial_key(g))
-    return wl.PairColoring(g.n, ids.reshape(g.n, g.n), num)
+    return ids.reshape(g.n, g.n), num
 
 
 def hashed_round(color: np.ndarray, seed: int) -> tuple[np.ndarray, int]:

@@ -175,7 +175,7 @@ def test_criterion_8_property_suites(cache):
             failures.append(f"closure k={k} violates axioms: {check.violations}")
 
     for key, conf in sorted(cache.all_configurations().items()):
-        if not verify_coherence(conf.coloring).ok:
+        if not verify_coherence(conf.color, conf.rank).ok:
             failures.append(f"2-WL output {key} not coherent")
 
     rng = random.Random(2024)

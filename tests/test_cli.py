@@ -338,9 +338,11 @@ def test_value_error_exits_2_with_one_error_line(argv, text, tmp_path, capsys, m
 
 # Unwritable outputs and malformed edge lists: one error line with exit 2,
 # after nothing on stdout. A missing output directory is refused before the
-# certificate runs: verify_family is never called and no timing line comes
-# first.
+# certificate runs or the graph is built: neither verify_family nor
+# cayley_graph is called and no timing line comes first.
 @pytest.mark.parametrize("argv,text,message", [
+    (["construct", "--k", "3", "--out", "/nonexistent/dir/g.txt"], None,
+     "error: cannot write /nonexistent/dir/g.txt"),
     (["verify", "--k", "3", "--json", "/nonexistent/dir/r.json"], None,
      "error: cannot write /nonexistent/dir/r.json"),
     (["sweep", "--from", "3", "--to", "3", "--csv", "/nonexistent/dir/s.csv"], None,
@@ -348,12 +350,13 @@ def test_value_error_exits_2_with_one_error_line(argv, text, tmp_path, capsys, m
     (["wl-rank", "--in", "g.txt"], "", "error: cannot read graph: empty edge-list input"),
     (["wl-rank", "--in", "g.txt"], "3 1\n0 1 2\n",
      "error: cannot read graph: bad edge line '0 1 2'"),
-], ids=["verify-json", "sweep-csv", "empty-edgelist", "bad-edge-line"])
+], ids=["construct-out", "verify-json", "sweep-csv", "empty-edgelist", "bad-edge-line"])
 def test_bad_paths_and_edge_lists_exit_2(argv, text, message, tmp_path, capsys, monkeypatch):
     from dezawl import cli
 
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(cli, "verify_family", lambda *args, **kwargs: pytest.fail("ran"))
+    monkeypatch.setattr(cli, "cayley_graph", lambda *args, **kwargs: pytest.fail("built"))
     if text is not None:
         (tmp_path / "g.txt").write_text(text)
     assert main(argv) == 2
@@ -420,7 +423,7 @@ def test_verify_family_keeps_no_wl2_coloring_past_its_rank(monkeypatch):
 
     def wl2(g):
         conf = real_wl2(carrying(g))
-        refs.append(weakref.ref(conf.coloring.color))
+        refs.append(weakref.ref(conf.color))
         return conf
 
     def probe(real):

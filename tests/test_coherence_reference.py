@@ -18,7 +18,6 @@ from dezawl import Graph, verify_coherence, wl
 from dezawl.wl import (
     _SORT_BLOCK_ROWS,
     CoherenceResult,
-    PairColoring,
     _varying_intersection,
 )
 
@@ -54,10 +53,10 @@ def _intersection_count(color, i, j, u, v):
     return sum(1 for w in range(len(color)) if color[u][w] == i and color[w][v] == j)
 
 
-def _check_against_reference(coloring: PairColoring) -> str:
-    color = coloring.color.tolist()
-    expected = _reference_failure(color, coloring.num_colors)
-    res = verify_coherence(coloring)
+def _check_against_reference(matrix: np.ndarray, num: int) -> str:
+    color = matrix.tolist()
+    expected = _reference_failure(color, num)
+    res = verify_coherence(matrix, num)
     if expected is None:
         assert res.ok and res.witness is None
         return "ok"
@@ -72,8 +71,8 @@ def _check_against_reference(coloring: PairColoring) -> str:
         (i, j), r = details
         assert res.witness["colors"] == (i, j)
         assert res.witness["class"] == r
-        members = [(u, v) for u in range(coloring.n) for v in range(coloring.n)
-                   if color[u][v] == r]
+        n = len(color)
+        members = [(u, v) for u in range(n) for v in range(n) if color[u][v] == r]
         by_hand = [_intersection_count(color, i, j, u, v) for u, v in members]
         lo, hi = res.witness["pairs"]
         assert lo in members and hi in members
@@ -84,11 +83,12 @@ def _check_against_reference(coloring: PairColoring) -> str:
     return kind
 
 
-def _contiguous(rows: list[list[int]]) -> PairColoring:
-    """Renumber colors 0, 1, ... in row-major order of first occurrence."""
+def _contiguous(rows: list[list[int]]) -> tuple[np.ndarray, int]:
+    """Renumber colors 0, 1, ... in row-major order of first occurrence: the
+    int64 matrix and its rank."""
     ids: dict[int, int] = {}
     color = [[ids.setdefault(x, len(ids)) for x in row] for row in rows]
-    return PairColoring(len(rows), np.array(color, dtype=np.int64), len(ids))
+    return np.array(color, dtype=np.int64), len(ids)
 
 
 def _random_digraph(seed: int) -> Graph:
@@ -104,11 +104,10 @@ def test_every_intermediate_round(cache, graph):
         g = cache.graph(int(graph[len("gamma"):]))
     else:
         g = _random_digraph(int(graph[len("digraph"):]))
-    init = initial_coloring(g)
-    color, num = init.color, init.num_colors
+    color, num = initial_coloring(g)
     kinds = []
     while True:
-        kinds.append(_check_against_reference(PairColoring(init.n, color, num)))
+        kinds.append(_check_against_reference(color, num))
         new_color, new_num = exact_round(color, num)
         if new_num == num:
             break
@@ -117,7 +116,7 @@ def test_every_intermediate_round(cache, graph):
     assert kinds[:-1] and all(kind == "intersection" for kind in kinds[:-1])
 
 
-def _random_coloring(rng: random.Random, family: str) -> PairColoring:
+def _random_coloring(rng: random.Random, family: str) -> tuple[np.ndarray, int]:
     n = rng.randrange(1, 8)
     r = rng.randrange(1, 5)
     rows = [[rng.randrange(r) for _ in range(n)] for _ in range(n)]
@@ -133,7 +132,7 @@ def _random_coloring(rng: random.Random, family: str) -> PairColoring:
 @pytest.mark.parametrize("family", ["any", "asymmetric", "symmetric"])
 def test_random_colorings(family):
     rng = random.Random(f"coherence-{family}")
-    kinds = Counter(_check_against_reference(_random_coloring(rng, family))
+    kinds = Counter(_check_against_reference(*_random_coloring(rng, family))
                     for _ in range(150))
     # the kinds each family must reach, and the kinds it can reach at all
     needed, possible = {
@@ -148,40 +147,40 @@ def test_random_colorings(family):
 # The orbit-reduced recheck: given color-preserving permutations it compares
 # one row per orbit, and it must reach the full check's verdict and witness.
 
-def _assert_reduced_agrees(coloring: PairColoring, perms) -> CoherenceResult:
-    full = verify_coherence(coloring)
-    reduced = verify_coherence(coloring, perms)
+def _assert_reduced_agrees(color: np.ndarray, num: int, perms) -> CoherenceResult:
+    full = verify_coherence(color, num)
+    reduced = verify_coherence(color, num, perms)
     assert (reduced.ok, reduced.witness) == (full.ok, full.witness)
     # diagonal and transpose failures come before any row is compared
     compared = full.ok or full.witness["kind"] == "intersection"
-    assert full.rows == (coloring.n if compared else 0)
+    assert full.rows == (len(color) if compared else 0)
     return reduced
 
 
-def _relabel(coloring: PairColoring, perms, sigma):
-    """The coloring and the permutations with vertex u renamed sigma[u]."""
-    n = coloring.n
+def _relabel(color: np.ndarray, perms, sigma):
+    """The coloring, its rank and the permutations with vertex u renamed
+    sigma[u]."""
+    n = len(color)
     inverse = np.argsort(sigma)
-    color = np.empty_like(coloring.color)
-    color[np.ix_(sigma, sigma)] = coloring.color
+    moved_color = np.empty_like(color)
+    moved_color[np.ix_(sigma, sigma)] = color
     moved = [[sigma[p[inverse[x]]] for x in range(n)] for p in perms]
-    return _contiguous(color.tolist()), moved
+    return (*_contiguous(moved_color.tolist()), moved)
 
 
 @pytest.mark.parametrize("k", [3, 4, 5, 6])
 def test_orbit_reduced_recheck_on_every_round(cache, k):
     perms = cache.graph(k).automorphisms
-    init = initial_coloring(cache.graph(k))
+    n = cache.graph(k).n
     rng = random.Random(k)
-    color, num = init.color, init.num_colors
+    color, num = initial_coloring(cache.graph(k))
     while True:
-        coloring = PairColoring(init.n, color, num)
-        reduced = _assert_reduced_agrees(coloring, perms)
+        reduced = _assert_reduced_agrees(color, num, perms)
         # the translations preserve every round and move 0 to every vertex,
         # so one row decides, on rejection too
         assert reduced.rows == 1
-        sigma = rng.sample(range(init.n), init.n)
-        moved = _assert_reduced_agrees(*_relabel(coloring, perms, sigma))
+        sigma = rng.sample(range(n), n)
+        moved = _assert_reduced_agrees(*_relabel(color, perms, sigma))
         assert moved.rows == reduced.rows
         new_color, new_num = exact_round(color, num)
         if new_num == num:
@@ -213,13 +212,13 @@ def test_orbit_reduced_recheck_on_random_invariant_colorings():
     kinds = Counter()
     fewer_rows = Counter()  # by verdict
     for _ in range(300):
-        coloring, pi = _invariant_coloring(rng)
-        kinds[_check_against_reference(coloring)] += 1
-        reduced = _assert_reduced_agrees(coloring, [pi])
+        (color, num), pi = _invariant_coloring(rng)
+        kinds[_check_against_reference(color, num)] += 1
+        reduced = _assert_reduced_agrees(color, num, [pi])
         if reduced.ok or reduced.witness["kind"] == "intersection":
-            cycles = len({min(_orbit(pi, u)) for u in range(coloring.n)})
+            cycles = len({min(_orbit(pi, u)) for u in range(len(color))})
             assert reduced.rows == cycles
-            fewer_rows[reduced.ok] += cycles < coloring.n
+            fewer_rows[reduced.ok] += cycles < len(color)
     assert {"ok", "intersection", "transpose"} <= set(kinds)
     assert fewer_rows[True] > 0 and fewer_rows[False] > 0
 
@@ -235,17 +234,15 @@ def test_non_preserving_permutations_fall_back_to_the_full_check(cache):
     gamma = cache.graph(3)
     conf = cache.configuration(("family", 3), gamma)
     perms = gamma.automorphisms
-    assert verify_coherence(conf.coloring, perms).rows == 1
+    assert verify_coherence(conf.color, conf.rank, perms).rows == 1
     # right translations are not automorphisms of the graph with an edge
     # removed, so its colorings are checked in full, with the same witness
     u = 0
     broken = gamma.without_edge(u, gamma.neighbors(u)[0])
-    init = initial_coloring(broken)
-    color, num = init.color, init.num_colors
+    color, num = initial_coloring(broken)
     while True:
-        coloring = PairColoring(init.n, color, num)
-        reduced = _assert_reduced_agrees(coloring, perms)
-        assert reduced.rows == init.n
+        reduced = _assert_reduced_agrees(color, num, perms)
+        assert reduced.rows == broken.n
         new_color, new_num = exact_round(color, num)
         if new_num == num:
             break
@@ -254,13 +251,13 @@ def test_non_preserving_permutations_fall_back_to_the_full_check(cache):
     # permutation may or may not preserve the coloring
     rng = random.Random(5)
     for _ in range(50):
-        coloring = _random_coloring(rng, "symmetric")
-        n = coloring.n
-        full_rows = verify_coherence(coloring).rows
+        color, num = _random_coloring(rng, "symmetric")
+        n = len(color)
+        full_rows = verify_coherence(color, num).rows
         for perm in ([0] * n, list(range(n + 1))):
             if n > 1 or len(perm) != n:
-                assert _assert_reduced_agrees(coloring, [perm]).rows == full_rows
-        _assert_reduced_agrees(coloring, [rng.sample(range(n), n)])
+                assert _assert_reduced_agrees(color, num, [perm]).rows == full_rows
+        _assert_reduced_agrees(color, num, [rng.sample(range(n), n)])
 
 
 # The comparison of verify_coherence lists the compared pairs class by class
@@ -327,8 +324,7 @@ def test_witness_matches_row_path_on_every_hashed_round(cache, k, drop):
     graph = cache.graph(k)
     if drop:
         graph = graph.without_edge(0, 2)
-    init = initial_coloring(graph)
-    color, num = init.color, init.num_colors
+    color, num = initial_coloring(graph)
     rng = random.Random(f"hashed-{k}-{drop}")
     witnesses = []
     seed = 0
@@ -348,9 +344,9 @@ def test_witness_matches_row_path_on_the_drop_edge_coloring(cache):
     conf = cache.configuration(("drop", 32), cache.graph(32).without_edge(0, 2))
     assert conf.rank == 32768
     # The stable coloring is coherent; so is every coloring on fewer rows.
-    assert _assert_same_witness(conf.coloring.color, conf.rank, random.Random(32)) is None
+    assert _assert_same_witness(conf.color, conf.rank, random.Random(32)) is None
     # A merge of two classes is not, and the classes split at many codes.
-    color = conf.coloring.color.copy()
+    color = conf.color.copy()
     color[color == conf.rank - 1] = conf.rank - 2
     assert _assert_same_witness(color, conf.rank - 1, random.Random(33)) is not None
 

@@ -227,7 +227,7 @@ def test_row_blocks_cover_every_row_once(monkeypatch, blocks):
 
 
 def _blocked_results(g):
-    return wl2(g).coloring.color, integral_spectrum(g), deza_parameters(g), diameter(g)
+    return wl2(g).color, integral_spectrum(g), deza_parameters(g), diameter(g)
 
 
 @pytest.mark.parametrize("name", ["gamma5", "grid4x10"])

@@ -15,7 +15,6 @@ from dezawl import (
     NonIntegralVerdict,
     cayley_graph,
     connection_set,
-    exact_nullity,
     expected_eigenvalues,
     family_group,
     grid_graph,
@@ -39,14 +38,14 @@ def test_expected_eigenvalues_rejects_small_k():
 def test_integer_rank_known_matrices():
     ones = [[1] * 4 for _ in range(4)]
     assert integer_rank(ones) == 1
-    assert exact_nullity(ones) == 3
+    assert len(ones) - integer_rank(ones) == 3
     ident = [[1 if i == j else 0 for j in range(5)] for i in range(5)]
     assert integer_rank(ident) == 5
     zero = [[0] * 3 for _ in range(3)]
-    assert exact_nullity(zero) == 3
+    assert len(zero) - integer_rank(zero) == 3
     # A(K3) + I has rank 1, so eigenvalue -1 of K3 has multiplicity 2
     k3_shift = [[1, 1, 1], [1, 1, 1], [1, 1, 1]]
-    assert exact_nullity(k3_shift) == 2
+    assert len(k3_shift) - integer_rank(k3_shift) == 2
 
 
 def test_integer_rank_matches_numpy_on_random_matrices():
@@ -261,6 +260,14 @@ def test_annihilator_rejects_a_missing_eigenvalue(cache, missing):
     assert _certify(cache.graph(3), candidates) is None
 
 
+def test_annihilator_refuses_a_column_that_is_not_every_column():
+    """K2 with an isolated vertex, claimed transitive: (A - I)(A + I) kills
+    column 0, but the traces read off it, 3 and -3, give eigenvalue -1 the
+    multiplicity 3/2, so the trace solve refuses."""
+    g = Graph.from_edges(3, [(0, 1)])
+    assert spectrum._annihilator_multiplicities(g.adj, [1, -1], 1, transitive=True) is None
+
+
 def test_annihilator_refuses_past_the_float_bound(cache):
     assert _certify(cache.graph(3), [8, 4, 2**53, 2, -2, -4]) is None
     # A first block past 2^53 is refused by the next product's check, and
@@ -408,14 +415,14 @@ def test_a_refused_nomination_goes_to_elimination(cache, monkeypatch):
         return original(adj, candidates, max_degree, transitive)
 
     eliminated = []
-    original_nullity = spectrum.exact_nullity
+    original_rank = spectrum.integer_rank
 
-    def counting_nullity(matrix):
+    def counting_rank(matrix):
         eliminated.append(-matrix[0][0])
-        return original_nullity(matrix)
+        return original_rank(matrix)
 
     monkeypatch.setattr(spectrum, "_annihilator_multiplicities", counting)
-    monkeypatch.setattr(spectrum, "exact_nullity", counting_nullity)
+    monkeypatch.setattr(spectrum, "integer_rank", counting_rank)
     original_product = spectrum._adjacency_product
 
     def vectors_only(adj, x, max_degree, shift=0):

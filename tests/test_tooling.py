@@ -1,7 +1,8 @@
 """The benchmark scripts in perfbench/ reach into dezawl by name: sring_path.py
 calls the public functions, and spans.py wraps a few module-level functions
 (its INNER table) to time them. A rename or deletion in src/ that breaks them
-must fail here, not only when the benchmark runs."""
+must fail here, not only when the benchmark runs. So must a package
+__all__ that names something the package no longer imports."""
 
 from __future__ import annotations
 
@@ -159,3 +160,18 @@ def test_verify_loads_no_heavy_module(tmp_path):
     heavy = [m for m in loaded["modules"]
              if any(m == h or m.startswith(h + ".") for h in HEAVY_MODULES)]
     assert not heavy
+
+
+def test_all_lists_exactly_the_imported_names():
+    """dezawl.__all__ names each name dezawl/__init__.py imports once and no
+    other, so a name dropped from the imports but left in __all__ fails
+    here rather than at a user's star import."""
+    tree = ast.parse(Path(dezawl.__file__).read_text(encoding="utf-8"))
+    imported = [alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) and node.module != "__future__"
+                for alias in node.names]
+    assert sorted(dezawl.__all__) == sorted(imported)
+    assert len(set(imported)) == len(imported)
+    namespace: dict = {}
+    exec("from dezawl import *", namespace)
+    assert set(dezawl.__all__) <= set(namespace)

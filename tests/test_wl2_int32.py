@@ -59,25 +59,22 @@ def test_renumbering_of_repeated_pools(pool, size, rnd):
 
 def test_colors_are_int32_on_every_path(cache, monkeypatch):
     gamma = cache.graph(5)
-    assert initial_coloring(gamma).color.dtype == np.int32
+    assert initial_coloring(gamma)[0].dtype == np.int32
     hashed = wl2(gamma)
     assert hashed.rejections == 0
-    assert hashed.coloring.color.dtype == np.int32
+    assert hashed.color.dtype == np.int32
     monkeypatch.setattr(wl, "_hash_prime", lambda n: 2)  # every weight 1
     split = wl2(gamma)  # by the recheck's witnesses alone
     assert split.rejections > 0
-    assert split.coloring.color.dtype == np.int32
-    assert np.array_equal(split.coloring.color, hashed.coloring.color)
+    assert split.color.dtype == np.int32
+    assert np.array_equal(split.color, hashed.color)
 
 
 def test_recheck_accepts_int32_and_int64_alike(cache):
     gamma = cache.graph(4)
-    init = initial_coloring(gamma)
     conf = wl2(gamma)
-    for coloring in (init, conf.coloring):
-        wide = wl.PairColoring(coloring.n, coloring.color.astype(np.int64),
-                               coloring.num_colors)
-        assert verify_coherence(wide) == verify_coherence(coloring)
+    for color, rank in (initial_coloring(gamma), (conf.color, conf.rank)):
+        assert verify_coherence(color.astype(np.int64), rank) == verify_coherence(color, rank)
 
 
 def test_pair_count_bound_raises_before_reading_the_graph():
@@ -143,7 +140,7 @@ def test_wl2_peak_memory_with_a_rejection_is_at_most_four_int64_matrices(cache, 
     result = []
     peak = _traced_peak(lambda: result.append(wl2(graph)))
     assert result[0].rejections == 1
-    assert np.array_equal(result[0].coloring.color, conf.coloring.color)
+    assert np.array_equal(result[0].color, conf.color)
     assert peak <= 4 * 8 * graph.n ** 2, peak / (8 * graph.n ** 2)
 
 
@@ -154,6 +151,6 @@ def test_full_recheck_peak_memory_at_rank_half_n_squared(cache):
     4 n^3 bytes."""
     graph, conf = _family_without_edge(cache)
     result = []
-    peak = _traced_peak(lambda: result.append(verify_coherence(conf.coloring)))
+    peak = _traced_peak(lambda: result.append(verify_coherence(conf.color, conf.rank)))
     assert result[0].ok and result[0].rows == graph.n
     assert peak < 3 * 8 * graph.n ** 2, peak / (8 * graph.n ** 2)
