@@ -15,10 +15,9 @@ are treated as immutable once built; derived graphs are produced by copy.
 
 cayley_graph and grid_graph record automorphisms that they know by
 construction: the right translations of a generating set and the two
-cyclic shifts. The group these generate is transitive on the vertices, so
-wl2's coherence recheck and integral_spectrum's certificate, which read
-them and check them exactly before use (_transitive), compare one row and
-take one column.
+cyclic shifts. Carried automorphisms count only when _transitive accepts
+them, checked exactly and acting transitively; then wl2 and its coherence
+recheck read row 0 and integral_spectrum takes column 0.
 """
 
 from __future__ import annotations
@@ -39,8 +38,8 @@ class Graph:
     automorphisms holds vertex permutations of the graph, one read-only
     intp row each, as recorded by the constructor that built it
     (cayley_graph, grid_graph), and () for every other graph, derived ones
-    included. wl2 and integral_spectrum use them (_transitive); they only
-    shorten work, and each is checked exactly before it is used.
+    included. wl2 and integral_spectrum use them only if _transitive
+    accepts them, and then they only shorten work.
     Raises ValueError for n < 0 and, before allocating adj, for
     n^2 >= 2^31, past the int32 pair colors of 2-WL.
     """
@@ -241,42 +240,29 @@ def grid_graph(l: int, m: int) -> Graph:
     return g
 
 
-def _orbit_representatives(
-    color: np.ndarray, perms: Sequence[Sequence[int]]
-) -> Sequence[int]:
-    """The smallest vertex of each orbit of the group the perms generate, or
-    every vertex unless each is a permutation of the vertices that preserves
-    every pair color exactly. The check gathers rows then columns with take."""
+def _transitive(color: np.ndarray, perms: Sequence[Sequence[int]]) -> bool:
+    """Whether each of perms is a permutation of the vertices with
+    color[p][:, p] == color exactly (rows then columns gathered with take)
+    and a search from vertex 0 over them reaches every vertex; False on no
+    vertices. The one decision behind wl2's row-0 trigger, the coherence
+    recheck's one row and the spectrum's one column."""
     n = color.shape[0]
+    if n == 0:
+        return False
     gens = [np.asarray(p, dtype=np.intp) for p in perms]
     for p in gens:
         if (p.shape != (n,) or not np.array_equal(np.sort(p), np.arange(n))
                 or not np.array_equal(color.take(p, axis=0).take(p, axis=1), color)):
-            return range(n)
+            return False
     images = [p.tolist() for p in gens]
-    seen = [False] * n
-    reps = []
-    for s in range(n):
-        if seen[s]:
-            continue
-        reps.append(s)
-        seen[s] = True
-        stack = [s]
-        while stack:
-            x = stack.pop()
-            for image in images:
-                y = image[x]
-                if not seen[y]:
-                    seen[y] = True
-                    stack.append(y)
-    return reps
-
-
-def _transitive(g: Graph) -> bool:
-    """Whether the automorphisms g carries pass the exact check on g.adj and
-    act transitively: the one decision behind wl2's row-0 trigger and the
-    spectrum's one column. True on one vertex, whose one column is all."""
-    return len(_orbit_representatives(g.adj, g.automorphisms)) == 1
+    seen, stack = {0}, [0]
+    while stack:
+        x = stack.pop()
+        for image in images:
+            if image[x] not in seen:
+                seen.add(image[x])
+                stack.append(image[x])
+    return len(seen) == n
 
 
 # Row blocks of each BLAS pass over n rows, here, in spectrum and in wl's

@@ -49,9 +49,9 @@ products.
 On a vertex-transitive graph one column decides everything (Godsil and
 Royle, Algebraic Graph Theory, 2001, ch. 3). integral_spectrum reads the
 automorphisms the graph carries (Graph.automorphisms), so every graph built
-by cayley_graph or grid_graph qualifies; graphs._transitive checks exactly
-that each is a permutation with A[p][:, p] = A, and if the group they
-generate has one orbit, only the column block (0, 1) is taken:
+by cayley_graph or grid_graph qualifies; if graphs._transitive accepts
+them (each a permutation with A[p][:, p] = A, the group they generate
+transitive), only the column block (0, 1) is taken:
 - every q(A) commutes with the permutation matrix P_s of each s in that
   group, so if s(0) = v then P(A) e_v = P(A) P_s e_0 = P_s P(A) e_0, and
   P(A) = 0 iff P(A) e_0 = 0;
@@ -59,10 +59,9 @@ generate has one orbit, only the column block (0, 1) is taken:
   and the trace equations and their solution are unchanged.
 Transitivity is enough; the graph need not be a Cayley graph (the Petersen
 graph is not). This takes |C| - 1 products of one column, O(|C| n^2) work
-against O(|C| n^3), under the same exactness rule. Any other graph (one
-that carries no automorphisms, or ones that include a non-permutation or
-a non-automorphism or have more than one orbit) takes the eight blocks,
-with the same result.
+against O(|C| n^3), under the same exactness rule. Any graph whose carried
+automorphisms _transitive refuses, or that carries none, takes the eight
+blocks, with the same result.
 
 Exactness has one rule, checked as each product runs. Every product of A
 is one call of _adjacency_product(adj, x, D, shift). It converts the
@@ -352,7 +351,8 @@ def integral_spectrum(g: Graph):
     max_degree = int(g.adj.sum(axis=1).max())
     nominated = _krylov_candidates(g.adj, max_degree)
     if nominated is not None:
-        mults = _annihilator_multiplicities(g.adj, nominated, max_degree, _transitive(g))
+        mults = _annihilator_multiplicities(
+            g.adj, nominated, max_degree, _transitive(g.adj, g.automorphisms))
         if mults is not None:
             return IntegralSpectrum(tuple((lam, m) for lam, m in zip(nominated, mults) if m > 0))
 

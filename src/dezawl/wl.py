@@ -40,16 +40,18 @@ split or makes a check reject. Three arguments make the result exact:
    so is the transpose: W refines K'. The witness splits a class of H,
    which refines K, so K gains a class per rejection and wl2 ends after at
    most n^2 of them; a witness that splits no class raises RuntimeError.
-3. Orbit reduction is sound. verify_coherence checks exactly that given
-   vertex permutations (from wl2, g.automorphisms) preserve every pair
-   color. Then every pi in the group they generate maps the multiset of
-   (u, v) to that of (pi u, pi v), so the rows of the least vertex of each
-   orbit, one row on graphs from cayley_graph and grid_graph, give the full
-   comparison's least varying (code, class). Automorphisms that preserve
-   g.adj preserve every W_t and fix every W class, so every K and key is
-   invariant under them; if they act transitively (graphs._transitive),
-   every class meets row 0, and a round splits a class iff row 0 of its
-   new key, which it forms first and alone, does: wl2's trigger.
+3. Row 0 is enough when the automorphisms act transitively.
+   graphs._transitive checks exactly that given vertex permutations (from
+   wl2, g.automorphisms) preserve every entry and reach every vertex from
+   0, as on graphs from cayley_graph and grid_graph. Every pi in the group
+   they generate maps the multiset of (u, v) to that of (pi u, pi v), and
+   some pi maps u to 0, so row 0 holds every (multiset, class): in
+   verify_coherence it gives the full comparison's least varying (code,
+   class), and other perms, or none, mean every row. Automorphisms that
+   preserve g.adj preserve every W_t and fix every W class, so every K and
+   key is invariant under them and every class meets row 0: a round
+   splits a class iff row 0 of its new key, which it forms first and
+   alone, does, wl2's trigger.
 
 Colors are int32 ids, exact while n <= 46340; wl2 raises ValueError past
 that before allocating. In units of 8 n^2 bytes, a round holds the key,
@@ -66,16 +68,15 @@ the witness's counts before numbering it, and holds K' through the rounds.
 wl1 is classical color refinement (Berkholz, Bonsma and Grohe, 2017): a
 round keys each vertex by (color, sorted out-neighbor colors, sorted
 in-neighbor colors), numbers the distinct keys in sorted order, and rounds
-stop when the count does. The rounds read a padded out-neighbor index
-matrix built once, row u the out-neighbors of u padded to the maximum
-degree D with the sentinel N, the vertex count; a digraph adds one for
-in-neighbors (an undirected graph's two multisets are equal, and (c, X, X)
-sorts as (c, X) does). A round gathers the int32 codes color + 1 (N + 1 for the
-sentinel) of 64 rows at a time, sorts each row and overwrites the trailing
-sentinels with 0, so the bytes of (code, out row, in row) as big-endian
-int32 compare as the tuples do, a prefix first: the ids are those of the
+stop when the count does. A padded index matrix built once lists the
+out-neighbors of each vertex, padded to the maximum degree D with the
+sentinel N, the vertex count; a digraph adds one for in-neighbors (an
+undirected graph's two multisets are equal, and (c, X, X) sorts as (c, X)
+does). A key row holds the codes color + 1, each neighbor row sorted and
+its sentinels' N + 1 overwritten by 0, as big-endian int32, so one
+argsort of the rows' bytes ranks them as the tuples sort: the ids of the
 tuple refinement the tests keep as a reference. A round holds the O(N D)
-index matrices, one 64-row block and the N keys.
+index matrices, keys and one sorted copy, and gathers 64 rows at a time.
 """
 
 from __future__ import annotations
@@ -86,7 +87,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .graphs import Graph, _orbit_representatives, _row_blocks, _transitive
+from .graphs import Graph, _row_blocks, _transitive
 
 
 @dataclass
@@ -232,18 +233,17 @@ def _meet(color: np.ndarray, other: np.ndarray) -> tuple[np.ndarray, int]:
 def wl2(g: Graph) -> CoherentConfiguration:
     """Stable 2-WL pair coloring of g, verified coherent (module docstring).
 
-    Hashed rounds stop when row 0 splits no class if the automorphisms g
-    carries pass the exact check on g.adj and act transitively
-    (graphs._transitive), else when a round keeps the count of distinct
-    keys; the recheck reduces by the same automorphisms. A rejected
-    coloring is split by the recheck's witness, and the rounds restart from
-    the split. g.n must be at most 46340 (ValueError otherwise). Raises
-    RuntimeError if a witness splits no class.
+    Hashed rounds stop when row 0 splits no class if graphs._transitive
+    accepts the automorphisms g carries on g.adj, else when a round keeps
+    the count of distinct keys; the recheck reads row 0 by the same rule.
+    A rejected coloring is split by the recheck's witness, and the rounds
+    restart from the split. g.n must be at most 46340 (ValueError
+    otherwise). Raises RuntimeError if a witness splits no class.
     """
     n = g.n
     if n * n >= 2**31:
         raise ValueError(f"{n} vertices too many for int32 pair colors")
-    trigger = _transitive(g)
+    trigger = _transitive(g.adj, g.automorphisms)
     p = _hash_prime(n)
     # Handed over to the renumbering, which frees it.
     keys = [_finalize(np.arange(5, dtype=np.uint64))[_initial_key(g).reshape(n, n)]]
@@ -299,8 +299,7 @@ class CoherenceResult:
         return self.ok
 
 
-# Rows of the code block that a coherence recheck or a 1-WL round builds and
-# sorts at a time.
+# Rows that a coherence recheck or a 1-WL round gathers and sorts at a time.
 _SORT_BLOCK_ROWS = 64
 
 
@@ -362,10 +361,9 @@ def verify_coherence(
     The least code whose multiplicity differs between two pairs of a class
     differs between two consecutive ones, so the witness is the least over
     all pairs. Colors may be int32 or int64; O(n^2 log n) time per row and
-    O(n^2) memory. Given perms, it checks exactly that each is a
-    permutation with color[p][:, p] == color and then compares the row of
-    the least vertex of each orbit alone, with the same verdict and witness
-    (module docstring, argument 3); else every row. It counts the rows.
+    O(n^2) memory. It compares row 0 alone, with the same verdict and
+    witness, if graphs._transitive accepts perms on color (module
+    docstring, argument 3), else every row, and counts the rows.
 
     The witness of a failure names, for intersection numbers, the least
     color pair (i, j), then the least class on which p_ij varies, with a
@@ -395,7 +393,7 @@ def verify_coherence(
         )
 
     del counts, on_diagonal, partner, unpaired
-    rows = _orbit_representatives(color, perms)
+    rows = [0] if _transitive(color, perms) else range(len(color))
     worst = _varying_intersection(color, rank, rows)
     if worst is None:
         return CoherenceResult(True, rows=len(rows))
@@ -462,26 +460,28 @@ def _refine_vertex_colors(adjs: Sequence[np.ndarray], directed: bool) -> np.ndar
     code = np.full(n + 1, n + 1, dtype=np.int32)
     colors = np.zeros(n, dtype=np.int32)
     num = min(n, 1)  # the initial coloring has one class, none on no vertices
+    keys = np.empty((n, width), dtype=">i4")
     while True:
         code[:n] = colors + 1
-        keys: list[bytes] = []
+        keys[:, 0] = code[:n]
         for lo in range(0, n, _SORT_BLOCK_ROWS):
-            hi = min(n, lo + _SORT_BLOCK_ROWS)
-            block = np.empty((hi - lo, width), dtype=">i4")
-            block[:, 0] = code[lo:hi]
             at = 1
             for index in indexes:
-                row = code[index[lo:hi]]
+                row = code[index[lo:lo + _SORT_BLOCK_ROWS]]
                 row.sort(axis=1)
                 row[row > n] = 0
-                block[:, at:at + row.shape[1]] = row
+                keys[lo:lo + len(row), at:at + row.shape[1]] = row
                 at += row.shape[1]
-            keys += block.view(key_type).ravel().tolist()
-        ordering = {key: i for i, key in enumerate(sorted(set(keys)))}
-        new_colors = np.array([ordering[key] for key in keys], dtype=np.int32)
-        if len(ordering) == num:
-            return new_colors
-        colors, num = new_colors, len(ordering)
+        # np.unique would hold three more copies of the keys; this holds one.
+        flat = keys.view(key_type).ravel()
+        order = flat.argsort()
+        ranked = flat[order]
+        starts = np.ones(n, dtype=bool)
+        starts[1:] = ranked[1:] != ranked[:-1]
+        del ranked
+        colors[order] = np.cumsum(starts) - 1
+        if num == (num := int(np.count_nonzero(starts))):
+            return colors
 
 
 def wl1_distinguishes(g1: Graph, g2: Graph) -> bool:

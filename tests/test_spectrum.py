@@ -682,6 +682,31 @@ def test_petersen_rotation_alone_takes_the_eight_blocks(monkeypatch):
     assert _annihilator_widths(products) == {2}
 
 
+# Automorphisms that pass the exact check but generate more than one orbit.
+NON_TRANSITIVE_CASES = {
+    "petersen_rotation": lambda cache: carrying(_petersen(), [_PETERSEN_ROTATION]),
+    "gamma5_a": lambda cache: carrying(cache.graph(5), FALLBACK_PERMS["a_alone"](cache)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_TRANSITIVE_CASES))
+def test_automorphisms_that_are_not_transitive_count_for_nothing(cache, name):
+    """The Petersen rotation alone, whose orbits are the two 5-cycles, and
+    Gamma_5 (n = 40) carrying the right translation by a, of order 5, are
+    automorphisms that do not act transitively: wl2 runs the rounds and
+    rechecks every row, giving the coloring, and integral_spectrum the
+    spectrum, of a copy that carries none."""
+    g = NON_TRANSITIVE_CASES[name](cache)
+    for p in np.asarray(g.automorphisms):
+        assert np.array_equal(g.adj[p][:, p], g.adj)
+    assert not graph_layer._transitive(g.adj, g.automorphisms)
+    carried, plain = wl2(g), wl2(carrying(g))
+    assert np.array_equal(carried.color, plain.color)
+    assert (carried.rounds, carried.rejections) == (plain.rounds, plain.rejections)
+    assert carried.recheck_rows == plain.recheck_rows == g.n
+    assert integral_spectrum(g) == integral_spectrum(carrying(g))
+
+
 @pytest.mark.parametrize("k", [5, 8])
 def test_translations_of_gamma_are_no_automorphisms_without_an_edge(cache, monkeypatch, k):
     """On Gamma_k - (0, 2) the translations fail the automorphism check. With

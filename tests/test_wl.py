@@ -280,6 +280,19 @@ def test_exact_rounds_alone_reach_the_wl2_coloring(cache):
     assert wl_rank(Graph(1)) == 1
 
 
+def test_no_vertices_are_not_transitive():
+    """_transitive is False on a 0 x 0 matrix, whose recheck compares no
+    row, and True on one vertex without perms, whose one row is all."""
+    import numpy as np
+
+    from dezawl.graphs import _transitive
+
+    assert not _transitive(np.zeros((0, 0), dtype=bool), ())
+    assert _transitive(np.zeros((1, 1), dtype=bool), ())
+    assert verify_coherence(np.zeros((0, 0), dtype=np.int32), 0).rows == 0
+    assert verify_coherence(np.zeros((1, 1), dtype=np.int32), 1).rows == 1
+
+
 def test_round_ids_do_not_depend_on_color_values(cache):
     """Ids depend only on which signatures are equal, whatever values name
     the colors."""
@@ -612,8 +625,8 @@ def test_wl2_and_sring_closure_agree_on_cayley_graphs(group_and_set):
     """On Cayley graphs of three groups, 2-WL and the S-ring closure, which
     share no code, give one rank; every hashed round gives the exact round's
     coloring, ids included, once numbered by first occurrence; the right
-    translations the graph carries pass the exact automorphism check with
-    one orbit, so wl2 and integral_spectrum give with them what they give
+    translations the graph carries pass the exact automorphism check and
+    act transitively, so wl2 and integral_spectrum give with them what they give
     on a copy that carries none, and the recheck reduced by them gives the
     full recheck's verdict and witness from one row. Graphs derived from it
     carry none."""
@@ -636,12 +649,12 @@ def _check_wl2_and_closure(g, s):
     import numpy as np
 
     from dezawl import graph_to_json, integral_spectrum, load_graph
-    from dezawl.graphs import _orbit_representatives
+    from dezawl.graphs import _transitive
 
     graph = cayley_graph(g, s)
     closure = wl_closure(g, [s])
     translations = graph.automorphisms
-    assert _orbit_representatives(graph.adj, translations) == [0]
+    assert _transitive(graph.adj, translations)
     carried, every_row = wl2(graph), wl2(carrying(graph))
     assert np.array_equal(carried.color, every_row.color)
     assert (carried.recheck_rows, every_row.recheck_rows) == (1, graph.n)
