@@ -263,7 +263,3 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _fail(f"not enough memory: {exc}")
     except ValueError as exc:
         return _fail(str(exc))
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -23,8 +23,7 @@ recheck read row 0 and integral_spectrum takes column 0.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -135,8 +134,7 @@ class Graph:
         return f"Graph({kind}, n={self.n}, edges={self.edge_count()})"
 
 
-@dataclass(frozen=True)
-class DezaParameters:
+class DezaParameters(NamedTuple):
     """Parameters (n, k, beta, alpha) with beta >= alpha.
 
     degenerate marks the single-common-neighbor-value case (alpha = beta).
@@ -154,16 +152,14 @@ class DezaParameters:
         return (self.n, self.k, self.beta, self.alpha)
 
 
-@dataclass(frozen=True)
-class NotDezaVerdict:
+class NotDezaVerdict(NamedTuple):
     """Why a graph is not Deza, with a witness vertex pair where applicable."""
 
     reason: str
     witness: Optional[tuple[int, int]] = None
 
 
-@dataclass(frozen=True)
-class DDGParameters:
+class DDGParameters(NamedTuple):
     """Divisible design parameters (n, k, alpha, beta, m, l): alpha common
     neighbors within a class, beta across classes, m classes of size l."""
 
@@ -178,8 +174,7 @@ class DDGParameters:
         return (self.n, self.k, self.alpha, self.beta, self.m, self.l)
 
 
-@dataclass(frozen=True)
-class DDGFailure:
+class DDGFailure(NamedTuple):
     reason: str
     witness: Optional[tuple[int, int]] = None
 

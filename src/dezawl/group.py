@@ -14,8 +14,7 @@ between workers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -163,8 +162,7 @@ class Subgroup:
         return f"Subgroup(order={self.order}, {{{shown}{tail}}})"
 
 
-@dataclass
-class Section:
+class Section(NamedTuple):
     """A quotient U/L together with the projection map from U.
 
     ``projection`` is a read-only np.intp vector over the group: the
@@ -342,8 +340,7 @@ class FamilyGroup(Group):
         return StandardSubgroups(sub_a, sub_a1, sub_c, sub_h, sub_l, sub_u)
 
 
-@dataclass(frozen=True)
-class StandardSubgroups:
+class StandardSubgroups(NamedTuple):
     """Named subgroups of a FamilyGroup: A = <a>, A1 = <a^2>, C = <c>,
     H = <a, b>, L = A1 <cb>, U = <L, ca, da>."""
 

@@ -98,9 +98,8 @@ when D * max|u_j| reached 2^53.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -116,8 +115,7 @@ _FLOAT_EXACT = 2**53
 _KRYLOV_PRIME = 2**31 - 1
 
 
-@dataclass(frozen=True)
-class IntegralSpectrum:
+class IntegralSpectrum(NamedTuple):
     """Certified integer eigenvalues with exact multiplicities, in
     decreasing eigenvalue order. Multiplicities sum to the vertex count."""
 
@@ -127,8 +125,7 @@ class IntegralSpectrum:
         return {lam for lam, _ in self.pairs}
 
 
-@dataclass(frozen=True)
-class NonIntegralVerdict:
+class NonIntegralVerdict(NamedTuple):
     """Certified part of the spectrum plus the dimension that could not be
     attributed to any integer eigenvalue."""
 

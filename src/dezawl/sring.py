@@ -41,8 +41,7 @@ an unrelated algorithm and serves as a cross-oracle in the test suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -105,16 +104,14 @@ class SRingPartition:
         return f"SRingPartition(rank={self.rank}, |G|={self.group.order})"
 
 
-@dataclass(frozen=True)
-class SRingViolation:
+class SRingViolation(NamedTuple):
     axiom: int
     detail: str
 
 
-@dataclass
-class SRingCheck:
+class SRingCheck(NamedTuple):
     ok: bool
-    violations: list[SRingViolation] = field(default_factory=list)
+    violations: Sequence[SRingViolation] = ()
 
     def __bool__(self) -> bool:
         return self.ok
@@ -312,8 +309,7 @@ def section_sring(p: SRingPartition, s: Section) -> SRingPartition:
     return SRingPartition(s.quotient, buckets.values())
 
 
-@dataclass
-class WreathDecomposition:
+class WreathDecomposition(NamedTuple):
     """A section U/L realizing the generalized wreath structure, together
     with the three ranks entering the rank identity
     rank = rank_u + rank_quotient - rank_section."""
@@ -453,8 +449,7 @@ def detect_wreath(p: SRingPartition) -> list[WreathDecomposition]:
     return results
 
 
-@dataclass
-class TraceAssertion:
+class TraceAssertion(NamedTuple):
     name: str
     expected: tuple[str, ...]
     observed: tuple[str, ...]
@@ -469,8 +464,7 @@ class TraceAssertion:
         }
 
 
-@dataclass
-class ClosureTrace:
+class ClosureTrace(NamedTuple):
     """Outcome of the forced-singleton and coset assertions on the closure
     of the family graph's connection set."""
 

@@ -7,8 +7,7 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .graphs import (
     DDGFailure,
@@ -40,8 +39,7 @@ def expected_wl_rank(k: int) -> int:
     return 8 * k if k % 2 else 4 * k + 4
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(NamedTuple):
     """One run of verify_family. certificate is the deterministic JSON
     payload of schemas/verification_report.schema.json, plain dicts, lists,
     ints, bools and strings, so re-runs are byte-identical. timings (wall

@@ -82,16 +82,14 @@ index matrices, keys and one sorted copy, and gathers 64 rows at a time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .graphs import Graph, _row_blocks, _transitive
 
 
-@dataclass
-class CoherentConfiguration:
+class CoherentConfiguration(NamedTuple):
     """A stable 2-WL coloring, the n x n int32 matrix color of ids
     0..rank-1, with the work wl2 did to reach it: the full rounds run, the
     colorings its rechecks rejected and the rows they compared."""
@@ -289,8 +287,7 @@ def wl_rank(g: Graph) -> int:
     return wl2(g).rank
 
 
-@dataclass
-class CoherenceResult:
+class CoherenceResult(NamedTuple):
     ok: bool
     witness: Optional[dict] = None
     rows: int = 0  # rows u whose multisets were compared

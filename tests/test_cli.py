@@ -1,4 +1,6 @@
+import gc
 import json
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -7,6 +9,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+import dezawl
 from conftest import carrying
 from dezawl.cli import main
 from dezawl.graphs import graph_from_json, load_graph, write_edgelist
@@ -224,6 +227,41 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "24 96"
+
+
+def _without_timings(err: str) -> list[str]:
+    return [line for line in err.splitlines() if not line.startswith("timing ")]
+
+
+@pytest.mark.parametrize("extra,expected", [
+    ([], 0),
+    (["--drop-edge", "0", "2"], 1),
+    (["--drop-edge", "100", "0"], 2),
+])
+def test_process_entry_matches_main(extra, expected, tmp_path, monkeypatch, capsys):
+    """`python -m dezawl` exits with main's code and writes main's report,
+    stdout and stderr (timings aside), and main leaves the collector's
+    permanent generation alone: only the process entry freezes it."""
+    argv = ["verify", "--k", "3", "--json", "r.json", *extra]
+    child, parent = tmp_path / "child", tmp_path / "parent"
+    child.mkdir()
+    parent.mkdir()
+    src = str(Path(dezawl.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
+    proc = subprocess.run([sys.executable, "-m", "dezawl", *argv],
+                          capture_output=True, text=True, cwd=child, env=env)
+    monkeypatch.chdir(parent)
+    frozen = gc.get_freeze_count()
+    assert main(argv) == proc.returncode == expected
+    assert gc.get_freeze_count() == frozen
+    captured = capsys.readouterr()
+    assert proc.stdout == captured.out
+    assert _without_timings(proc.stderr) == _without_timings(captured.err)
+    if expected == 2:
+        assert not (child / "r.json").exists() and not (parent / "r.json").exists()
+    else:
+        assert (child / "r.json").read_bytes() == (parent / "r.json").read_bytes()
 
 
 def test_loaded_graph_matches_constructed(tmp_path):

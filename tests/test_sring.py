@@ -1,3 +1,4 @@
+import json
 import random
 from types import SimpleNamespace
 
@@ -21,7 +22,7 @@ from dezawl import (
     wl_rank,
 )
 from dezawl.group import _generated
-from dezawl.sring import _radical
+from dezawl.sring import SRingCheck, _radical
 from test_group_reference import reference_generated
 
 
@@ -64,6 +65,18 @@ def test_products_must_be_constant_on_classes():
     check = is_sring(p)
     assert not check.ok
     assert check.violations[0].axiom == 3
+
+
+def test_a_check_is_true_exactly_when_it_passes():
+    """SRingCheck is truthy when the partition is an S-ring and falsy when it
+    is not, whatever violations it lists; a passing check lists none."""
+    c5 = cyclic_group(5)
+    passing = is_sring(SRingPartition(c5, [[x] for x in range(5)]))
+    failing = is_sring(SRingPartition(c5, [[0, 1], [2, 3, 4]]))
+    assert passing and passing.ok and list(passing.violations) == []
+    assert not failing and not failing.ok
+    assert [v.axiom for v in failing.violations] == [1, 2, 2]
+    assert SRingCheck(True).violations == ()
 
 
 def test_partition_validation():
@@ -344,6 +357,55 @@ def test_closure_trace_serializes(cache):
         set(entry) == {"name", "expected", "observed", "holds"}
         for entry in doc["assertions"]
     )
+
+
+# closure_trace(k).to_dict() and the summary() of each detect_wreath result
+# at k = 3 and 4, key order included: every assertion holds and observes
+# exactly the names it expects.
+TRACE_PINS = {
+    3: (24, True, [
+        ("cb_is_singleton", ["bc"]),
+        ("ca_is_singleton", ["ac"]),
+        ("da_inverse_is_singleton", ["a^2d"]),
+        ("a_squared_is_singleton", ["a^2"]),
+        ("a1_elements_are_singletons", ["a", "a^2", "e"]),
+    ]),
+    4: (20, False, [
+        ("cb_is_singleton", ["bc"]),
+        ("ca_is_singleton", ["ac"]),
+        ("da_inverse_is_singleton", ["a^3d"]),
+        ("a_squared_is_singleton", ["a^2"]),
+        ("a1_elements_are_singletons", ["a^2", "e"]),
+        ("da_is_singleton", ["ad"]),
+        ("coset_Lc_is_class_union", ["a^2b", "a^2c", "b", "c"]),
+        ("coset_La_is_class_union", ["a", "a^3", "a^3bc", "abc"]),
+        ("coset_Ld_is_class_union", ["a^2bcd", "a^2d", "bcd", "d"]),
+        ("coset_Lcda_is_class_union", ["a^3bd", "a^3cd", "abd", "acd"]),
+    ]),
+}
+WREATH_PINS = {
+    3: [],
+    4: [
+        {"lower_order": 2, "upper_order": 16, "rank_u": 16, "rank_quotient": 12,
+         "rank_section": 8},
+        {"lower_order": 4, "upper_order": 16, "rank_u": 16, "rank_quotient": 8,
+         "rank_section": 4},
+    ],
+}
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_trace_and_wreath_outputs_are_pinned(cache, k):
+    rank, singles, entries = TRACE_PINS[k]
+    expected = {
+        "k": k, "rank": rank, "all_hold": True, "all_classes_singletons": singles,
+        "assertions": [{"name": name, "expected": names, "observed": names, "holds": True}
+                       for name, names in entries],
+    }
+    doc = closure_trace(cache.group(k), k).to_dict()
+    assert json.dumps(doc) == json.dumps(expected)
+    summaries = [w.summary() for w in detect_wreath(cache.closure(k))]
+    assert json.dumps(summaries) == json.dumps(WREATH_PINS[k])
 
 
 def test_closure_rank_matches_wl2_at_k12():

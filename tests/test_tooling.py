@@ -7,7 +7,6 @@ __all__ that names something the package no longer imports."""
 from __future__ import annotations
 
 import ast
-import dataclasses
 import importlib
 import importlib.util
 import inspect
@@ -92,8 +91,8 @@ def test_spectrum_count_reads_result_attributes(cache):
     """spans.py RESULT_COUNTS counts the eigenvalues a spectrum verdict
     certified through IntegralSpectrum.pairs and NonIntegralVerdict.certified;
     if either attribute went away, the traced count would silently read 0."""
-    assert "pairs" in {f.name for f in dataclasses.fields(dezawl.IntegralSpectrum)}
-    assert "certified" in {f.name for f in dataclasses.fields(dezawl.NonIntegralVerdict)}
+    assert "pairs" in dezawl.IntegralSpectrum._fields
+    assert "certified" in dezawl.NonIntegralVerdict._fields
     spec = importlib.util.spec_from_file_location("spans", PERFBENCH / "spans.py")
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
@@ -129,10 +128,12 @@ def test_wl2_spans_are_tagged_and_each_holds_its_recheck():
         assert children == ["wl.verify_coherence"]
 
 
-# Modules whose import alone costs resident memory that no certificate needs:
-# numpy.random about 5.4 MB. A certificate that loads one of them loses the
-# peak RSS its phases were trimmed for.
-HEAVY_MODULES = ("numpy.random", "numpy.ma", "fractions", "scipy")
+# Modules that no certificate needs and whose use costs resident memory or
+# start-up time: numpy.random about 5.4 MB on import; dataclasses, whose
+# classes compile their generated methods at import (the 16 records took
+# about 8 ms as @dataclass). A certificate that loads one of them loses the
+# peak RSS and the time its phases were trimmed for.
+HEAVY_MODULES = ("numpy.random", "numpy.ma", "fractions", "scipy", "dataclasses")
 
 _LOADED_AFTER_VERIFY = """
 import json, sys

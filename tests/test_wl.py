@@ -121,6 +121,13 @@ def test_initial_coloring_of_family_graph_is_not_coherent(cache):
     assert count(u1, v1) != count(u2, v2)
 
 
+def test_a_recheck_is_true_exactly_when_it_accepts(cache):
+    accepted = verify_coherence(*initial_coloring(_complete(5)))
+    rejected = verify_coherence(*initial_coloring(cache.graph(3)))
+    assert accepted and accepted.ok and accepted.witness is None
+    assert not rejected and not rejected.ok and rejected.witness is not None
+
+
 def test_trivial_coloring_of_complete_graph_is_coherent():
     import numpy as np
 
