@@ -198,7 +198,8 @@ def _generated(g: Group, mask: np.ndarray) -> np.ndarray:
     while 2 * size <= n:
         idx = np.flatnonzero(h)
         h = np.zeros_like(h)
-        h[g.mult[idx[:, None], idx]] = True
+        # take, and marking by an intp index, beat int32 fancy indexing.
+        h[g.mult.take(idx, axis=0).take(idx, axis=1).astype(np.intp)] = True
         grown = np.count_nonzero(h)
         if grown == size:
             return h

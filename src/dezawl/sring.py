@@ -10,11 +10,11 @@ sets are unions of classes, by synchronous rounds on one class vector.  The
 initial classes are the signatures (z = e, z in M, z^-1 in M for each
 marked set M).  A round gives every z the key
 
-    (class(z), class(z^-1), the multiset of (class(x), class(y)) over xy = z)
+    (class(z), class(z^-1), the multiset of (class(zy), class(y^-1)) over y)
 
-and the new classes are the key classes.  The key keeps class(z), so each
-round refines the last, and the rounds stop when the number of classes
-stays the same, that is when a round splits nothing.
+and the new classes are the key classes; (zy, y^-1) runs over the pairs
+(x, y') with x y' = z.  The key keeps class(z), so each round refines the
+last, and the rounds stop when a round splits nothing.
 
 The fixed point is an S-ring.  The multiset of z counts, for every pair
 of classes (X, Y), the solutions of xy = z with x in X and y in Y, which is
@@ -136,11 +136,11 @@ def is_sring(p: SRingPartition) -> SRingCheck:
     n^2 < 2^31; larger groups raise ValueError.
 
     Mathematically this is the stability test of one wl_closure round, so
-    it is kept independent of wl_closure, which it rechecks: it uses no
-    _sorted_rows and no _class_ids, it reads pairs (x, x^-1 z) from the
-    columns of the table rather than pairs (z y^-1, y) from permuted rows,
-    and it compares each row with its first element's row instead of
-    renumbering keys.
+    it is kept independent of wl_closure, which it rechecks: the two share
+    no helper (it uses no _sorted_rows and no _class_ids). It reads the
+    pairs (w^-1, wz) from column z of the table, where wl_closure reads
+    the pairs (zy, y^-1) from row z, and it compares each row with its
+    first element's row instead of renumbering keys.
 
     The first violation in the order (X, Y, class, element), classes in
     canonical order and elements ascending, is the one reported. For a
@@ -222,14 +222,14 @@ def _class_ids(keys: Iterable) -> np.ndarray:
     return np.fromiter((ids.setdefault(key, len(ids)) for key in keys), dtype=np.int32)
 
 
-def _sorted_rows(quot: np.ndarray, cls: np.ndarray, rank: int):
-    """The bytes of each row z of the codes cls[z y^-1] * rank + cls[y],
+def _sorted_rows(mult: np.ndarray, cls: np.ndarray, cls_inv: np.ndarray, rank: int):
+    """The bytes of each row z of the codes cls[z y] * rank + cls[y^-1],
     sorted. Rows are built 64 at a time, so no n x n array of codes is
-    held next to quot and the keys."""
-    for lo in range(0, len(quot), 64):
-        codes = cls[quot[lo:lo + 64]]
+    held next to the table and the keys."""
+    for lo in range(0, len(mult), 64):
+        codes = cls[mult[lo:lo + 64]]
         codes *= rank
-        codes += cls
+        codes += cls_inv
         codes.sort(axis=1)
         yield from map(bytes, codes)
 
@@ -240,17 +240,15 @@ def wl_closure(g: Group, marked: Sequence[Iterable[int]]) -> SRingPartition:
     which also proves the result the minimum and not merely some admissible
     partition.
 
-    quot[z, y] = z y^-1 is one n x n copy of the int32 multiplication
-    table, its columns permuted by inversion (np.take writes it
-    C-contiguous, unlike mult[:, inv]), so (z y^-1, y) runs over the pairs
-    with product z. With r classes, a round writes the codes
-    cls[z y^-1] * r + cls[y] 64 rows at a time and sorts each row in place.
-    The key of z is its sorted row with the pair (cls[z], cls[z^-1]), and
-    keys are numbered by first occurrence. Each round but the last adds a
-    class, so there are at most n rounds, each O(n^2 log n) time. Memory is
-    O(n^2) int32: quot and one row of codes per distinct key. The codes
-    stay below r^2 <= n^2, exact in int32 while n^2 < 2^31; larger groups
-    raise ValueError, as does a marked element outside 0..order-1.
+    With r classes, a round forms cls[y^-1] once, writes the codes
+    cls[z y] * r + cls[y^-1] from 64 rows of the multiplication table at a
+    time and sorts each row in place. The key of z is its sorted row with
+    the pair (cls[z], cls[z^-1]), and keys are numbered by first
+    occurrence. Each round but the last adds a class, so there are at most
+    n rounds, each O(n^2 log n) time. Memory beyond the table is one int32
+    row of codes per distinct key. The codes stay below r^2 <= n^2, exact
+    in int32 while n^2 < 2^31; larger groups raise ValueError, as does a
+    marked element outside 0..order-1.
     """
     n = g.order
     if n * n >= 2**31:
@@ -262,10 +260,10 @@ def wl_closure(g: Group, marked: Sequence[Iterable[int]]) -> SRingPartition:
     cls = _class_ids(zip(
         np.arange(n) == g.identity, map(bytes, member), map(bytes, member[inv])
     ))
-    quot = g.mult.take(inv, axis=1)
     rank = int(cls.max()) + 1
     while True:
-        keys = zip(cls.tolist(), cls[inv].tolist(), _sorted_rows(quot, cls, rank))
+        cls_inv = cls[inv]
+        keys = zip(cls.tolist(), cls_inv.tolist(), _sorted_rows(g.mult, cls, cls_inv, rank))
         cls = _class_ids(keys)
         grown = int(cls.max()) + 1
         if grown == rank:
@@ -291,20 +289,21 @@ def section_sring(p: SRingPartition, s: Section) -> SRingPartition:
 
     Two cosets of L belong to the same induced class iff every class of p
     inside U meets them in the same number of elements; this is exactly the
-    basic-set partition of the projected span. Requires U and L to be
-    unions of classes of p.
+    basic-set partition of the projected span. That holds iff their sorted
+    class ids agree, so U is grouped by coset (an argsort of the
+    projection) and cosets are bucketed by their sorted ids: O(|U|) memory.
+    Requires U and L to be unions of classes of p.
     """
     if not p.is_union_of_classes(s.upper.elements):
         raise ValueError("upper subgroup is not a union of classes")
     if not p.is_union_of_classes(s.lower.elements):
         raise ValueError("lower subgroup is not a union of classes")
-    # counts[coset, class]: the elements of the class in the coset.  U is a
-    # union of classes, so a class outside U has an all-zero column.
     upper = np.flatnonzero(s.upper.mask)
-    counts = np.zeros((s.quotient.order, p.rank), dtype=np.intp)
-    np.add.at(counts, (s.projection[upper], p.class_of[upper]), 1)
+    by_coset = upper[np.argsort(s.projection[upper])]
+    rows = p.class_of[by_coset].reshape(s.quotient.order, -1)
+    rows.sort(axis=1)
     buckets: dict[bytes, list[int]] = {}
-    for coset, row in enumerate(counts):
+    for coset, row in enumerate(rows):
         buckets.setdefault(row.tobytes(), []).append(coset)
     return SRingPartition(s.quotient, buckets.values())
 
@@ -379,13 +378,12 @@ def detect_wreath(p: SRingPartition) -> list[WreathDecomposition]:
     g = p.group
     n = g.order
 
-    cls = np.zeros((p.rank, n), dtype=bool)
-    cls[p.class_of, np.arange(n)] = True
-    rad = np.array([_radical(g, row) for row in cls])
+    class_of = p.class_of
+    rad = np.array([_radical(g, class_of == cid) for cid in range(p.rank)])
 
     def inside(mask: np.ndarray) -> np.ndarray:
         """Which classes lie inside the mask."""
-        return ~(cls & ~mask).any(axis=1)
+        return np.bincount(class_of[~mask], minlength=p.rank) == 0
 
     radicals: dict[bytes, np.ndarray] = {}
     for row in rad:
@@ -398,7 +396,7 @@ def detect_wreath(p: SRingPartition) -> list[WreathDecomposition]:
         gens: dict[bytes, np.ndarray] = {}
         for cid in np.flatnonzero(inside(r)).tolist():
             if cid not in minimal:
-                minimal[cid] = _minimal_normal_s_subgroup(p, cls[cid])
+                minimal[cid] = _minimal_normal_s_subgroup(p, class_of == cid)
             m = minimal[cid]
             if not (m & ~r).any() and np.count_nonzero(m) > 1:
                 gens.setdefault(m.tobytes(), m)
@@ -416,7 +414,8 @@ def detect_wreath(p: SRingPartition) -> list[WreathDecomposition]:
     whole = Subgroup(g, g.elements(), check=False)
     for lm in candidates.values():
         l_sub = Subgroup(g, np.flatnonzero(lm).tolist(), check=False)
-        covered = cls[~(lm & ~rad).any(axis=1)].any(axis=0)
+        selected = ~(lm & ~rad).any(axis=1)  # classes whose radical holds L
+        covered = selected[class_of]
         u0 = _generated(g, ~covered | lm)
         if np.count_nonzero(u0) == n:
             continue
@@ -425,7 +424,7 @@ def detect_wreath(p: SRingPartition) -> list[WreathDecomposition]:
         while frontier:
             um = frontier.pop()
             for cid in np.flatnonzero(~inside(um)).tolist():
-                v = _generated(g, um | cls[cid])
+                v = _generated(g, um | (class_of == cid))
                 if np.count_nonzero(v) < n and uppers.setdefault(v.tobytes(), v) is v:
                     frontier.append(v)
         rank_quotient = section_sring(p, make_section(g, whole, l_sub)).rank

@@ -1,5 +1,6 @@
 import json
 import random
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -406,6 +407,27 @@ def test_trace_and_wreath_outputs_are_pinned(cache, k):
     assert json.dumps(doc) == json.dumps(expected)
     summaries = [w.summary() for w in detect_wreath(cache.closure(k))]
     assert json.dumps(summaries) == json.dumps(WREATH_PINS[k])
+
+
+@pytest.mark.parametrize("k", [64, 65])
+@pytest.mark.parametrize("build", ["closure", "trace"])
+def test_closure_peak_below_one_and_a_half_tables(cache, build, k):
+    """The closure reads the multiplication table as it is: on Gamma_64 and
+    Gamma_65 the traced peak of wl_closure and of closure_trace stays below
+    1.5 units of 4 n^2 bytes, one int32 table. A copy of the table with its
+    columns permuted by inversion peaked at 1.80 (k = 64) and 2.25 (k = 65)
+    units."""
+    g = cache.group(k)
+    run = {"closure": lambda: wl_closure(g, [connection_set(g, k)]),
+           "trace": lambda: closure_trace(g, k)}[build]
+    run()  # warm every lazy import first
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * 4 * g.order**2
 
 
 def test_closure_rank_matches_wl2_at_k12():

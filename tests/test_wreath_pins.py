@@ -11,7 +11,9 @@ direct-product groups, and the S-rings {e}, H#, G minus H over C2^m with H
 of index 2. A change to the search must reproduce every list exactly. On
 cases from other seeds the result must equal that of the subgroup
 enumeration at the end of this file, and every induced partition of a
-section must equal that of the count-list loop there.
+section must equal that of the count-list loop there. Those seeds also
+draw closures over two groups of order 128, family_group(16) and
+cyclic_group(128), on which the reference takes well under a second a case.
 
 Regenerate the data file only for a deliberate change of outcome:
 
@@ -71,6 +73,21 @@ def _random_closure(g: Group, rng: random.Random) -> SRingPartition:
     return wl_closure(g, [sorted(s)])
 
 
+def _lifted_closure(g: Group, rng: random.Random, l: Subgroup, u: Subgroup) -> SRingPartition:
+    """The closure of an inverse-closed set drawn at random inside U and made
+    of whole cosets of the normal subgroup L <= U outside it, so that the
+    search meets sections U/L with nontrivial radicals."""
+    s: set[int] = set()
+    for x in u.elements:
+        if x != g.identity and rng.random() < 0.3:
+            s |= {x, int(g.inv[x])}
+    outside = [x for x in g.elements() if x not in u]
+    for x in rng.sample(outside, 3):
+        for y in (x, int(g.inv[x])):
+            s |= set(g.mult[list(l.elements), y].tolist())
+    return wl_closure(g, [sorted(s)])
+
+
 def wreath_cases(seed: int = 0):
     """(name, S-ring) pairs; seed 0 gives the pinned set."""
     rng = random.Random(seed)
@@ -100,6 +117,18 @@ def wreath_cases(seed: int = 0):
     for gname, g in groups.items():
         for i in range(3):
             yield f"{gname}_random_{i}", _random_closure(g, rng)
+    if seed:
+        f16, c128 = family_group(16), cyclic_group(128)
+        subs = f16.standard_subgroups()
+        larger = {
+            "family16": (f16, subs.l, subs.u),
+            "c128": (c128, subgroup_generated(c128, [32]), subgroup_generated(c128, [8])),
+        }
+        for gname, (g, l, u) in larger.items():
+            for i in range(3):
+                yield f"{gname}_random_{i}", _random_closure(g, rng)
+            for i in range(2):
+                yield f"{gname}_lifted_{i}", _lifted_closure(g, rng, l, u)
 
 
 def _table_sha(q: Group) -> str:
